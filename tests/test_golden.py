@@ -1,0 +1,107 @@
+"""Golden digests: every file a short experiment writes, pinned by sha256.
+
+Speed-ups must leave all of them unchanged. A change that alters the
+channel or arrival draw order, the rate arithmetic or training re-baselines
+them on purpose: print the new table with
+``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
+"""
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+from twinslice import runner
+from twinslice.scenario import ExperimentSpec, TrainSettings, load_scenario
+from twinslice.twin import DelayClass
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+GOLDEN = {
+    "default/comparison.csv": "05a4bc6faa4bb9ead1ab7e568b2aed89e1c76ce74d5d63d29b6c073384c2a383",
+    "default/dnn_repair_lam100.csv": "61cf794dd846d5f6d1e5f1214be4918dc8115b1cb4299e6c99481728b487b477",
+    "default/dnn_repair_lam100.csv.summary": "5e2751ca27171dbdb03fcd97670ef87bc2e610fb28e1aa1e05af0fc961ba3fd1",
+    "default/dnn_repair_lam100.twin.csv": "814fc0cf7acecc49e6d1ddceacf16c83981f25121c1a4454b5038748a7facff6",
+    "default/dnn_repair_lam200.csv": "63a6b5973ccc950fbca47c6b8029d8193254e1a45d5826568f413b7fbf8cccc2",
+    "default/dnn_repair_lam200.csv.summary": "fe5ffebd160998f01007b20e265ca10fa2c93540ee640aa7fca40202f1037090",
+    "default/dnn_repair_lam200.twin.csv": "814fc0cf7acecc49e6d1ddceacf16c83981f25121c1a4454b5038748a7facff6",
+    "default/oracle_lam100.csv": "99f2cd0c8d94777a39182f39da67f39a891cb4d8ad167a0ca393253c1b490405",
+    "default/oracle_lam100.csv.summary": "9ea616ca0e7123d326db102e89b104e6938e022cb624b250a342eb60c87f8b39",
+    "default/oracle_lam100.twin.csv": "814fc0cf7acecc49e6d1ddceacf16c83981f25121c1a4454b5038748a7facff6",
+    "default/oracle_lam200.csv": "c6f2d22f84ca70d6aeb28ca9310b4cbabd6b1fbd8c1dbed1d14cbbf20a2a14a4",
+    "default/oracle_lam200.csv.summary": "5fdf08c52904ece3c7e4b58f662a92efbb662c4a899874103a6c8109ebe141c9",
+    "default/oracle_lam200.twin.csv": "814fc0cf7acecc49e6d1ddceacf16c83981f25121c1a4454b5038748a7facff6",
+    "default/orthogonal_lam100.csv": "b82110e6059b7069e7dbaf2062388ac271503dadf5de6dba9e1c2012a063cdd7",
+    "default/orthogonal_lam100.csv.summary": "7b8e61eef4a36c7b4e556214e1a1c301939872c8897e7af098253433af390375",
+    "default/orthogonal_lam100.twin.csv": "814fc0cf7acecc49e6d1ddceacf16c83981f25121c1a4454b5038748a7facff6",
+    "default/orthogonal_lam200.csv": "d599644018ffb9ae3e712de346d948fbc187b980c2f397d03133baa4f5fadfcc",
+    "default/orthogonal_lam200.csv.summary": "1ce0bf17199940644538c47377be18fd26e512ff42335f1f7ea9ae32f44b1259",
+    "default/orthogonal_lam200.twin.csv": "814fc0cf7acecc49e6d1ddceacf16c83981f25121c1a4454b5038748a7facff6",
+    "tiny/comparison.csv": "85ecf7b5fcff7563ee6183b7547b415d3381d03519d548aca0a0dd57278474fe",
+    "tiny/oracle_lam16.csv": "c607ccd224b6114e684c02427a0ac7fcf64a903fdd3976947e74f17177709316",
+    "tiny/oracle_lam16.csv.summary": "ba86f4cffe6ef7faab524befb327e6b561737380bd3b437d1de46bf9e7f3cc8c",
+    "tiny/oracle_lam16.twin.csv": "d5dc118af9a076a6f0937a75b61c8e8a85caf2e93586d41490f95541e506edcf",
+    "tiny/oracle_lam2.csv": "0a3a1aeb52963779f1c31396219e3a6cb9c212ac22e9da2497a2bf65b2bed040",
+    "tiny/oracle_lam2.csv.summary": "ba4490dd7db008e14211efd5a2d1e89ab7358de07b15c5d1eff693210ca96c3f",
+    "tiny/oracle_lam2.twin.csv": "d5dc118af9a076a6f0937a75b61c8e8a85caf2e93586d41490f95541e506edcf",
+    "train/loss_curve.csv": "d6366add975e7bf9a7325999f5c5f81c677e151ff574dfdb4ad5d0090a932fc3",
+    "train/weights.bin": "399b039be8b10b69d4ab2e9860ff0705ddc7a1e4681233104a1c7a35e0ee5d1d",
+}
+
+
+def _digests(root: Path) -> dict[str, str]:
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def golden_run(root: Path) -> dict[str, str]:
+    """Train a tiny net on default.cfg, sweep three policies there, and run
+    the exhaustive oracle on tiny.cfg behind a significant twin delay."""
+    default = replace(
+        load_scenario(SCENARIOS / "default.cfg"),
+        horizon_slots=100,
+        outage_window=40,
+        train=TrainSettings(
+            epochs=2, learning_rate=0.02, batch_size=16, hidden_sizes=(16,), seed=0
+        ),
+    )
+    artifacts = runner.train_command(default, out_dir=str(root / "train"))
+    runner.run_experiment(
+        ExperimentSpec(
+            scenario=default,
+            policies=("orthogonal", "oracle", "dnn+repair"),
+            out_dir=str(root / "default"),
+            lambdas=(100.0, 200.0),
+            weights_path=artifacts.weights_path,
+            dump_twin=True,
+        )
+    )
+    tiny = replace(
+        load_scenario(SCENARIOS / "tiny.cfg"),
+        horizon_slots=60,
+        outage_window=20,
+        twin_delay=DelayClass.SIGNIFICANT,
+    )
+    runner.run_experiment(
+        ExperimentSpec(
+            scenario=tiny,
+            policies=("oracle",),
+            out_dir=str(root / "tiny"),
+            lambdas=(2.0, 16.0),
+            dump_twin=True,
+        )
+    )
+    return _digests(root)
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    assert golden_run(tmp_path) == GOLDEN
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as d:
+        for name, digest in golden_run(Path(d)).items():
+            print(f'    "{name}": "{digest}",')
