@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -112,7 +113,7 @@ class AllocationMatrix:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
+        object.__setattr__(self, "assignment", tuple(map(int, self.assignment)))
 
     def __len__(self) -> int:
         return len(self.assignment)
@@ -120,12 +121,9 @@ class AllocationMatrix:
     def blocks_of(self, user_id: int) -> tuple[int, ...]:
         return tuple(b for b, uid in enumerate(self.assignment) if uid == user_id)
 
-    def assigned_ids(self) -> set[int]:
-        return {uid for uid in self.assignment if uid != UNASSIGNED}
 
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+def _readonly(a: np.ndarray, ndmin: int) -> np.ndarray:
+    out = np.array(a, dtype=float, ndmin=ndmin)  # always a fresh copy
     out.setflags(write=False)
     return out
 
@@ -142,16 +140,15 @@ class ChannelState:
     user_ids: tuple[int, ...]
 
     def __post_init__(self):
-        snr = _readonly(np.atleast_2d(self.snr))
+        snr = _readonly(self.snr, ndmin=2)
+        ids = tuple(map(int, self.user_ids))
         object.__setattr__(self, "snr", snr)
-        object.__setattr__(self, "user_ids", tuple(int(i) for i in self.user_ids))
-        if snr.shape[0] != len(self.user_ids):
-            raise ValueError(
-                f"snr has {snr.shape[0]} rows for {len(self.user_ids)} user ids"
-            )
-        if any(b >= a for a, b in zip(self.user_ids[1:], self.user_ids)):
+        object.__setattr__(self, "user_ids", ids)
+        if snr.shape[0] != len(ids):
+            raise ValueError(f"snr has {snr.shape[0]} rows for {len(ids)} user ids")
+        if ids != tuple(sorted(set(ids))):
             raise ValueError("user_ids must be strictly increasing")
-        if not np.all(np.isfinite(snr)) or np.any(snr < 0):
+        if not np.isfinite(snr).all() or (snr < 0).any():
             raise ValueError("snr entries must be finite and >= 0")
 
     @property
@@ -161,6 +158,11 @@ class ChannelState:
     def row(self, user_id: int) -> np.ndarray:
         return self.snr[self.user_ids.index(user_id)]
 
+    @cached_property
+    def rows(self) -> dict[int, list[float]]:
+        """``{user_id: SNR row}`` as Python floats, for per-block loops."""
+        return dict(zip(self.user_ids, self.snr.tolist()))
+
 
 @dataclass(frozen=True)
 class TrafficState:
@@ -169,19 +171,16 @@ class TrafficState:
     urllc_rate: float  # mean packet arrivals per slot (lambda), may vary per slot
     urllc_queue: np.ndarray  # bits backlogged, aligned with urllc_user_ids
     urllc_user_ids: tuple[int, ...]
-    embb_fully_buffered: bool = True
 
     def __post_init__(self):
-        q = _readonly(np.atleast_1d(self.urllc_queue))
+        q = _readonly(self.urllc_queue, ndmin=1)
         object.__setattr__(self, "urllc_queue", q)
-        object.__setattr__(
-            self, "urllc_user_ids", tuple(int(i) for i in self.urllc_user_ids)
-        )
+        object.__setattr__(self, "urllc_user_ids", tuple(map(int, self.urllc_user_ids)))
         if self.urllc_rate < 0:
             raise ValueError("urllc_rate must be >= 0")
         if q.shape != (len(self.urllc_user_ids),):
             raise ValueError("urllc_queue length must match urllc_user_ids")
-        if np.any(q < 0):
+        if (q < 0).any():
             raise ValueError("queues must be >= 0")
 
     def queue_of(self, user_id: int) -> float:

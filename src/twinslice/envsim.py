@@ -8,6 +8,7 @@ determines the trajectory.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
@@ -15,6 +16,7 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from .domain import (
+    UNASSIGNED,
     AllocationMatrix,
     ChannelState,
     QoSRequirement,
@@ -85,7 +87,11 @@ class PhysicalState:
 def fading_gains(
     rng: np.random.Generator, params: FadingParams, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """Draw unit-mean power gains for the given fading model."""
+    """Draw unit-mean power gains for the given fading model.
+
+    Rows along the last axis are drawn one after another, so an ``(n, B)``
+    draw consumes the stream exactly like ``n`` draws of shape ``(B,)``.
+    """
     if params.model is FadingModel.RAYLEIGH:
         return rng.exponential(1.0, size=shape)
     # Rician: |sqrt(K/(K+1)) + sqrt(1/(K+1)) w|^2 with w ~ CN(0,1); unit mean.
@@ -94,23 +100,31 @@ def fading_gains(
         return np.ones(shape)
     los = math.sqrt(k / (k + 1.0))
     scale = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    re = los + scale * rng.standard_normal(shape)
-    im = scale * rng.standard_normal(shape)
+    # Per row: the real parts of w, then the imaginary parts.
+    w = rng.standard_normal((*shape[:-1], 2, shape[-1]))
+    re = los + scale * w[..., 0, :]
+    im = scale * w[..., 1, :]
     return re * re + im * im
 
 
 def step_channel(
-    rng: np.random.Generator,
-    users: Iterable[UserTerminal],
-    grid: ResourceGrid,
+    rng: np.random.Generator, users: Iterable[UserTerminal], grid: ResourceGrid
 ) -> ChannelState:
-    """Draw one slot's SNR matrix: per-user mean times an i.i.d. fading gain."""
+    """Draw one slot's SNR matrix: per-user mean times an i.i.d. fading gain.
+
+    One draw per run of consecutive users sharing their fading, which uses
+    the stream exactly as one draw per user would.
+    """
     ordered = canonical_users(users)
-    snr = np.empty((len(ordered), grid.num_rbs))
-    for row, user in enumerate(ordered):
-        mean = db_to_linear(user.link.mean_snr_db)
-        snr[row] = mean * fading_gains(rng, user.link.fading, (grid.num_rbs,))
-    return ChannelState(snr=snr, user_ids=tuple(u.id for u in ordered))
+    gains = np.empty((len(ordered), grid.num_rbs))
+    start = 0
+    for fading, run in itertools.groupby(ordered, key=lambda u: u.link.fading):
+        n = sum(1 for _ in run)
+        gains[start : start + n] = fading_gains(rng, fading, (n, grid.num_rbs))
+        start += n
+    means = np.array([db_to_linear(u.link.mean_snr_db) for u in ordered])
+    ids = tuple(u.id for u in ordered)
+    return ChannelState(snr=means[:, None] * gains, user_ids=ids)
 
 
 def urllc_arrivals(rng: np.random.Generator, lam: float) -> int:
@@ -129,24 +143,30 @@ def rate_matrix(
     return grid.rb_bandwidth * slot_duration * np.log2(1.0 + ch.snr)
 
 
+def rate_sums(
+    m: AllocationMatrix, ch: ChannelState, grid: ResourceGrid, slot_duration: float
+) -> dict[int, float]:
+    """Bits/slot delivered capacity of every user of ``ch`` under an allocation.
+
+    One pass over the blocks adds ``bw * log2(1 + snr) * tau`` to the holder's
+    sum, so each user accumulates in block order; re-derivations that follow
+    the same order reproduce every float exactly.
+    """
+    rows = ch.rows
+    rates = dict.fromkeys(rows, 0.0)
+    bw = grid.rb_bandwidth
+    for b, uid in enumerate(m.assignment):
+        if uid != UNASSIGNED:
+            rates[uid] += bw * math.log2(1.0 + rows[uid][b]) * slot_duration
+    return rates
+
+
 def user_rate(
-    m: AllocationMatrix,
-    ch: ChannelState,
-    user_id: int,
-    grid: ResourceGrid,
+    m: AllocationMatrix, ch: ChannelState, user_id: int, grid: ResourceGrid,
     slot_duration: float,
 ) -> float:
-    """Bits/slot delivered capacity of one user under an allocation.
-
-    Sequential accumulation in block-index order; independent re-derivations
-    that follow the same order reproduce the float exactly.
-    """
-    row = ch.row(user_id)
-    rate = 0.0
-    for b, uid in enumerate(m.assignment):
-        if uid == user_id:
-            rate += grid.rb_bandwidth * math.log2(1.0 + row[b]) * slot_duration
-    return rate
+    """Bits/slot delivered capacity of one user under an allocation."""
+    return rate_sums(m, ch, grid, slot_duration)[user_id]
 
 
 @dataclass(frozen=True)
@@ -190,11 +210,7 @@ def advance(
     if not check:
         raise ValueError(f"invalid allocation: {check.reason}")
 
-    tau = state.clock.slot_duration
-    rates = {
-        u.id: user_rate(decision, state.channel, u.id, state.grid, tau)
-        for u in state.users
-    }
+    rates = rate_sums(decision, state.channel, state.grid, state.clock.slot_duration)
     embb_sum = 0.0
     urllc_sum = 0.0
     for u in state.users:
@@ -206,23 +222,17 @@ def advance(
     traffic = state.traffic
     urllc_ids = traffic.urllc_user_ids
     n_urllc = len(urllc_ids)
-    queue = np.array(traffic.urllc_queue, copy=True)
-
-    served: dict[int, float] = {}
-    for i, uid in enumerate(urllc_ids):
-        drained = min(queue[i], rates[uid])
-        queue[i] -= drained
-        served[uid] = float(drained)
+    drained = np.minimum(traffic.urllc_queue, [rates[uid] for uid in urllc_ids])
+    served = dict(zip(urllc_ids, drained.tolist()))
 
     lam_t = traffic.urllc_rate
-    arrivals_total = 0
-    if n_urllc > 0:
-        # Independent per-user Poisson(lam/n) streams; the aggregate stays
-        # Poisson(lam).
-        for i in range(n_urllc):
-            k = urllc_arrivals(rng, lam_t / n_urllc)
-            arrivals_total += k
-            queue[i] += k * state.qos.urllc_packet_bits
+    # Independent per-user Poisson(lam/n) streams in one draw; the aggregate
+    # stays Poisson(lam). At lam = 0 nothing is drawn.
+    if n_urllc > 0 and lam_t > 0:
+        arrivals = rng.poisson(lam_t / n_urllc, size=n_urllc)
+    else:
+        arrivals = np.zeros(n_urllc, dtype=int)
+    queue = traffic.urllc_queue - drained + arrivals * state.qos.urllc_packet_bits
 
     outcome = SlotOutcome(
         t=state.clock.t,
@@ -230,7 +240,7 @@ def advance(
         embb_sum_rate=embb_sum,
         urllc_sum_rate=urllc_sum,
         urllc_served_bits=served,
-        urllc_arrival_packets=arrivals_total,
+        urllc_arrival_packets=int(arrivals.sum()),
         lambda_t=lam_t,
     )
 
@@ -241,7 +251,6 @@ def advance(
             urllc_rate=lam_t if next_lambda is None else float(next_lambda),
             urllc_queue=queue,
             urllc_user_ids=urllc_ids,
-            embb_fully_buffered=traffic.embb_fully_buffered,
         ),
         qos=state.qos,
         users=state.users,

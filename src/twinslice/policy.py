@@ -24,7 +24,7 @@ from .domain import (
     UserTerminal,
     canonical_users,
 )
-from .envsim import rate_matrix
+from .envsim import rate_matrix, rate_sums
 from .nn import MLP, FeatureScaling, decode_output, encode_features, forward
 from .twin import TwinSnapshot
 
@@ -72,8 +72,8 @@ def allocation_objective(
 ) -> float:
     """Sum rate minus penalised URLLC and eMBB QoS deficits.
 
-    Computed with sequential float accumulation in (user, block) index
-    order so independent re-derivations agree exactly.
+    Each user's rate accumulates in block order (``rate_sums``) and the
+    totals in user order, so independent re-derivations agree exactly.
     """
     ordered = canonical_users(users)
     ch = snapshot.channel
@@ -83,15 +83,12 @@ def allocation_objective(
     load = qos.urllc_packet_bits * lam
     min_rate_bits = qos.embb_min_rate * slot_duration
 
+    rates = rate_sums(m, ch, grid, slot_duration)
     total = 0.0
     urllc_rate = 0.0
     embb_deficit = 0.0
     for u in ordered:
-        row = ch.row(u.id)
-        r = 0.0
-        for b, uid in enumerate(m.assignment):
-            if uid == u.id:
-                r += grid.rb_bandwidth * math.log2(1.0 + row[b]) * slot_duration
+        r = rates[u.id]
         total += r
         if u.service is ServiceClass.URLLC:
             urllc_rate += r
@@ -125,24 +122,25 @@ def orthogonal_allocate(
     if split < grid.num_rbs and not by_class[ServiceClass.EMBB]:
         raise ValueError("eMBB partition is nonempty but there are no eMBB users")
 
+    rows = snapshot.channel.rows
     assignment = [UNASSIGNED] * grid.num_rbs
     for service, blocks in (
         (ServiceClass.URLLC, range(split)),
         (ServiceClass.EMBB, range(split, grid.num_rbs)),
     ):
-        members = by_class[service]
-        if not members:
-            continue
-        counts = {u.id: 0 for u in members}
+        ids = [u.id for u in by_class[service]]
+        # columns[b][i]: SNR of the i-th member (ascending id) on block b.
+        columns = list(zip(*(rows[uid] for uid in ids)))
+        waiting: list[int] = []
         for b in blocks:
-            floor = min(counts.values())
-            candidates = [u for u in members if counts[u.id] == floor]
-            best = max(
-                candidates,
-                key=lambda u: (snapshot.channel.row(u.id)[b], -u.id),
-            )
-            assignment[b] = best.id
-            counts[best.id] += 1
+            # Every member gets one block per round, so the least-loaded
+            # members are exactly those still waiting in this round.
+            if not waiting:
+                waiting = list(range(len(ids)))
+            # max keeps the first of equal SNRs: the lowest id wins ties.
+            best = max(waiting, key=columns[b].__getitem__)
+            waiting.remove(best)
+            assignment[b] = ids[best]
 
     m = AllocationMatrix(assignment=tuple(assignment))
     objective = allocation_objective(
@@ -159,6 +157,8 @@ def _exhaustive_oracle(
     slot_duration: float,
     penalty_weight: Optional[float],
 ) -> tuple[AllocationMatrix, float]:
+    if penalty_weight is None:
+        penalty_weight = default_penalty_weight(snapshot.channel, grid, slot_duration)
     best_m: Optional[AllocationMatrix] = None
     best_obj = -math.inf
     ids = [u.id for u in ordered]

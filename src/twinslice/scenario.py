@@ -14,6 +14,7 @@ included), so it also identifies runs built with overrides.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -150,8 +151,10 @@ class Scenario:
             raise ValueError("reference_lambda must be > 0")
         # Exercise the constituent type invariants now, not at first use.
         ResourceGrid(self.num_rbs, self.rb_bandwidth)
-        if not self.slot_duration > 0:
-            raise ValueError("slot_duration must be > 0")
+        if not (math.isfinite(self.slot_duration) and self.slot_duration > 0):
+            raise ValueError(
+                f"slot_duration_s must be finite and > 0, got {self.slot_duration}"
+            )
 
     # -- derived objects ---------------------------------------------------
 
@@ -423,14 +426,16 @@ def _build_scenario(values: dict[tuple[str, str], object]) -> Scenario:
             f"twin delay must be minimal|moderate|significant, got {delay_name!r}"
         )
 
-    if ("traffic", "urllc_lambda") in values and (
-        "traffic",
-        "urllc_lambda_values",
-    ) in values:
+    has_values = ("traffic", "urllc_lambda_values") in values
+    if ("traffic", "urllc_lambda") in values and has_values:
         raise ScenarioSemanticError(
             "give either urllc_lambda or urllc_lambda_values, not both"
         )
-    if ("traffic", "urllc_lambda_values") in values:
+    if ("traffic", "urllc_lambda_dwell") in values and not has_values:
+        raise ScenarioSemanticError(
+            "urllc_lambda_dwell needs urllc_lambda_values to cycle through"
+        )
+    if has_values:
         schedule = LambdaSchedule(
             values=values[("traffic", "urllc_lambda_values")],  # type: ignore[arg-type]
             dwell=int(get("traffic", "urllc_lambda_dwell", 100)),

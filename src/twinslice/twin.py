@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,19 +62,6 @@ def staleness(s: TwinSnapshot, now: int) -> int:
     return now - s.captured_at
 
 
-def _copy_channel(ch: ChannelState) -> ChannelState:
-    return ChannelState(snr=np.array(ch.snr, copy=True), user_ids=ch.user_ids)
-
-
-def _copy_traffic(tr: TrafficState) -> TrafficState:
-    return TrafficState(
-        urllc_rate=tr.urllc_rate,
-        urllc_queue=np.array(tr.urllc_queue, copy=True),
-        urllc_user_ids=tr.urllc_user_ids,
-        embb_fully_buffered=tr.embb_fully_buffered,
-    )
-
-
 def sync(
     history: Sequence[PhysicalState], delay_slots: int, now: int
 ) -> TwinSnapshot:
@@ -103,11 +90,12 @@ def sync(
                 chosen = state
             else:
                 break
+    # replace() rebuilds each value object, which copies its array once.
     return TwinSnapshot(
         captured_at=chosen.clock.t,
         delivered_at=now,
-        channel=_copy_channel(chosen.channel),
-        traffic=_copy_traffic(chosen.traffic),
+        channel=replace(chosen.channel),
+        traffic=replace(chosen.traffic),
         qos=chosen.qos,
         stale_underflow=underflow,
     )
@@ -137,7 +125,6 @@ def summarize(history: Sequence[TwinSnapshot], window: int) -> TwinSnapshot:
             urllc_rate=rate,
             urllc_queue=queue,
             urllc_user_ids=last.traffic.urllc_user_ids,
-            embb_fully_buffered=last.traffic.embb_fully_buffered,
         ),
         qos=last.qos,
         stale_underflow=any(s.stale_underflow for s in tail),

@@ -28,6 +28,8 @@ from twinslice.twin import DelayClass, DigitalTwin, calibrate
 
 from conftest import make_snapshot, make_users, tiny_scenario
 
+pytestmark = pytest.mark.slow
+
 LAMBDAS = (100.0, 125.0, 150.0, 175.0, 200.0)
 
 

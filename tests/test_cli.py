@@ -163,3 +163,26 @@ def test_seed_flag_overrides_scenario_seed(tiny_cfg, tmp_path):
 def test_bad_flags_exit_with_argparse_code(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_slot_duration_is_a_config_error(tmp_path, capsys, value):
+    cfg = tmp_path / "bad.cfg"
+    text = TINY_TEXT.replace("[channel]", f"slot_duration_s = {value}\n[channel]")
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    code = main(["run", "--scenario", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "slot_duration_s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lambda_dwell_without_values_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    text = TINY_TEXT.replace("[features]", "urllc_lambda_dwell = 7\n[features]")
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    code = main(["run", "--scenario", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "urllc_lambda_dwell" in capsys.readouterr().err
+    assert not out.exists()

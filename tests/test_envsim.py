@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +22,16 @@ from twinslice.envsim import (
     advance,
     db_to_linear,
     fading_gains,
+    rate_sums,
     step_channel,
     urllc_arrivals,
     user_rate,
 )
 
-from conftest import make_users
+from conftest import RAYLEIGH, make_users
+
+RICIAN = FadingParams(FadingModel.RICIAN, k_factor=5.0)
+NO_FADING = FadingParams(FadingModel.RICIAN, k_factor=math.inf)
 
 
 def test_rician_infinite_k_is_the_no_fading_limit():
@@ -209,3 +214,96 @@ def test_link_budget_validation():
         LinkBudget(mean_snr_db=math.nan)
     with pytest.raises(ValueError):
         FadingParams(FadingModel.RICIAN, k_factor=-1.0)
+
+
+def _per_user_channel(rng, users, grid):
+    """Reference: one fading draw per user, in ascending id order."""
+    return np.array(
+        [
+            db_to_linear(u.link.mean_snr_db)
+            * fading_gains(rng, u.link.fading, (grid.num_rbs,))
+            for u in sorted(users, key=lambda u: u.id)
+        ]
+    )
+
+
+def _mixed_users():
+    fadings = (RICIAN, RICIAN, RAYLEIGH, NO_FADING, RAYLEIGH, RICIAN)
+    return tuple(
+        replace(u, link=LinkBudget(u.link.mean_snr_db + u.id, f))
+        for u, f in zip(make_users(3, 3), fadings)
+    )
+
+
+@pytest.mark.parametrize(
+    "users",
+    [
+        make_users(3, 2, fading=RAYLEIGH),
+        make_users(3, 2, fading=RICIAN),
+        make_users(3, 2, fading=NO_FADING),
+        _mixed_users(),
+    ],
+    ids=["rayleigh", "rician", "k_inf", "mixed"],
+)
+def test_batched_channel_draw_equals_per_user_draws(users):
+    grid = ResourceGrid(7, 1e5)
+    batched, ref = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(3):
+        ch = step_channel(batched, users, grid)
+        assert np.array_equal(ch.snr, _per_user_channel(ref, users, grid))
+    assert batched.bit_generator.state == ref.bit_generator.state
+
+
+def test_rician_gains_draw_real_parts_then_imaginary_parts():
+    k = 5.0
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    gains = fading_gains(a, RICIAN, (6,))
+    los, scale = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (2.0 * (k + 1.0)))
+    re = los + scale * b.standard_normal(6)
+    im = scale * b.standard_normal(6)
+    assert np.array_equal(gains, re * re + im * im)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, 30.0])
+def test_single_arrivals_draw_equals_per_user_draws(lam):
+    users = make_users(2, 4)
+    grid = ResourceGrid(3, 1e5)
+    queue = np.array([0.0, 5.0, 17.0, 256.0])
+    state = _state(users, grid, lam=lam, queue=queue)
+    idle = AllocationMatrix((UNASSIGNED,) * 3)
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    nxt, outcome = advance(state, idle, rng)
+
+    packets = [urllc_arrivals(ref, lam / 4) for _ in range(4)]
+    expected_queue = queue + np.array(packets) * state.qos.urllc_packet_bits
+    assert outcome.urllc_arrival_packets == sum(packets)
+    assert np.array_equal(nxt.traffic.urllc_queue, expected_queue)
+    assert np.array_equal(nxt.channel.snr, step_channel(ref, users, grid).snr)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _plain_rate(assignment, ch, user_id, bw, tau):
+    """Reference: one user's blocks in index order, nothing shared."""
+    row = ch.snr[ch.user_ids.index(user_id)]
+    r = 0.0
+    for b, uid in enumerate(assignment):
+        if uid == user_id:
+            r += bw * math.log2(1.0 + row[b]) * tau
+    return r
+
+
+def test_rate_accumulator_equals_plain_user_block_loop():
+    users = make_users(3, 2)
+    grid = ResourceGrid(9, 1.8e5)
+    rng = np.random.default_rng(6)
+    choices = [u.id for u in users] + [UNASSIGNED]
+    for _ in range(200):
+        ch = step_channel(rng, users, grid)
+        m = AllocationMatrix(tuple(rng.choice(choices, size=9)))
+        rates = rate_sums(m, ch, grid, 1e-3)
+        assert list(rates) == [u.id for u in users]
+        for u in users:
+            expected = _plain_rate(m.assignment, ch, u.id, grid.rb_bandwidth, 1e-3)
+            assert rates[u.id] == expected
+            assert user_rate(m, ch, u.id, grid, 1e-3) == expected

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twinslice.domain import (
+    UNASSIGNED,
     AllocationMatrix,
     QoSRequirement,
     ResourceGrid,
@@ -15,6 +16,7 @@ from twinslice.nn import MLP, FeatureScaling, feature_dim
 from twinslice.policy import (
     OrthogonalConfig,
     allocation_objective,
+    default_penalty_weight,
     dynamic_allocate,
     oracle_allocate,
     orthogonal_allocate,
@@ -63,6 +65,36 @@ def test_orthogonal_requires_users_for_nonempty_partitions():
         orthogonal_allocate(snap, OrthogonalConfig(0.5), ResourceGrid(4, 1e5), users, 1e-3)
 
 
+def _reference_orthogonal(snap, fraction, grid, users):
+    """Reference: a max over the least-loaded members keyed on (SNR, -id)."""
+    split = int(fraction * grid.num_rbs)
+    assignment = []
+    for b in range(grid.num_rbs):
+        service = ServiceClass.URLLC if b < split else ServiceClass.EMBB
+        members = [u.id for u in users if u.service is service]
+        held = [sum(1 for a in assignment if a == uid) for uid in members]
+        floor = min(held)
+        candidates = [uid for uid, n in zip(members, held) if n == floor]
+        assignment.append(
+            max(candidates, key=lambda uid: (snap.channel.row(uid)[b], -uid))
+        )
+    return tuple(assignment)
+
+
+def test_orthogonal_equals_reference_including_ties():
+    # SNRs from a three-value set make equal candidates common.
+    rng = np.random.default_rng(29)
+    users = make_users(3, 4)
+    grid = ResourceGrid(15, 1e5)
+    for fraction in (0.0, 0.4, 0.5, 1.0):
+        for _ in range(40):
+            snap = make_snapshot(rng.choice([1.0, 2.0, 4.0], (7, 15)), users)
+            d = orthogonal_allocate(snap, OrthogonalConfig(fraction), grid, users, 1e-3)
+            assert d.allocation.assignment == _reference_orthogonal(
+                snap, fraction, grid, users
+            )
+
+
 def test_oracle_single_user_gets_every_block():
     users = make_users(1, 0)
     snap = make_snapshot([[0.5, 2.0, 1.0]], users)
@@ -106,6 +138,24 @@ def _independent_objective(m, snap, grid, users, qos, tau, penalty):
             embb_def += max(0.0, qos.embb_min_rate * tau - r)
     load = qos.urllc_packet_bits * snap.traffic.urllc_rate
     return total - penalty * max(0.0, load - urllc) - penalty * embb_def
+
+
+def test_objective_equals_plain_user_block_loop_with_idle_blocks():
+    rng = np.random.default_rng(19)
+    grid = ResourceGrid(8, 1e5)
+    qos = QoSRequirement(embb_min_rate=3e5)
+    users = make_users(3, 2)
+    choices = [u.id for u in users] + [UNASSIGNED]
+    for _ in range(200):
+        snap = make_snapshot(rng.exponential(2.0, (5, 8)), users, lam=rng.uniform(0, 9))
+        m = AllocationMatrix(tuple(rng.choice(choices, size=8)))
+        default = default_penalty_weight(snap.channel, grid, 1e-3)
+        for given, penalty in ((None, default), (2.5, 2.5)):
+            expected = _independent_objective(
+                m.assignment, snap, grid, users, qos, 1e-3, penalty
+            )
+            got = allocation_objective(m, snap, grid, users, qos, 1e-3, given)
+            assert got == expected
 
 
 def test_oracle_exhaustive_matches_independent_enumeration():
