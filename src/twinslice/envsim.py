@@ -87,11 +87,8 @@ class PhysicalState:
 def fading_gains(
     rng: np.random.Generator, params: FadingParams, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """Draw unit-mean power gains for the given fading model.
-
-    Rows along the last axis are drawn one after another, so an ``(n, B)``
-    draw consumes the stream exactly like ``n`` draws of shape ``(B,)``.
-    """
+    """Draw unit-mean power gains for the given fading model, one row of the
+    last axis after another: an ``(n, B)`` draw equals ``n`` draws of ``(B,)``."""
     if params.model is FadingModel.RAYLEIGH:
         return rng.exponential(1.0, size=shape)
     # Rician: |sqrt(K/(K+1)) + sqrt(1/(K+1)) w|^2 with w ~ CN(0,1); unit mean.
@@ -110,11 +107,8 @@ def fading_gains(
 def step_channel(
     rng: np.random.Generator, users: Iterable[UserTerminal], grid: ResourceGrid
 ) -> ChannelState:
-    """Draw one slot's SNR matrix: per-user mean times an i.i.d. fading gain.
-
-    One draw per run of consecutive users sharing their fading, which uses
-    the stream exactly as one draw per user would.
-    """
+    """Draw one slot's SNR matrix: per-user mean times an i.i.d. fading gain,
+    drawn once per run of consecutive users that share their fading."""
     ordered = canonical_users(users)
     gains = np.empty((len(ordered), grid.num_rbs))
     start = 0
@@ -162,7 +156,10 @@ def rate_sums(
 
 
 def user_rate(
-    m: AllocationMatrix, ch: ChannelState, user_id: int, grid: ResourceGrid,
+    m: AllocationMatrix,
+    ch: ChannelState,
+    user_id: int,
+    grid: ResourceGrid,
     slot_duration: float,
 ) -> float:
     """Bits/slot delivered capacity of one user under an allocation."""
