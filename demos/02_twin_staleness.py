@@ -1,9 +1,7 @@
-"""Digital twin lifecycle: sync, staleness, summaries and calibration.
+"""Digital twin lifecycle: sync, staleness and calibration.
 
 Runs the same physical trajectory against twins configured with the three
-delay classes and shows how data freshness degrades twin fidelity, then
-demonstrates window summaries as the bandwidth-saving alternative to
-forwarding every sample.
+delay classes and shows how data freshness degrades twin fidelity.
 """
 import numpy as np
 
@@ -15,7 +13,6 @@ from twinslice.twin import (
     DigitalTwin,
     calibrate,
     staleness,
-    summarize,
 )
 
 scen = Scenario(n_embb=2, n_urllc=1, num_rbs=4, horizon_slots=40)
@@ -44,20 +41,3 @@ for delay, slots in (
         f"mean err={np.mean(errors):8.4f}, max err={np.max(errors):8.4f}"
     )
 print("  (MINIMAL delay is exact by construction: every error is 0)")
-
-print()
-print("=" * 64)
-print("Summarized insights: one averaged snapshot per 8-slot window")
-print("=" * 64)
-env = scen.environment(seed=5)
-twin = DigitalTwin()
-history = []
-for t in range(16):
-    twin.record(env.state)
-    history.append(twin.snapshot(now=t))
-    env.step(decision)
-summary = summarize(history, window=8)
-last = history[-1]
-print(f"  raw snapshot snr[0]:     {np.round(last.channel.snr[0], 2)}")
-print(f"  8-slot summary snr[0]:   {np.round(summary.channel.snr[0], 2)}")
-print(f"  summary captured_at = {summary.captured_at} (newest slot in window)")

@@ -1,22 +1,32 @@
 """Command-line front end.
 
-Verbs: run | train | eval | compare | sweep. Exit codes: 0 on success,
-2 for configuration problems (bad flags, unreadable or invalid scenario,
-missing weights), 3 for runtime failures. The output directory can be
+Verbs: run | train | eval | compare | sweep. The output directory can be
 overridden with the TWINSLICE_OUT environment variable; nothing else is
 read from the environment.
+
+Exit codes:
+
+* 0: success.
+* 2: a configuration fault, found before any simulation or training work:
+  bad flags or flag values, an unknown policy, a missing or invalid
+  scenario file (parse error, unknown key, value out of range or not
+  finite), a dnn policy without --weights, or a weights file that is
+  missing, malformed, truncated or shaped for another scenario.
+* 3: a runtime failure while simulating, training or writing outputs,
+  such as a non-finite training loss or an unwritable output directory.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import NamedTuple, Optional, Sequence
 
 from . import runner
-from .nn import TrainConfig
+from .domain import ConfigError
 from .runner import POLICY_IDS
-from .scenario import ExperimentSpec, Scenario, ScenarioError, load_scenario
+from .scenario import ExperimentSpec, Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -25,15 +35,46 @@ EXIT_RUNTIME = 3
 DEFAULT_SWEEP = (100.0, 125.0, 150.0, 175.0, 200.0)
 
 
-class ConfigError(Exception):
-    pass
+class _Verb(NamedTuple):
+    help: str
+    policies: tuple[str, ...]  # simulated when no --policy is given
+    one_policy: bool = False
+    sweep: bool = False  # takes --lambdas
 
 
-def _add_common(p: argparse.ArgumentParser, policies: bool = True) -> None:
+#: The verbs that simulate policies; each one is handled by _cmd_simulate.
+_SIMULATE = {
+    "run": _Verb(
+        "simulate one policy on the scenario", ("orthogonal",), one_policy=True
+    ),
+    "eval": _Verb("evaluate trained weights (dnn+repair)", ("dnn+repair",)),
+    "compare": _Verb(
+        "run several policies at the scenario load", ("orthogonal", "dnn+repair")
+    ),
+    "sweep": _Verb(
+        "policy x lambda sweep with comparison table",
+        ("orthogonal", "dnn+repair"),
+        sweep=True,
+    ),
+}
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="scenario file; omit for built-in defaults")
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--out", default="out", help="output directory (default: out)")
-    if policies:
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="twinslice",
+        description="Twin-driven eMBB/URLLC slicing simulator",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name, verb in _SIMULATE.items():
+        p = sub.add_parser(name, help=verb.help)
+        _add_common(p)
         p.add_argument(
             "--policy",
             action="append",
@@ -45,38 +86,21 @@ def _add_common(p: argparse.ArgumentParser, policies: bool = True) -> None:
             action="store_true",
             help="also write a per-slot twin staleness log beside each run CSV",
         )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twinslice",
-        description="Twin-driven eMBB/URLLC slicing simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="simulate one policy on the scenario")
-    _add_common(p_run)
+        if verb.sweep:
+            p.add_argument(
+                "--lambdas",
+                help="comma-separated arrival rates (default: "
+                + ",".join(f"{v:g}" for v in DEFAULT_SWEEP)
+                + ")",
+            )
+        p.set_defaults(handler=_cmd_simulate)
 
     p_train = sub.add_parser("train", help="train the neural allocator")
-    _add_common(p_train, policies=False)
+    _add_common(p_train)
     p_train.add_argument("--epochs", type=int, help="override [train] epochs")
     p_train.add_argument("--lr", type=float, help="override [train] learning_rate")
     p_train.add_argument("--batch", type=int, help="override [train] batch_size")
-
-    p_eval = sub.add_parser("eval", help="evaluate trained weights (dnn+repair)")
-    _add_common(p_eval)
-
-    p_cmp = sub.add_parser("compare", help="run several policies at the scenario load")
-    _add_common(p_cmp)
-
-    p_sweep = sub.add_parser("sweep", help="policy x lambda sweep with comparison table")
-    _add_common(p_sweep)
-    p_sweep.add_argument(
-        "--lambdas",
-        help="comma-separated arrival rates (default: "
-        + ",".join(f"{v:g}" for v in DEFAULT_SWEEP)
-        + ")",
-    )
+    p_train.set_defaults(handler=_cmd_train)
 
     return parser
 
@@ -93,7 +117,7 @@ def _out_dir(args) -> str:
 
 
 def _policies(args, default: tuple[str, ...]) -> tuple[str, ...]:
-    if not getattr(args, "policy", None):
+    if not args.policy:
         return default
     flat: list[str] = []
     for entry in args.policy:
@@ -104,74 +128,45 @@ def _policies(args, default: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(flat)
 
 
-def _experiment(args, policies, lambdas) -> ExperimentSpec:
-    weights = getattr(args, "weights", None)
-    if any(p.startswith("dnn") for p in policies):
-        if not weights:
-            raise ConfigError("dnn policies need --weights pointing to weights.bin")
-        if not os.path.exists(weights):
-            raise ConfigError(f"weights file not found: {weights}")
-    return ExperimentSpec(
+def _cmd_simulate(args) -> int:
+    verb = _SIMULATE[args.command]
+    policies = _policies(args, verb.policies)
+    if verb.one_policy and len(policies) != 1:
+        raise ConfigError(
+            f"{args.command} takes exactly one --policy; use compare for several"
+        )
+    lambdas = DEFAULT_SWEEP if verb.sweep else None
+    if verb.sweep and args.lambdas:
+        try:
+            lambdas = tuple(float(v) for v in args.lambdas.split(","))
+        except ValueError:
+            raise ConfigError(f"cannot parse --lambdas {args.lambdas!r}") from None
+    if any(p.startswith("dnn") for p in policies) and not args.weights:
+        raise ConfigError("dnn policies need --weights pointing to weights.bin")
+    spec = ExperimentSpec(
         scenario=_load(args),
         policies=policies,
         out_dir=_out_dir(args),
         lambdas=lambdas,
-        weights_path=weights,
-        dump_twin=getattr(args, "dump_twin", False),
+        weights_path=args.weights,
+        dump_twin=args.dump_twin,
     )
-
-
-def _cmd_run(args) -> int:
-    policies = _policies(args, default=("orthogonal",))
-    if len(policies) != 1:
-        raise ConfigError("run takes exactly one --policy; use compare for several")
-    spec = _experiment(args, policies, lambdas=None)
-    results = runner.run_experiment(spec)
-    _print_results(results)
-    return EXIT_OK
-
-
-def _cmd_eval(args) -> int:
-    policies = _policies(args, default=("dnn+repair",))
-    spec = _experiment(args, policies, lambdas=None)
-    results = runner.run_experiment(spec)
-    _print_results(results)
-    return EXIT_OK
-
-
-def _cmd_compare(args) -> int:
-    policies = _policies(args, default=("orthogonal", "dnn+repair"))
-    spec = _experiment(args, policies, lambdas=None)
-    results = runner.run_experiment(spec)
-    _print_results(results)
-    return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    policies = _policies(args, default=("orthogonal", "dnn+repair"))
-    if args.lambdas:
-        try:
-            lambdas = tuple(float(v) for v in args.lambdas.split(","))
-        except ValueError:
-            raise ConfigError(f"cannot parse --lambdas {args.lambdas!r}")
-    else:
-        lambdas = DEFAULT_SWEEP
-    spec = _experiment(args, policies, lambdas=lambdas)
-    results = runner.run_experiment(spec)
-    _print_results(results)
+    _print_results(runner.run_experiment(spec))
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
     scenario = _load(args)
-    t = scenario.train
-    cfg = TrainConfig(
-        learning_rate=args.lr if args.lr is not None else t.learning_rate,
-        epochs=args.epochs if args.epochs is not None else t.epochs,
-        batch_size=args.batch if args.batch is not None else t.batch_size,
-        seed=t.seed,
+    flags = {"epochs": args.epochs, "learning_rate": args.lr, "batch_size": args.batch}
+    try:
+        train = replace(
+            scenario.train, **{k: v for k, v in flags.items() if v is not None}
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    artifacts = runner.train_command(
+        replace(scenario, train=train), out_dir=_out_dir(args)
     )
-    artifacts = runner.train_command(scenario, cfg, _out_dir(args))
     first = artifacts.result.loss_curve[0][2]
     last = artifacts.result.loss_curve[-1][2]
     print(
@@ -195,15 +190,6 @@ def _print_results(results) -> None:
         )
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "compare": _cmd_compare,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -212,18 +198,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on bad flags, which matches our config-error code
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, ScenarioError, FileNotFoundError) as exc:
+        return args.handler(args)
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        msg = str(exc)
-        if "weights" in msg or "policy" in msg:
-            print(f"error: {msg}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(f"runtime error: {msg}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

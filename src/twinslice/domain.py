@@ -7,6 +7,7 @@ are copied on construction and marked read-only.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
@@ -18,6 +19,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Sentinel user id for an idle resource block.
 UNASSIGNED = -1
+
+
+class ConfigError(ValueError):
+    """A fault in what a run is given to work from: a scenario file, a flag,
+    a weights file. Raised where the fault is found, before any simulation."""
 
 
 class ServiceClass(enum.Enum):
@@ -98,8 +104,10 @@ class ResourceGrid:
     def __post_init__(self):
         if self.num_rbs < 1:
             raise ValueError(f"num_rbs must be >= 1, got {self.num_rbs}")
-        if not self.rb_bandwidth > 0:
-            raise ValueError(f"rb_bandwidth must be > 0, got {self.rb_bandwidth}")
+        if not 0 < self.rb_bandwidth < math.inf:
+            raise ValueError(
+                f"rb_bandwidth must be finite and > 0, got {self.rb_bandwidth}"
+            )
 
     @property
     def system_bandwidth(self) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .domain import (
     AllocationMatrix,
+    ConfigError,
     QoSRequirement,
     ResourceGrid,
     ServiceClass,
@@ -379,23 +380,26 @@ def save_weights(net: MLP, path, seed: int) -> None:
 
 
 def load_weights(path) -> tuple[MLP, int]:
-    """Inverse of save_weights; rejects unknown format versions."""
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("ascii"))
-        if header.get("format_version") != WEIGHTS_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported weights format_version {header.get('format_version')!r}"
-            )
-        layer_sizes = [int(s) for s in header["layer_sizes"]]
-        output_shape = tuple(int(s) for s in header["output_shape"])
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-            w = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8")
-            weights.append(w.reshape(fan_in, fan_out).copy())
-            b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
-            biases.append(b.copy())
-        trailing = f.read()
-    if trailing:
-        raise ValueError(f"{len(trailing)} unexpected trailing bytes in weights file")
-    net = MLP(layer_sizes, output_shape, weights, biases)  # type: ignore[arg-type]
-    return net, int(header["seed"])
+    """Inverse of save_weights. A file that is not a whole weights file of
+    this format version raises ConfigError naming the file."""
+    try:
+        with open(path, "rb") as f:
+            header = json.loads(f.readline().decode("ascii"))
+            version = header.get("format_version") if isinstance(header, dict) else None
+            if version != WEIGHTS_FORMAT_VERSION:
+                raise ValueError(f"unsupported weights format_version {version!r}")
+            layer_sizes = [int(s) for s in header["layer_sizes"]]
+            output_shape = tuple(int(s) for s in header["output_shape"])
+            weights, biases = [], []
+            for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+                w = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8")
+                weights.append(w.reshape(fan_in, fan_out).copy())
+                b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
+                biases.append(b.copy())
+            trailing = f.read()
+        if trailing:
+            raise ValueError(f"{len(trailing)} unexpected trailing bytes")
+        net = MLP(layer_sizes, output_shape, weights, biases)  # type: ignore[arg-type]
+        return net, int(header["seed"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"weights file {path}: {exc}") from exc

@@ -335,13 +335,15 @@ def priority_repair(
         decision.allocation, snapshot, grid, ordered, slot_duration
     )
 
+    # R <= load is an outage (metrics.outage_event), so an exact hit is
+    # repaired too: at zero load, URLLC still gets a block.
     unmet = False
-    if predicted < target:
+    if predicted <= target:
         if not urllc_rows:
             unmet = True
         else:
             urllc_gain = rates[urllc_rows, :]  # [n_urllc, num_rbs]
-            while predicted < target:
+            while predicted <= target:
                 embb_blocks = [
                     b
                     for b, uid in enumerate(assignment)

@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import metrics, nn, policy as policy_mod
+from .domain import ConfigError
 from .metrics import RunSummary, SlotMetrics
 from .nn import MLP, TrainConfig, TrainResult
 from .scenario import ExperimentSpec, Scenario
@@ -51,7 +52,7 @@ def _make_policy(
         )
     if policy_id in ("dnn", "dnn+repair"):
         if net is None:
-            raise ValueError(f"policy {policy_id!r} needs trained weights")
+            raise ConfigError(f"policy {policy_id!r} needs trained weights")
         scaling = scenario.scaling()
 
         def decide(snap: TwinSnapshot) -> policy_mod.PolicyDecision:
@@ -65,7 +66,7 @@ def _make_policy(
             return decision
 
         return decide
-    raise ValueError(f"unknown policy {policy_id!r}; known: {POLICY_IDS}")
+    raise ConfigError(f"unknown policy {policy_id!r}; known: {POLICY_IDS}")
 
 
 @dataclass
@@ -179,8 +180,15 @@ def run_experiment(spec: ExperimentSpec) -> list[tuple[str, Optional[float], Run
     net: Optional[MLP] = None
     if any(p.startswith("dnn") for p in spec.policies):
         if spec.weights_path is None:
-            raise ValueError("dnn policies need a trained weights file")
+            raise ConfigError("dnn policies need a trained weights file")
         net, _ = nn.load_weights(spec.weights_path)
+        n_users = scenario.n_embb + scenario.n_urllc
+        want = (nn.feature_dim(n_users, scenario.num_rbs), (scenario.num_rbs, n_users))
+        if (net.input_dim, net.output_shape) != want:
+            raise ConfigError(
+                f"weights file {spec.weights_path} maps {net.input_dim} features "
+                f"to {net.output_shape}; the scenario needs {want[0]} to {want[1]}"
+            )
 
     os.makedirs(spec.out_dir, exist_ok=True)
     lambdas: Sequence[Optional[float]] = (

@@ -5,7 +5,8 @@ Grammar (also documented in the README):
 * full-line comments start with ``#``; blank lines are ignored
 * ``[section]`` headers group keys; a section may appear once
 * ``key = value`` lines; a key may appear once within its section
-* values are integers, floats, words, or comma-separated float lists
+* values are integers, floats, words, or comma-separated lists; floats
+  must be finite, except ``rician_k = inf`` (no fading)
 
 Loading is pure: the same bytes always produce the same Scenario, and the
 scenario hash is a digest of the fully-resolved configuration (defaults
@@ -13,18 +14,19 @@ included), so it also identifies runs built with overrides.
 """
 from __future__ import annotations
 
+import enum
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
-from .domain import QoSRequirement, ResourceGrid, ServiceClass, UserTerminal
+from .domain import ConfigError, QoSRequirement, ResourceGrid, ServiceClass, UserTerminal
 from .envsim import Environment, FadingModel, FadingParams, LinkBudget
 from .nn import FeatureScaling
-from .twin import DelayClass, DigitalTwin
+from .twin import DelayClass, DigitalTwin, delay_to_slots
 
 
-class ScenarioError(Exception):
+class ScenarioError(ConfigError):
     """Base class for scenario loading failures."""
 
 
@@ -73,8 +75,8 @@ class TrainSettings:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if any(h < 1 for h in self.hidden_sizes):
@@ -87,7 +89,15 @@ EMBB_SNR_SPAN_DB = (8.0, 13.0)
 URLLC_SNR_SPAN_DB = (0.0, 4.0)
 
 
-def _staggered(span: tuple[float, float], n: int) -> tuple[float, ...]:
+def _class_snrs(
+    given: tuple[float, ...], span: tuple[float, float], n: int
+) -> tuple[float, ...]:
+    """Mean SNRs of one class's users: as given, one value for every user,
+    or, when none is given, staggered evenly across ``span``."""
+    if len(given) == 1:
+        return given * n
+    if given:
+        return given
     lo, hi = span
     if n <= 1:
         return ((lo + hi) / 2.0,) * n
@@ -132,7 +142,7 @@ class Scenario:
             ("embb_mean_snr_db", self.n_embb, self.embb_mean_snr_db),
             ("urllc_mean_snr_db", self.n_urllc, self.urllc_mean_snr_db),
         ):
-            if count > 0 and len(snrs) not in (0, 1, count):
+            if len(snrs) not in (0, 1, count):
                 raise ValueError(
                     f"{name} must be a scalar or one value per user "
                     f"({count}), got {len(snrs)}"
@@ -147,6 +157,14 @@ class Scenario:
             raise ValueError("twin cadence must be >= 1")
         if self.moderate_slots < 0 or self.significant_slots < self.moderate_slots:
             raise ValueError("need 0 <= moderate_slots <= significant_slots")
+        depth = delay_to_slots(
+            self.twin_delay, self.moderate_slots, self.significant_slots
+        ) + 1
+        if self.history_depth and self.history_depth < depth:
+            raise ValueError(
+                f"history_depth must be 0 (auto) or >= {depth} to cover the "
+                f"twin delay, got {self.history_depth}"
+            )
         if not self.reference_lambda > 0:
             raise ValueError("reference_lambda must be > 0")
         # Exercise the constituent type invariants now, not at first use.
@@ -163,40 +181,19 @@ class Scenario:
         return ResourceGrid(self.num_rbs, self.rb_bandwidth)
 
     def embb_snrs(self) -> tuple[float, ...]:
-        if not self.embb_mean_snr_db:
-            return _staggered(EMBB_SNR_SPAN_DB, self.n_embb)
-        if len(self.embb_mean_snr_db) == 1:
-            return self.embb_mean_snr_db * self.n_embb
-        return self.embb_mean_snr_db
+        return _class_snrs(self.embb_mean_snr_db, EMBB_SNR_SPAN_DB, self.n_embb)
 
     def urllc_snrs(self) -> tuple[float, ...]:
-        if not self.urllc_mean_snr_db:
-            return _staggered(URLLC_SNR_SPAN_DB, self.n_urllc)
-        if len(self.urllc_mean_snr_db) == 1:
-            return self.urllc_mean_snr_db * self.n_urllc
-        return self.urllc_mean_snr_db
+        return _class_snrs(self.urllc_mean_snr_db, URLLC_SNR_SPAN_DB, self.n_urllc)
 
     def users(self) -> tuple[UserTerminal, ...]:
         """eMBB users take ids 0..n_embb-1, URLLC users follow."""
-        embb = self.embb_snrs()
-        urllc = self.urllc_snrs()
-        users = [
-            UserTerminal(
-                id=i,
-                service=ServiceClass.EMBB,
-                link=LinkBudget(embb[i], self.fading),
-            )
-            for i in range(self.n_embb)
-        ]
-        users.extend(
-            UserTerminal(
-                id=self.n_embb + i,
-                service=ServiceClass.URLLC,
-                link=LinkBudget(urllc[i], self.fading),
-            )
-            for i in range(self.n_urllc)
+        classes = [(ServiceClass.EMBB, snr) for snr in self.embb_snrs()]
+        classes += [(ServiceClass.URLLC, snr) for snr in self.urllc_snrs()]
+        return tuple(
+            UserTerminal(id=i, service=service, link=LinkBudget(snr, self.fading))
+            for i, (service, snr) in enumerate(classes)
         )
-        return tuple(users)
 
     def scaling(self) -> FeatureScaling:
         return FeatureScaling(
@@ -210,17 +207,15 @@ class Scenario:
         seed: Optional[int] = None,
         lam_override: Optional[float] = None,
     ) -> Environment:
-        schedule: Callable[[int], float]
+        schedule = self.lambda_schedule
         if lam_override is not None:
-            schedule = LambdaSchedule.constant(lam_override).at
-        else:
-            schedule = self.lambda_schedule.at
+            schedule = LambdaSchedule.constant(lam_override)
         return Environment(
             users=self.users(),
             grid=self.grid,
             qos=self.qos,
             slot_duration=self.slot_duration,
-            lambda_schedule=schedule,
+            lambda_schedule=schedule.at,
             seed=self.seed if seed is None else seed,
         )
 
@@ -292,78 +287,95 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if not self.policies:
-            raise ValueError("need at least one policy")
-        if self.lambdas is not None and any(v < 0 for v in self.lambdas):
-            raise ValueError("sweep values must be >= 0")
+            raise ConfigError("need at least one policy")
+        lambdas = self.lambdas or ()
+        if not all(0 <= v < math.inf for v in lambdas):
+            raise ConfigError(f"sweep values must be finite and >= 0, got {lambdas}")
 
 
 # -- parsing -----------------------------------------------------------------
 
-_WORD, _INT, _FLOAT, _FLOATS, _INTS = "word", "int", "float", "floats", "ints"
 
-#: section -> key -> value kind accepted by the parser.
-_SCHEMA: dict[str, dict[str, str]] = {
-    "users": {
-        "embb": _INT,
-        "urllc": _INT,
-        "embb_mean_snr_db": _FLOATS,
-        "urllc_mean_snr_db": _FLOATS,
-    },
-    "grid": {
-        "num_rbs": _INT,
-        "rb_bandwidth_hz": _FLOAT,
-        "slot_duration_s": _FLOAT,
-    },
-    "channel": {"fading": _WORD, "rician_k": _FLOAT},
-    "traffic": {
-        "urllc_lambda": _FLOAT,
-        "urllc_lambda_values": _FLOATS,
-        "urllc_lambda_dwell": _INT,
-    },
-    "qos": {
-        "embb_min_rate_bps": _FLOAT,
-        "urllc_packet_bits": _INT,
-        "urllc_outage_threshold": _FLOAT,
-    },
-    "twin": {
-        "delay": _WORD,
-        "moderate_slots": _INT,
-        "significant_slots": _INT,
-        "cadence": _INT,
-        "history_depth": _INT,
-    },
-    "run": {
-        "seed": _INT,
-        "horizon_slots": _INT,
-        "outage_window": _INT,
-        "urllc_fraction": _FLOAT,
-    },
-    "features": {"reference_snr_db": _FLOAT, "reference_lambda": _FLOAT},
-    "train": {
-        "epochs": _INT,
-        "learning_rate": _FLOAT,
-        "batch_size": _INT,
-        "hidden_sizes": _INTS,
-        "seed": _INT,
-    },
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _finite_floats(raw: str) -> tuple[float, ...]:
+    return tuple(_finite_float(p) for p in raw.split(","))
+
+
+def _float_or_inf(raw: str) -> float:
+    """A finite float or +inf: a Rician K of inf is the no-fading case."""
+    value = float(raw)
+    if not (math.isfinite(value) or value == math.inf):
+        raise ValueError(raw)
+    return value
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in raw.split(","))
+
+
+#: (section, key) -> (value kind, the Scenario field it sets). A kind is the
+#: converter whose name parse errors quote; a dotted field sets one attribute
+#: of a nested object. Keys a file leaves out keep their dataclass defaults,
+#: which are the only defaults there are.
+_KEYS: dict[tuple[str, str], tuple[Callable, str]] = {
+    ("users", "embb"): (int, "n_embb"),
+    ("users", "urllc"): (int, "n_urllc"),
+    ("users", "embb_mean_snr_db"): (_finite_floats, "embb_mean_snr_db"),
+    ("users", "urllc_mean_snr_db"): (_finite_floats, "urllc_mean_snr_db"),
+    ("grid", "num_rbs"): (int, "num_rbs"),
+    ("grid", "rb_bandwidth_hz"): (_finite_float, "rb_bandwidth"),
+    ("grid", "slot_duration_s"): (_finite_float, "slot_duration"),
+    ("channel", "fading"): (FadingModel, "fading.model"),
+    ("channel", "rician_k"): (_float_or_inf, "fading.k_factor"),
+    # a constant rate; the builder wraps it in LambdaSchedule.constant
+    ("traffic", "urllc_lambda"): (_finite_float, "lambda_schedule"),
+    ("traffic", "urllc_lambda_values"): (_finite_floats, "lambda_schedule.values"),
+    ("traffic", "urllc_lambda_dwell"): (int, "lambda_schedule.dwell"),
+    ("qos", "embb_min_rate_bps"): (_finite_float, "qos.embb_min_rate"),
+    ("qos", "urllc_packet_bits"): (int, "qos.urllc_packet_bits"),
+    ("qos", "urllc_outage_threshold"): (_finite_float, "qos.urllc_outage_threshold"),
+    ("twin", "delay"): (DelayClass, "twin_delay"),
+    ("twin", "moderate_slots"): (int, "moderate_slots"),
+    ("twin", "significant_slots"): (int, "significant_slots"),
+    ("twin", "cadence"): (int, "twin_cadence"),
+    ("twin", "history_depth"): (int, "history_depth"),
+    ("run", "seed"): (int, "seed"),
+    ("run", "horizon_slots"): (int, "horizon_slots"),
+    ("run", "outage_window"): (int, "outage_window"),
+    ("run", "urllc_fraction"): (_finite_float, "urllc_fraction"),
+    ("features", "reference_snr_db"): (_finite_float, "reference_snr_db"),
+    ("features", "reference_lambda"): (_finite_float, "reference_lambda"),
+    ("train", "epochs"): (int, "train.epochs"),
+    ("train", "learning_rate"): (_finite_float, "train.learning_rate"),
+    ("train", "batch_size"): (int, "train.batch_size"),
+    ("train", "hidden_sizes"): (_ints, "train.hidden_sizes"),
+    ("train", "seed"): (int, "train.seed"),
 }
+_SECTIONS = {section for section, _ in _KEYS}
 
 
-def _parse_value(kind: str, raw: str, line: int, col: int):
+def _parse_value(key: str, kind: Callable, raw: str, line: int, col: int):
+    if isinstance(kind, enum.EnumMeta):
+        try:
+            return kind(raw.lower())
+        except ValueError:
+            choices = "|".join(m.value for m in kind)
+            raise ScenarioSemanticError(
+                f"{key} must be one of {choices}, got {raw!r}"
+            ) from None
     try:
-        if kind == _INT:
-            return int(raw)
-        if kind == _FLOAT:
-            return float(raw)
-        if kind == _WORD:
-            return raw.strip().lower()
-        if kind == _FLOATS:
-            return tuple(float(p) for p in raw.split(","))
-        if kind == _INTS:
-            return tuple(int(p) for p in raw.split(","))
+        return kind(raw)
     except ValueError:
-        raise ScenarioParseError(f"cannot parse {kind} value {raw!r}", line, col)
-    raise AssertionError(kind)
+        name = kind.__name__.lstrip("_").replace("_", " ")
+        raise ScenarioParseError(
+            f"cannot parse {name} value {raw!r} for {key}", line, col
+        ) from None
 
 
 def parse_scenario_text(text: str) -> Scenario:
@@ -381,7 +393,7 @@ def parse_scenario_text(text: str) -> Scenario:
             if not stripped.endswith("]"):
                 raise ScenarioParseError("unterminated section header", lineno, col)
             name = stripped[1:-1].strip().lower()
-            if name not in _SCHEMA:
+            if name not in _SECTIONS:
                 raise ScenarioParseError(f"unknown section [{name}]", lineno, col)
             if name in seen_sections:
                 raise ScenarioParseError(f"duplicate section [{name}]", lineno, col)
@@ -394,38 +406,21 @@ def parse_scenario_text(text: str) -> Scenario:
             raise ScenarioParseError("key outside any [section]", lineno, col)
         key, _, raw = stripped.partition("=")
         key = key.strip().lower()
-        if key not in _SCHEMA[section]:
+        if (section, key) not in _KEYS:
             raise ScenarioParseError(
                 f"unknown key {key!r} in section [{section}]", lineno, col
             )
         if (section, key) in values:
             raise ScenarioParseError(f"duplicate key {key!r}", lineno, col)
         values[(section, key)] = _parse_value(
-            _SCHEMA[section][key], raw.strip(), lineno, col
+            key, _KEYS[(section, key)][0], raw.strip(), lineno, col
         )
 
     return _build_scenario(values)
 
 
 def _build_scenario(values: dict[tuple[str, str], object]) -> Scenario:
-    def get(section: str, key: str, default):
-        return values.get((section, key), default)
-
-    fading_name = get("channel", "fading", "rician")
-    try:
-        model = FadingModel(fading_name)
-    except ValueError:
-        raise ScenarioSemanticError(
-            f"fading must be one of rayleigh|rician, got {fading_name!r}"
-        )
-    delay_name = get("twin", "delay", "minimal")
-    try:
-        delay = DelayClass(delay_name)
-    except ValueError:
-        raise ScenarioSemanticError(
-            f"twin delay must be minimal|moderate|significant, got {delay_name!r}"
-        )
-
+    """Set the fields the file names on the default Scenario."""
     has_values = ("traffic", "urllc_lambda_values") in values
     if ("traffic", "urllc_lambda") in values and has_values:
         raise ScenarioSemanticError(
@@ -435,53 +430,26 @@ def _build_scenario(values: dict[tuple[str, str], object]) -> Scenario:
         raise ScenarioSemanticError(
             "urllc_lambda_dwell needs urllc_lambda_values to cycle through"
         )
-    if has_values:
-        schedule = LambdaSchedule(
-            values=values[("traffic", "urllc_lambda_values")],  # type: ignore[arg-type]
-            dwell=int(get("traffic", "urllc_lambda_dwell", 100)),
-        )
-    else:
-        schedule = LambdaSchedule.constant(float(get("traffic", "urllc_lambda", 100.0)))
-
+    fields: dict[str, Any] = {}
+    parts: dict[str, dict[str, Any]] = {}
+    for key, value in values.items():
+        part, _, name = _KEYS[key][1].rpartition(".")
+        if part:
+            parts.setdefault(part, {})[name] = value
+        else:
+            fields[name] = value
+    defaults = Scenario()
     try:
-        qos = QoSRequirement(
-            embb_min_rate=float(get("qos", "embb_min_rate_bps", 0.0)),
-            urllc_packet_bits=int(get("qos", "urllc_packet_bits", 256)),
-            urllc_outage_threshold=float(get("qos", "urllc_outage_threshold", 0.07)),
-        )
-        train = TrainSettings(
-            epochs=int(get("train", "epochs", 30)),
-            learning_rate=float(get("train", "learning_rate", 0.05)),
-            batch_size=int(get("train", "batch_size", 64)),
-            hidden_sizes=tuple(get("train", "hidden_sizes", (600, 300, 250))),
-            seed=int(get("train", "seed", 0)),
-        )
-        return Scenario(
-            n_embb=int(get("users", "embb", 10)),
-            n_urllc=int(get("users", "urllc", 10)),
-            embb_mean_snr_db=tuple(get("users", "embb_mean_snr_db", ())),
-            urllc_mean_snr_db=tuple(get("users", "urllc_mean_snr_db", ())),
-            fading=FadingParams(
-                model=model, k_factor=float(get("channel", "rician_k", 5.0))
-            ),
-            num_rbs=int(get("grid", "num_rbs", 50)),
-            rb_bandwidth=float(get("grid", "rb_bandwidth_hz", 1e6)),
-            slot_duration=float(get("grid", "slot_duration_s", 1e-3)),
-            lambda_schedule=schedule,
-            qos=qos,
-            twin_delay=delay,
-            moderate_slots=int(get("twin", "moderate_slots", 2)),
-            significant_slots=int(get("twin", "significant_slots", 20)),
-            twin_cadence=int(get("twin", "cadence", 1)),
-            history_depth=int(get("twin", "history_depth", 0)),
-            seed=int(get("run", "seed", 1)),
-            horizon_slots=int(get("run", "horizon_slots", 5000)),
-            outage_window=int(get("run", "outage_window", 100)),
-            urllc_fraction=float(get("run", "urllc_fraction", 0.5)),
-            reference_snr_db=float(get("features", "reference_snr_db", 10.0)),
-            reference_lambda=float(get("features", "reference_lambda", 100.0)),
-            train=train,
-        )
+        if "lambda_schedule" in fields:
+            fields["lambda_schedule"] = LambdaSchedule.constant(fields["lambda_schedule"])
+        for part, given in parts.items():
+            # A cycle starts from LambdaSchedule's defaults, not the constant one.
+            fields[part] = (
+                LambdaSchedule(**given)
+                if part == "lambda_schedule"
+                else replace(getattr(defaults, part), **given)
+            )
+        return replace(defaults, **fields)
     except ValueError as exc:
         raise ScenarioSemanticError(str(exc)) from exc
 

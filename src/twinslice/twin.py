@@ -1,9 +1,8 @@
 """Digital twin of the physical network state.
 
 The twin keeps a bounded history of physical states, delivers possibly
-stale snapshots according to a configured delay class, can summarize a
-window of history into one averaged snapshot, and scores its own fidelity
-against the live physical state.
+stale snapshots according to a configured delay class, and scores its own
+fidelity against the live physical state.
 """
 from __future__ import annotations
 
@@ -98,36 +97,6 @@ def sync(
         traffic=replace(chosen.traffic),
         qos=chosen.qos,
         stale_underflow=underflow,
-    )
-
-
-def summarize(history: Sequence[TwinSnapshot], window: int) -> TwinSnapshot:
-    """Collapse the last ``window`` snapshots into one by per-entry means.
-
-    Stands in for sending periodic summarized insights instead of every
-    sample: channel SNRs, queue levels and arrival rates are averaged;
-    captured_at is the newest slot in the window.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if not history:
-        raise ValueError("cannot summarize an empty history")
-    tail = list(history)[-window:]
-    last = tail[-1]
-    snr = np.mean([s.channel.snr for s in tail], axis=0)
-    queue = np.mean([s.traffic.urllc_queue for s in tail], axis=0)
-    rate = float(np.mean([s.traffic.urllc_rate for s in tail]))
-    return TwinSnapshot(
-        captured_at=last.captured_at,
-        delivered_at=last.delivered_at,
-        channel=ChannelState(snr=snr, user_ids=last.channel.user_ids),
-        traffic=TrafficState(
-            urllc_rate=rate,
-            urllc_queue=queue,
-            urllc_user_ids=last.traffic.urllc_user_ids,
-        ),
-        qos=last.qos,
-        stale_underflow=any(s.stale_underflow for s in tail),
     )
 
 

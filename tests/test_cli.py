@@ -1,6 +1,7 @@
 import pytest
 
 from twinslice.cli import EXIT_CONFIG, EXIT_OK, main
+from twinslice.nn import MLP, save_weights
 
 TINY_TEXT = """\
 [users]
@@ -165,15 +166,87 @@ def test_bad_flags_exit_with_argparse_code(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
-def test_non_finite_slot_duration_is_a_config_error(tmp_path, capsys, value):
+def _with_key(section, key, value):
+    """TINY_TEXT with ``[section] key = value`` in place of any earlier value."""
+    text = "".join(
+        line + "\n"
+        for line in TINY_TEXT.splitlines()
+        if line.partition("=")[0].strip() != key
+    )
+    if f"[{section}]\n" in text:
+        return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    return text + f"[{section}]\n{key} = {value}\n"
+
+
+NON_FINITE = [
+    ("grid", "slot_duration_s", "inf"),
+    ("grid", "slot_duration_s", "nan"),
+    ("grid", "rb_bandwidth_hz", "inf"),
+    ("qos", "embb_min_rate_bps", "inf"),
+    ("traffic", "urllc_lambda", "inf"),
+    ("channel", "rician_k", "nan"),
+    ("features", "reference_snr_db", "nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    NON_FINITE,
+    ids=[v if k == "slot_duration_s" else f"{k}-{v}" for _, k, v in NON_FINITE],
+)
+def test_non_finite_slot_duration_is_a_config_error(
+    tmp_path, capsys, section, key, value
+):
     cfg = tmp_path / "bad.cfg"
-    text = TINY_TEXT.replace("[channel]", f"slot_duration_s = {value}\n[channel]")
-    cfg.write_text(text)
+    cfg.write_text(_with_key(section, key, value))
+    out = tmp_path / "o"
+    command = "train" if key == "reference_snr_db" else "run"
+    code = main([command, "--scenario", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_short_history_depth_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_TEXT + "[twin]\ndelay = moderate\nhistory_depth = 2\n")
     out = tmp_path / "o"
     code = main(["run", "--scenario", str(cfg), "--out", str(out)])
     assert code == EXIT_CONFIG
-    assert "slot_duration_s" in capsys.readouterr().err
+    assert "history_depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _garbage_header(path):
+    path.write_bytes(b"\x89 not a header\n" + bytes(64))
+
+
+def _truncated(path):
+    save_weights(MLP.zeros([21, 8, 12], (4, 3)), path, seed=0)
+    path.write_bytes(path.read_bytes()[:-20])
+
+
+def _wrong_input(path):
+    save_weights(MLP.zeros([20, 8, 12], (4, 3)), path, seed=0)
+
+
+def _wrong_output(path):
+    save_weights(MLP.zeros([21, 8, 12], (3, 4)), path, seed=0)
+
+
+@pytest.mark.parametrize(
+    "write", [_garbage_header, _truncated, _wrong_input, _wrong_output]
+)
+def test_bad_weights_are_a_config_error(tiny_cfg, tmp_path, capsys, write):
+    # TINY_TEXT has 3 users on 4 blocks: 21 features, output (4, 3).
+    weights = tmp_path / "weights.bin"
+    write(weights)
+    out = tmp_path / "o"
+    code = main(
+        ["eval", "--scenario", tiny_cfg, "--weights", str(weights), "--out", str(out)]
+    )
+    assert code == EXIT_CONFIG
+    assert str(weights) in capsys.readouterr().err
     assert not out.exists()
 
 

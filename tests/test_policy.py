@@ -286,13 +286,17 @@ def test_repair_noop_when_constraint_already_met():
     assert repaired.policy_id == "oracle+repair"
 
 
-def test_repair_noop_at_zero_lambda():
+def test_repair_gives_urllc_a_block_at_zero_lambda():
+    # R_u = 0 = zeta * lambda is an outage under the inclusive rule, so the
+    # repair must act even though the load is zero.
     users = make_users(1, 1)
     grid = ResourceGrid(2, 1e5)
     snap = make_snapshot([[1.0, 1.0], [0.1, 0.1]], users, lam=0.0)
     d = orthogonal_allocate(snap, OrthogonalConfig(0.0), grid, users, 1e-3)
+    assert d.allocation.assignment == (0, 0)
     repaired = priority_repair(d, snap, QoSRequirement(), grid, users, 1e-3)
-    assert repaired.allocation.assignment == d.allocation.assignment
+    assert repaired.allocation.assignment.count(1) >= 1
+    assert not repaired.constraint_unmet
 
 
 def test_repair_flags_exhaustion_when_all_blocks_urllc():

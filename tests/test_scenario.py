@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from twinslice.scenario import (
@@ -21,6 +23,7 @@ def test_minimal_file_gets_documented_defaults(tmp_path):
     assert s.n_embb == 10 and s.n_urllc == 10
     assert s.qos.urllc_packet_bits == 256
     assert s.qos.urllc_outage_threshold == 0.07
+    assert s == Scenario()
 
 
 def test_out_of_range_threshold_names_the_invariant():
@@ -71,6 +74,11 @@ def test_lambda_constant_and_cycle_are_exclusive():
     text = "[traffic]\nurllc_lambda = 5\nurllc_lambda_values = 1,2\n"
     with pytest.raises(ScenarioSemanticError, match="not both"):
         parse_scenario_text(text)
+
+
+def test_infinite_rician_k_is_the_no_fading_case():
+    s = parse_scenario_text("[channel]\nrician_k = inf\n")
+    assert s.fading.k_factor == math.inf
 
 
 def test_lambda_schedule_cycles_with_dwell():
@@ -144,3 +152,10 @@ def test_shipped_scenarios_load(repo_root_scenarios):
     tiny = load_scenario(repo_root_scenarios / "tiny.cfg")
     assert tiny.n_embb + tiny.n_urllc == 3
     assert tiny.num_rbs == 4
+
+
+def test_scenario_hashes_are_pinned(repo_root_scenarios):
+    # Every run's .summary carries the hash; a change here re-keys old runs.
+    assert Scenario().hash == "2595e16a582b2909"
+    assert load_scenario(repo_root_scenarios / "default.cfg").hash == "b70ba1880bf7290c"
+    assert load_scenario(repo_root_scenarios / "tiny.cfg").hash == "30e9a397674938a2"

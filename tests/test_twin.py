@@ -10,7 +10,6 @@ from twinslice.twin import (
     calibrate,
     delay_to_slots,
     staleness,
-    summarize,
     sync,
 )
 
@@ -114,70 +113,6 @@ def test_snapshot_is_a_deep_copy():
     before = snap.channel.snr.copy()
     env.step(AllocationMatrix((0, 1, 2, 2)))
     assert np.array_equal(snap.channel.snr, before)
-
-
-def test_summarize_window_one_equals_last():
-    env = _env()
-    twin = DigitalTwin()
-    snaps = []
-    for t in range(4):
-        twin.record(env.state)
-        snaps.append(twin.snapshot(now=t))
-        env.step(AllocationMatrix((0, 1, 2, 2)))
-    s = summarize(snaps, window=1)
-    assert np.array_equal(s.channel.snr, snaps[-1].channel.snr)
-    assert s.captured_at == snaps[-1].captured_at
-
-
-def test_summarize_means_entries():
-    env = _env()
-    twin = DigitalTwin()
-    twin.record(env.state)
-    a = twin.snapshot(now=0)
-    snr_b = np.array(a.channel.snr) + 2.0
-    from twinslice.domain import ChannelState, TrafficState
-    from twinslice.twin import TwinSnapshot
-
-    b = TwinSnapshot(
-        captured_at=1,
-        delivered_at=1,
-        channel=ChannelState(snr=snr_b, user_ids=a.channel.user_ids),
-        traffic=TrafficState(
-            urllc_rate=a.traffic.urllc_rate + 4.0,
-            urllc_queue=np.array(a.traffic.urllc_queue) + 6.0,
-            urllc_user_ids=a.traffic.urllc_user_ids,
-        ),
-        qos=a.qos,
-    )
-    s = summarize([a, b], window=2)
-    assert np.allclose(s.channel.snr, np.array(a.channel.snr) + 1.0)
-    assert s.traffic.urllc_rate == pytest.approx(a.traffic.urllc_rate + 2.0)
-    assert np.allclose(
-        s.traffic.urllc_queue, np.array(a.traffic.urllc_queue) + 3.0
-    )
-
-
-def test_summarize_constant_history_is_idempotent():
-    env = _env()
-    twin = DigitalTwin()
-    twin.record(env.state)
-    snap = twin.snapshot(now=0)
-    # power-of-two window: the mean of identical values is exact
-    s2 = summarize([snap, snap], window=2)
-    assert np.array_equal(s2.channel.snr, snap.channel.snr)
-    # odd window: dividing by 3 rounds, so only semantic equality holds
-    s3 = summarize([snap, snap, snap], window=3)
-    assert np.allclose(s3.channel.snr, snap.channel.snr, rtol=1e-12)
-
-
-def test_summarize_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        summarize([], window=1)
-    env = _env()
-    twin = DigitalTwin()
-    twin.record(env.state)
-    with pytest.raises(ValueError):
-        summarize([twin.snapshot(now=0)], window=0)
 
 
 def test_calibrate_identity_is_exactly_zero():
