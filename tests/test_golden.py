@@ -35,6 +35,9 @@ GOLDEN = {
     "default/orthogonal_lam200.csv": "d599644018ffb9ae3e712de346d948fbc187b980c2f397d03133baa4f5fadfcc",
     "default/orthogonal_lam200.csv.summary": "1ce0bf17199940644538c47377be18fd26e512ff42335f1f7ea9ae32f44b1259",
     "default/orthogonal_lam200.twin.csv": "814fc0cf7acecc49e6d1ddceacf16c83981f25121c1a4454b5038748a7facff6",
+    "overload/comparison.csv": "4f20882bbcad0332514bb2b66b76b0e80a0225b3f8e5693908342fd6063d0c3c",
+    "overload/oracle_lam400.csv": "9cd94f68522b830a812c9292e48fb3e4e709cee5332156a0ec1150decebd8638",
+    "overload/oracle_lam400.csv.summary": "41adc7592133f8cab30799bcb7fc0a9b0831c12bcff4868d6d921514c658f8ec",
     "tiny/comparison.csv": "85ecf7b5fcff7563ee6183b7547b415d3381d03519d548aca0a0dd57278474fe",
     "tiny/oracle_lam16.csv": "c607ccd224b6114e684c02427a0ac7fcf64a903fdd3976947e74f17177709316",
     "tiny/oracle_lam16.csv.summary": "ba86f4cffe6ef7faab524befb327e6b561737380bd3b437d1de46bf9e7f3cc8c",
@@ -56,8 +59,9 @@ def _digests(root: Path) -> dict[str, str]:
 
 
 def golden_run(root: Path) -> dict[str, str]:
-    """Train a tiny net on default.cfg, sweep three policies there, and run
-    the exhaustive oracle on tiny.cfg behind a significant twin delay."""
+    """Train a tiny net on default.cfg, sweep three policies there, run the
+    greedy oracle there under overload, and run the exhaustive oracle on
+    tiny.cfg behind a significant twin delay."""
     default = replace(
         load_scenario(SCENARIOS / "default.cfg"),
         horizon_slots=100,
@@ -90,6 +94,16 @@ def golden_run(root: Path) -> dict[str, str]:
             out_dir=str(root / "tiny"),
             lambdas=(2.0, 16.0),
             dump_twin=True,
+        )
+    )
+    # Overload: lambda = 400 on 20 x 50 keeps the URLLC deficit open, so
+    # the greedy oracle never reaches its all-deficits-closed finish.
+    runner.run_experiment(
+        ExperimentSpec(
+            scenario=replace(default, horizon_slots=60, outage_window=20),
+            policies=("oracle",),
+            out_dir=str(root / "overload"),
+            lambdas=(400.0,),
         )
     )
     return _digests(root)
