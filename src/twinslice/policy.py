@@ -7,7 +7,6 @@ reproducible bit for bit.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -17,7 +16,7 @@ import numpy as np
 from .domain import (
     UNASSIGNED,
     AllocationMatrix,
-    ChannelState,
+    ConfigError,
     QoSRequirement,
     ResourceGrid,
     ServiceClass,
@@ -44,6 +43,22 @@ class OrthogonalConfig:
         if not 0.0 <= self.urllc_fraction <= 1.0:
             raise ValueError("urllc_fraction must be in [0, 1]")
 
+    def split(self, num_rbs: int, n_urllc: int, n_embb: int) -> int:
+        """Number of leading blocks reserved for URLLC; a nonempty partition
+        without users of its class is a ``ConfigError``."""
+        split = int(self.urllc_fraction * num_rbs)
+        for name, blocks, n in (
+            ("URLLC", split, n_urllc),
+            ("eMBB", num_rbs - split, n_embb),
+        ):
+            if blocks > 0 and n == 0:
+                raise ConfigError(
+                    f"orthogonal policy: urllc_fraction = {self.urllc_fraction} "
+                    f"gives the {name} partition {blocks} of {num_rbs} blocks, "
+                    f"but the scenario has {n} {name} users"
+                )
+        return split
+
 
 @dataclass(frozen=True)
 class PolicyDecision:
@@ -53,11 +68,9 @@ class PolicyDecision:
     constraint_unmet: bool = False
 
 
-def default_penalty_weight(
-    ch: ChannelState, grid: ResourceGrid, slot_duration: float
-) -> float:
-    """Large enough that QoS violations dominate any rate gain."""
-    rates = rate_matrix(ch, grid, slot_duration)
+def default_penalty_weight(rates: np.ndarray) -> float:
+    """Large enough that QoS violations dominate any rate gain; ``rates`` is
+    the snapshot's ``rate_matrix``."""
     return PENALTY_SCALE * float(rates.max()) if rates.size else PENALTY_SCALE
 
 
@@ -78,7 +91,7 @@ def allocation_objective(
     ordered = canonical_users(users)
     ch = snapshot.channel
     if penalty_weight is None:
-        penalty_weight = default_penalty_weight(ch, grid, slot_duration)
+        penalty_weight = default_penalty_weight(rate_matrix(ch, grid, slot_duration))
     lam = snapshot.traffic.urllc_rate
     load = qos.urllc_packet_bits * lam
     min_rate_bits = qos.embb_min_rate * slot_duration
@@ -112,15 +125,13 @@ def orthogonal_allocate(
     the next block to whichever least-loaded user has the best SNR on it.
     """
     ordered = canonical_users(users)
-    split = int(cfg.urllc_fraction * grid.num_rbs)
     by_class = {
         ServiceClass.URLLC: [u for u in ordered if u.service is ServiceClass.URLLC],
         ServiceClass.EMBB: [u for u in ordered if u.service is ServiceClass.EMBB],
     }
-    if split > 0 and not by_class[ServiceClass.URLLC]:
-        raise ValueError("URLLC partition is nonempty but there are no URLLC users")
-    if split < grid.num_rbs and not by_class[ServiceClass.EMBB]:
-        raise ValueError("eMBB partition is nonempty but there are no eMBB users")
+    split = cfg.split(
+        grid.num_rbs, len(by_class[ServiceClass.URLLC]), len(by_class[ServiceClass.EMBB])
+    )
 
     rows = snapshot.channel.rows
     assignment = [UNASSIGNED] * grid.num_rbs
@@ -155,74 +166,99 @@ def _exhaustive_oracle(
     ordered: tuple[UserTerminal, ...],
     qos: QoSRequirement,
     slot_duration: float,
-    penalty_weight: Optional[float],
+    penalty_weight: float,
 ) -> tuple[AllocationMatrix, float]:
-    if penalty_weight is None:
-        penalty_weight = default_penalty_weight(snapshot.channel, grid, slot_duration)
-    best_m: Optional[AllocationMatrix] = None
-    best_obj = -math.inf
-    ids = [u.id for u in ordered]
-    for combo in itertools.product(ids, repeat=grid.num_rbs):
-        m = AllocationMatrix(assignment=combo)
-        obj = allocation_objective(
-            m, snapshot, grid, ordered, qos, slot_duration, penalty_weight
-        )
-        # Strict improvement keeps the lexicographically first argmax, which
-        # is exactly "lowest block index, then lowest user id".
-        if obj > best_obj:
-            best_obj = obj
-            best_m = m
-    assert best_m is not None
-    return best_m, best_obj
+    n_users = len(ordered)
+    bw = grid.rb_bandwidth
+    rows = snapshot.channel.rows
+    # rate_sums' per-block term, so the sums below repeat its floats exactly.
+    block_rate = np.array(
+        [[bw * math.log2(1.0 + s) * slot_duration for s in rows[u.id]] for u in ordered]
+    )
+    # holders[b][n]: user index holding block b in the n-th assignment. C
+    # order is itertools.product's order: the last block varies fastest.
+    every = np.arange(n_users**grid.num_rbs)
+    holders = np.unravel_index(every, (n_users,) * grid.num_rbs)
+    sums = np.zeros((every.size, n_users))
+    for b, holder in enumerate(holders):
+        sums[every, holder] += block_rate[holder, b]
+
+    # allocation_objective's terms, accumulated in user order.
+    load = qos.urllc_packet_bits * snapshot.traffic.urllc_rate
+    min_rate_bits = qos.embb_min_rate * slot_duration
+    total = urllc_rate = embb_deficit = 0.0
+    for i, u in enumerate(ordered):
+        r = sums[:, i]
+        total = total + r
+        if u.service is ServiceClass.URLLC:
+            urllc_rate = urllc_rate + r
+        else:
+            embb_deficit = embb_deficit + np.maximum(0.0, min_rate_bits - r)
+    urllc_deficit = np.maximum(0.0, load - urllc_rate)
+    obj = total - penalty_weight * urllc_deficit - penalty_weight * embb_deficit
+    # The first maximum is the lexicographically first optimal assignment:
+    # lowest block index, then lowest user id.
+    best = int(np.argmax(obj))
+    assignment = tuple(ordered[h[best]].id for h in holders)
+    return AllocationMatrix(assignment=assignment), float(obj[best])
 
 
 def _greedy_oracle(
+    rates: np.ndarray,
     snapshot: TwinSnapshot,
-    grid: ResourceGrid,
     ordered: tuple[UserTerminal, ...],
     qos: QoSRequirement,
     slot_duration: float,
-    penalty_weight: Optional[float],
-) -> tuple[AllocationMatrix, float]:
-    ch = snapshot.channel
-    rates = rate_matrix(ch, grid, slot_duration)  # [users, rbs]
-    if penalty_weight is None:
-        penalty_weight = default_penalty_weight(ch, grid, slot_duration)
+    penalty_weight: float,
+) -> AllocationMatrix:
     n_users, n_rbs = rates.shape
     is_urllc = np.array([u.service is ServiceClass.URLLC for u in ordered])
-    lam = snapshot.traffic.urllc_rate
-    load = qos.urllc_packet_bits * lam
+    urllc_rows = np.flatnonzero(is_urllc)
+    load = qos.urllc_packet_bits * snapshot.traffic.urllc_rate
     min_rate_bits = qos.embb_min_rate * slot_duration
+    rate_rows = rates.tolist()
+    peak = rates.max(axis=1)
+    urllc_peak = peak[urllc_rows].max() if urllc_rows.size else 0.0
 
-    assignment = np.full(n_rbs, UNASSIGNED, dtype=int)
+    # Each row's deficit: the URLLC rows share the class deficit, each eMBB
+    # row has its own. Deficits never grow.
     user_rates = np.zeros(n_users)
-    open_blocks = np.ones(n_rbs, dtype=bool)
-
-    for _ in range(n_rbs):
-        urllc_deficit = max(0.0, load - user_rates[is_urllc].sum())
-        embb_deficit = np.maximum(0.0, min_rate_bits - user_rates)
-        # Marginal gain of giving block b to user u: the rate itself plus
-        # the penalty relief it buys on whichever deficit applies to u.
-        relief = np.where(
-            is_urllc[:, None],
-            np.minimum(rates, urllc_deficit),
-            np.minimum(rates, embb_deficit[:, None]),
-        )
-        marginal = rates + penalty_weight * relief
-        marginal = np.where(open_blocks[None, :], marginal, -np.inf)
-        # argmax over flattened (block, user) order = lowest block index
-        # first, then lowest user id.
-        flat = np.argmax(marginal.T)
-        b, u = divmod(flat, n_users)
+    deficit = np.where(is_urllc, load, min_rate_bits)
+    # gain[b, u]: the rate of block b for user u plus the penalty relief it
+    # buys on u's deficit, -inf once b is taken. Block-major, so the first
+    # flat argmax is the lowest block, then the lowest user id.
+    rates_t = np.ascontiguousarray(rates.T)
+    gain = rates_t + penalty_weight * np.minimum(rates_t, deficit)
+    assignment = [UNASSIGNED] * n_rbs
+    for _ in range(n_rbs if deficit.any() else 0):
+        b, u = divmod(int(gain.argmax()), n_users)
         assignment[b] = ordered[u].id
-        user_rates[u] += rates[u, b]
-        open_blocks[b] = False
+        gain[b] = -np.inf
+        user_rates[u] += rate_rows[u][b]
+        if is_urllc[u]:
+            d = max(0.0, load - user_rates[is_urllc].sum())
+            rows, top = urllc_rows, urllc_peak
+        else:
+            d = max(0.0, min_rate_bits - user_rates[u])
+            rows, top = [u], peak[u]
+        if d != deficit[u]:
+            deficit[rows] = d
+            # While d is >= every rate in the rows, minimum(rates, d) is the
+            # rates themselves, as before, and the rows stand.
+            if d < top:
+                cols = rates_t[:, rows]
+                fresh = cols + penalty_weight * np.minimum(cols, d)
+                fresh[np.not_equal(assignment, UNASSIGNED)] = -np.inf
+                gain[:, rows] = fresh
+            if d == 0 and not deficit.any():
+                break
 
-    m = AllocationMatrix(assignment=tuple(int(a) for a in assignment))
-    obj = allocation_objective(
-        m, snapshot, grid, ordered, qos, slot_duration, penalty_weight
-    )
-    return m, obj
+    # Every deficit is 0, so the gains no longer change: each open block
+    # goes to its column's first maximum, as the one-by-one picks would.
+    open_blocks = [b for b, uid in enumerate(assignment) if uid == UNASSIGNED]
+    for b, u in zip(open_blocks, gain[open_blocks].argmax(axis=1).tolist()):
+        assignment[b] = ordered[u].id
+    return AllocationMatrix(assignment=tuple(assignment))
 
 
 def oracle_allocate(
@@ -237,9 +273,18 @@ def oracle_allocate(
 ) -> PolicyDecision:
     """QoS-penalised sum-rate optimiser; training target and test oracle.
 
-    Exhaustive mode enumerates every assignment (only viable when
-    num_users ** num_rbs <= cap); greedy mode assigns blocks one at a time
-    by best marginal objective, which exhaustive search dominates.
+    Exhaustive mode (only when num_users ** num_rbs <= cap) scores every
+    assignment at once, in ``itertools.product`` order, with the floats of
+    ``allocation_objective``, and keeps the first best one.
+
+    Greedy mode, which exhaustive search dominates, assigns blocks one at a
+    time to the best (block, user) marginal gain: the rate plus the penalty
+    relief it buys on that user's deficit (the URLLC class deficit or the
+    user's eMBB one). The gain matrix is built once; after each pick only
+    the picked block and the rows whose deficit changed are updated. Once
+    every deficit is 0 the gains stop changing, and each open block goes
+    to its best user in one step. The result is the same as rebuilding the
+    matrix for every block.
     """
     ordered = canonical_users(users)
     if not ordered:
@@ -247,20 +292,22 @@ def oracle_allocate(
     size = len(ordered) ** grid.num_rbs
     if mode == "auto":
         mode = "exhaustive" if size <= cap else "greedy"
+    if mode not in ("exhaustive", "greedy"):
+        raise ValueError(f"unknown oracle mode {mode!r}")
+    if mode == "exhaustive" and size > cap:
+        raise ValueError(f"exhaustive search of {size} assignments exceeds cap {cap}")
+    rates = rate_matrix(snapshot.channel, grid, slot_duration)
+    if penalty_weight is None:
+        penalty_weight = default_penalty_weight(rates)
     if mode == "exhaustive":
-        if size > cap:
-            raise ValueError(
-                f"exhaustive search of {size} assignments exceeds cap {cap}"
-            )
         m, obj = _exhaustive_oracle(
             snapshot, grid, ordered, qos, slot_duration, penalty_weight
         )
-    elif mode == "greedy":
-        m, obj = _greedy_oracle(
-            snapshot, grid, ordered, qos, slot_duration, penalty_weight
-        )
     else:
-        raise ValueError(f"unknown oracle mode {mode!r}")
+        m = _greedy_oracle(rates, snapshot, ordered, qos, slot_duration, penalty_weight)
+        obj = allocation_objective(
+            m, snapshot, grid, ordered, qos, slot_duration, penalty_weight
+        )
     return PolicyDecision(m, obj, "oracle")
 
 
@@ -272,9 +319,11 @@ def dynamic_allocate(
     qos: QoSRequirement,
     scaling: FeatureScaling,
     slot_duration: float,
+    rates: Optional[np.ndarray] = None,
 ) -> PolicyDecision:
     """Neural allocator: encode the snapshot, run the net, decode per-block
-    argmax. The decode step guarantees a valid matrix for any finite net."""
+    argmax. The decode step guarantees a valid matrix for any finite net.
+    ``rates`` is the snapshot's ``rate_matrix`` if the caller has it."""
     ordered = canonical_users(users)
     x = encode_features(snapshot, grid, ordered, qos, scaling)
     y = forward(net, x)
@@ -284,20 +333,20 @@ def dynamic_allocate(
             f"({grid.num_rbs}, {len(ordered)})"
         )
     m = decode_output(y, ordered)
-    objective = allocation_objective(m, snapshot, grid, ordered, qos, slot_duration)
+    if rates is None:
+        rates = rate_matrix(snapshot.channel, grid, slot_duration)
+    objective = allocation_objective(
+        m, snapshot, grid, ordered, qos, slot_duration, default_penalty_weight(rates)
+    )
     return PolicyDecision(m, objective, "dnn")
 
 
 def predicted_urllc_rate(
-    m: AllocationMatrix,
-    snapshot: TwinSnapshot,
-    grid: ResourceGrid,
-    users: Iterable[UserTerminal],
-    slot_duration: float,
+    m: AllocationMatrix, rates: np.ndarray, users: Iterable[UserTerminal]
 ) -> float:
-    """Sum URLLC capacity the (possibly stale) snapshot predicts for ``m``."""
+    """Sum URLLC capacity that ``rates``, the ``rate_matrix`` of a (possibly
+    stale) snapshot, predicts for ``m``; added user by user, block by block."""
     ordered = canonical_users(users)
-    rates = rate_matrix(snapshot.channel, grid, slot_duration)
     total = 0.0
     for i, u in enumerate(ordered):
         if u.service is ServiceClass.URLLC:
@@ -314,13 +363,15 @@ def priority_repair(
     grid: ResourceGrid,
     users: Iterable[UserTerminal],
     slot_duration: float,
+    rates: Optional[np.ndarray] = None,
 ) -> PolicyDecision:
     """Reassign eMBB blocks to URLLC until the predicted load constraint holds.
 
     Each step moves the eMBB-held block with the highest URLLC marginal rate
     to the URLLC user gaining most from it. URLLC-held blocks are never
     touched. Runs on the snapshot's channel deliberately, so twin staleness
-    degrades the repair exactly as it would in operation.
+    degrades the repair exactly as it would in operation. ``rates`` is the
+    snapshot's ``rate_matrix`` if the caller has it.
     """
     ordered = canonical_users(users)
     service = {u.id: u.service for u in ordered}
@@ -328,12 +379,11 @@ def priority_repair(
     target = qos.urllc_packet_bits * lam
     policy_id = decision.policy_id + "+repair"
 
-    rates = rate_matrix(snapshot.channel, grid, slot_duration)
+    if rates is None:
+        rates = rate_matrix(snapshot.channel, grid, slot_duration)
     urllc_rows = [i for i, u in enumerate(ordered) if u.service is ServiceClass.URLLC]
     assignment = list(decision.allocation.assignment)
-    predicted = predicted_urllc_rate(
-        decision.allocation, snapshot, grid, ordered, slot_duration
-    )
+    predicted = predicted_urllc_rate(decision.allocation, rates, ordered)
 
     # R <= load is an outage (metrics.outage_event), so an exact hit is
     # repaired too: at zero load, URLLC still gets a block.
@@ -361,5 +411,7 @@ def priority_repair(
                 predicted += float(urllc_gain[k, block])
 
     m = AllocationMatrix(assignment=tuple(assignment))
-    objective = allocation_objective(m, snapshot, grid, ordered, qos, slot_duration)
+    objective = allocation_objective(
+        m, snapshot, grid, ordered, qos, slot_duration, default_penalty_weight(rates)
+    )
     return PolicyDecision(m, objective, policy_id, constraint_unmet=unmet)

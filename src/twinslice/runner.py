@@ -15,6 +15,7 @@ import numpy as np
 
 from . import metrics, nn, policy as policy_mod
 from .domain import ConfigError
+from .envsim import rate_matrix
 from .metrics import RunSummary, SlotMetrics
 from .nn import MLP, TrainConfig, TrainResult
 from .scenario import ExperimentSpec, Scenario
@@ -56,12 +57,15 @@ def _make_policy(
         scaling = scenario.scaling()
 
         def decide(snap: TwinSnapshot) -> policy_mod.PolicyDecision:
+            # One rate matrix per decision, shared by the net's objective
+            # and the repair.
+            rates = rate_matrix(snap.channel, grid, tau)
             decision = policy_mod.dynamic_allocate(
-                snap, net, grid, users, scenario.qos, scaling, tau
+                snap, net, grid, users, scenario.qos, scaling, tau, rates
             )
             if policy_id == "dnn+repair":
                 decision = policy_mod.priority_repair(
-                    decision, snap, scenario.qos, grid, users, tau
+                    decision, snap, scenario.qos, grid, users, tau, rates
                 )
             return decision
 
@@ -189,6 +193,11 @@ def run_experiment(spec: ExperimentSpec) -> list[tuple[str, Optional[float], Run
                 f"weights file {spec.weights_path} maps {net.input_dim} features "
                 f"to {net.output_shape}; the scenario needs {want[0]} to {want[1]}"
             )
+
+    if "orthogonal" in spec.policies:
+        policy_mod.OrthogonalConfig(scenario.urllc_fraction).split(
+            scenario.num_rbs, scenario.n_urllc, scenario.n_embb
+        )
 
     os.makedirs(spec.out_dir, exist_ok=True)
     lambdas: Sequence[Optional[float]] = (

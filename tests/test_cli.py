@@ -259,3 +259,16 @@ def test_lambda_dwell_without_values_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "urllc_lambda_dwell" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["urllc", "embb"])
+def test_orthogonal_partition_without_users_is_a_config_error(tmp_path, capsys, key):
+    # The default urllc_fraction = 0.5 gives both partitions 2 of 4 blocks.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with_key("users", key, "0"))
+    out = tmp_path / "o"
+    code = main(["run", "--scenario", str(cfg), "--policy", "orthogonal", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "urllc_fraction" in err and "has 0" in err
+    assert not out.exists()

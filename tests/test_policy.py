@@ -12,8 +12,10 @@ from twinslice.domain import (
     ServiceClass,
     validate_allocation,
 )
+from twinslice.envsim import rate_matrix
 from twinslice.nn import MLP, FeatureScaling, feature_dim
 from twinslice.policy import (
+    EXHAUSTIVE_CAP,
     OrthogonalConfig,
     allocation_objective,
     default_penalty_weight,
@@ -149,7 +151,7 @@ def test_objective_equals_plain_user_block_loop_with_idle_blocks():
     for _ in range(200):
         snap = make_snapshot(rng.exponential(2.0, (5, 8)), users, lam=rng.uniform(0, 9))
         m = AllocationMatrix(tuple(rng.choice(choices, size=8)))
-        default = default_penalty_weight(snap.channel, grid, 1e-3)
+        default = default_penalty_weight(rate_matrix(snap.channel, grid, 1e-3))
         for given, penalty in ((None, default), (2.5, 2.5)):
             expected = _independent_objective(
                 m.assignment, snap, grid, users, qos, 1e-3, penalty
@@ -178,6 +180,124 @@ def test_oracle_exhaustive_matches_independent_enumeration():
                 best = combo
         assert d.allocation.assignment == best
         assert d.objective_estimate == best_obj
+
+
+@pytest.mark.parametrize(
+    "n_embb,n_urllc,num_rbs,snr",
+    [
+        (2, 1, 3, "exp"),
+        (1, 1, 1, "exp"),  # 2 users x 1 block
+        (1, 1, 1, "tied"),
+        (2, 2, 6, "exp"),  # 4 ** 6 = EXHAUSTIVE_CAP
+        (2, 2, 6, "tied"),
+        (3, 1, 6, "three"),
+    ],
+)
+def test_oracle_exhaustive_matches_enumeration_up_to_the_cap(n_embb, n_urllc, num_rbs, snr):
+    rng = np.random.default_rng(n_embb * 100 + n_urllc * 10 + num_rbs)
+    grid = ResourceGrid(num_rbs, 1e5)
+    users = make_users(n_embb, n_urllc)
+    n = n_embb + n_urllc
+    ids = [u.id for u in users]
+    draws = {
+        "exp": lambda: rng.exponential(2.0, (n, num_rbs)),
+        "tied": lambda: np.full((n, num_rbs), 2.0),
+        "three": lambda: rng.choice([1.0, 2.0, 4.0], (n, num_rbs)),
+    }
+    rounds = 3 if n**num_rbs == EXHAUSTIVE_CAP else 20
+    for i in range(rounds):
+        qos = QoSRequirement(embb_min_rate=(0.0, 2e4, 6e4)[i % 3])
+        penalty = (None, 0.0, 1e7)[(i // 3) % 3]
+        snap = make_snapshot(draws[snr](), users, lam=(0.0, 0.7, 2.5)[i % 3])
+        d = oracle_allocate(
+            snap, grid, users, qos, 1e-3, mode="exhaustive", penalty_weight=penalty
+        )
+        if penalty is None:
+            penalty = default_penalty_weight(rate_matrix(snap.channel, grid, 1e-3))
+        best_obj = -math.inf
+        best = None
+        for combo in itertools.product(ids, repeat=num_rbs):
+            obj = _independent_objective(combo, snap, grid, users, qos, 1e-3, penalty)
+            if obj > best_obj:
+                best_obj = obj
+                best = combo
+        assert d.allocation.assignment == best
+        assert d.objective_estimate == best_obj
+
+
+def _reference_greedy(snap, grid, users, qos, tau, penalty_weight):
+    """The greedy oracle as a full rebuild: every step recomputes the whole
+    marginal matrix from the current deficits and takes its first maximum
+    in (block, user) order."""
+    rates = rate_matrix(snap.channel, grid, tau)
+    if penalty_weight is None:
+        penalty_weight = default_penalty_weight(rates)
+    n_users, n_rbs = rates.shape
+    is_urllc = np.array([u.service is ServiceClass.URLLC for u in users])
+    load = qos.urllc_packet_bits * snap.traffic.urllc_rate
+    min_rate_bits = qos.embb_min_rate * tau
+    assignment = np.full(n_rbs, UNASSIGNED, dtype=int)
+    user_rates = np.zeros(n_users)
+    open_blocks = np.ones(n_rbs, dtype=bool)
+    for _ in range(n_rbs):
+        urllc_deficit = max(0.0, load - user_rates[is_urllc].sum())
+        embb_deficit = np.maximum(0.0, min_rate_bits - user_rates)
+        relief = np.where(
+            is_urllc[:, None],
+            np.minimum(rates, urllc_deficit),
+            np.minimum(rates, embb_deficit[:, None]),
+        )
+        marginal = rates + penalty_weight * relief
+        marginal = np.where(open_blocks[None, :], marginal, -np.inf)
+        b, u = divmod(int(np.argmax(marginal.T)), n_users)
+        assignment[b] = users[u].id
+        user_rates[u] += rates[u, b]
+        open_blocks[b] = False
+    m = AllocationMatrix(tuple(assignment))
+    return m.assignment, allocation_objective(
+        m, snap, grid, users, qos, tau, penalty_weight
+    )
+
+
+GREEDY_CASES = {
+    # name: (n_embb, n_urllc, num_rbs, lambda, embb_min_rate, snr); rates
+    # run about 1000-3000 bits per block and a packet is 256 bits.
+    "zero-load": (10, 10, 50, 0.0, 0.0, "exp"),
+    "deficit-closes": (10, 10, 50, 100.0, 0.0, "exp"),
+    "overload": (10, 10, 50, 400.0, 0.0, "exp"),
+    "embb-min-rate": (4, 3, 30, 20.0, 4e6, "exp"),
+    "all-tied": (4, 3, 30, 20.0, 2e6, "tied"),
+    "three-valued": (5, 4, 40, 60.0, 2e6, "three"),
+    "spread-snr": (6, 6, 40, 40.0, 0.0, "spread"),
+    "spread-snr-min-rate": (6, 6, 40, 40.0, 3e6, "spread"),
+    "urllc-only": (0, 5, 20, 30.0, 0.0, "exp"),
+    "embb-only": (5, 0, 20, 30.0, 3e6, "three"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GREEDY_CASES))
+def test_greedy_equals_full_rebuild_reference(case):
+    n_embb, n_urllc, num_rbs, lam, min_rate, snr = GREEDY_CASES[case]
+    rng = np.random.default_rng(sorted(GREEDY_CASES).index(case))
+    grid = ResourceGrid(num_rbs, 1e6)
+    users = make_users(n_embb, n_urllc)
+    qos = QoSRequirement(embb_min_rate=min_rate)
+    n = n_embb + n_urllc
+    draws = {
+        "exp": lambda: rng.exponential(2.0, (n, num_rbs)),
+        "tied": lambda: np.full((n, num_rbs), 3.0),
+        "three": lambda: rng.choice([0.5, 2.0, 4.0], (n, num_rbs)),
+        # Users' rows on different scales, so their peak rates differ.
+        "spread": lambda: rng.exponential(2.0, (n, num_rbs)) * rng.uniform(0.1, 10, (n, 1)),
+    }
+    for _ in range(8):
+        snap = make_snapshot(draws[snr](), users, lam=lam)
+        for penalty in (None, 0.0, 0.3, 2.0):
+            d = oracle_allocate(
+                snap, grid, users, qos, 1e-3, mode="greedy", penalty_weight=penalty
+            )
+            ref = _reference_greedy(snap, grid, users, qos, 1e-3, penalty)
+            assert (d.allocation.assignment, d.objective_estimate) == ref
 
 
 def test_greedy_close_to_exhaustive_and_never_above():
@@ -321,8 +441,9 @@ def test_repair_monotone_and_never_touches_urllc_blocks():
         )
         base = orthogonal_allocate(snap, OrthogonalConfig(1 / 3), grid, users, 1e-3)
         repaired = priority_repair(base, snap, qos, grid, users, 1e-3)
-        before = predicted_urllc_rate(base.allocation, snap, grid, users, 1e-3)
-        after = predicted_urllc_rate(repaired.allocation, snap, grid, users, 1e-3)
+        rates = rate_matrix(snap.channel, grid, 1e-3)
+        before = predicted_urllc_rate(base.allocation, rates, users)
+        after = predicted_urllc_rate(repaired.allocation, rates, users)
         assert after >= before - 1e-9
         for b, uid in enumerate(base.allocation.assignment):
             if uid in (2, 3):  # URLLC-held stays put
