@@ -216,7 +216,6 @@ def _greedy_oracle(
     urllc_rows = np.flatnonzero(is_urllc)
     load = qos.urllc_packet_bits * snapshot.traffic.urllc_rate
     min_rate_bits = qos.embb_min_rate * slot_duration
-    rate_rows = rates.tolist()
     peak = rates.max(axis=1)
     urllc_peak = peak[urllc_rows].max() if urllc_rows.size else 0.0
 
@@ -234,7 +233,7 @@ def _greedy_oracle(
         b, u = divmod(int(gain.argmax()), n_users)
         assignment[b] = ordered[u].id
         gain[b] = -np.inf
-        user_rates[u] += rate_rows[u][b]
+        user_rates[u] += rates[u, b]
         if is_urllc[u]:
             d = max(0.0, load - user_rates[is_urllc].sum())
             rows, top = urllc_rows, urllc_peak

@@ -35,9 +35,11 @@ GOLDEN = {
     "default/orthogonal_lam200.csv": "d599644018ffb9ae3e712de346d948fbc187b980c2f397d03133baa4f5fadfcc",
     "default/orthogonal_lam200.csv.summary": "1ce0bf17199940644538c47377be18fd26e512ff42335f1f7ea9ae32f44b1259",
     "default/orthogonal_lam200.twin.csv": "814fc0cf7acecc49e6d1ddceacf16c83981f25121c1a4454b5038748a7facff6",
-    "overload/comparison.csv": "4f20882bbcad0332514bb2b66b76b0e80a0225b3f8e5693908342fd6063d0c3c",
+    "overload/comparison.csv": "16db678ddac57e3cef5084711637d6da17d974578431867d9a52cbb4338734e7",
     "overload/oracle_lam400.csv": "9cd94f68522b830a812c9292e48fb3e4e709cee5332156a0ec1150decebd8638",
     "overload/oracle_lam400.csv.summary": "41adc7592133f8cab30799bcb7fc0a9b0831c12bcff4868d6d921514c658f8ec",
+    "overload/oracle_lam600.csv": "3543ca578a7db1111175cfa40a40767c812073276b12151e278c481548306755",
+    "overload/oracle_lam600.csv.summary": "1ab27f7ea935f1fcb10982455f5d495ddda4f15b89d079f1c35500c2989eaf91",
     "tiny/comparison.csv": "85ecf7b5fcff7563ee6183b7547b415d3381d03519d548aca0a0dd57278474fe",
     "tiny/oracle_lam16.csv": "c607ccd224b6114e684c02427a0ac7fcf64a903fdd3976947e74f17177709316",
     "tiny/oracle_lam16.csv.summary": "ba86f4cffe6ef7faab524befb327e6b561737380bd3b437d1de46bf9e7f3cc8c",
@@ -60,7 +62,7 @@ def _digests(root: Path) -> dict[str, str]:
 
 def golden_run(root: Path) -> dict[str, str]:
     """Train a tiny net on default.cfg, sweep three policies there, run the
-    greedy oracle there under overload, and run the exhaustive oracle on
+    greedy oracle there under heavy load, and run the exhaustive oracle on
     tiny.cfg behind a significant twin delay."""
     default = replace(
         load_scenario(SCENARIOS / "default.cfg"),
@@ -96,14 +98,15 @@ def golden_run(root: Path) -> dict[str, str]:
             dump_twin=True,
         )
     )
-    # Overload: lambda = 400 on 20 x 50 keeps the URLLC deficit open, so
-    # the greedy oracle never reaches its all-deficits-closed finish.
+    # Overload for the greedy oracle: at lambda = 400 the URLLC deficit
+    # closes only in the last one to six picks of a slot; at 600 it never
+    # closes, so the picks never reach the all-deficits-closed finish.
     runner.run_experiment(
         ExperimentSpec(
             scenario=replace(default, horizon_slots=60, outage_window=20),
             policies=("oracle",),
             out_dir=str(root / "overload"),
-            lambdas=(400.0,),
+            lambdas=(400.0, 600.0),
         )
     )
     return _digests(root)

@@ -185,7 +185,6 @@ def test_oracle_exhaustive_matches_independent_enumeration():
 @pytest.mark.parametrize(
     "n_embb,n_urllc,num_rbs,snr",
     [
-        (2, 1, 3, "exp"),
         (1, 1, 1, "exp"),  # 2 users x 1 block
         (1, 1, 1, "tied"),
         (2, 2, 6, "exp"),  # 4 ** 6 = EXHAUSTIVE_CAP
@@ -260,11 +259,11 @@ def _reference_greedy(snap, grid, users, qos, tau, penalty_weight):
 
 
 GREEDY_CASES = {
-    # name: (n_embb, n_urllc, num_rbs, lambda, embb_min_rate, snr); rates
-    # run about 1000-3000 bits per block and a packet is 256 bits.
+    # name: (n_embb, n_urllc, num_rbs, lambda, embb_min_rate, snr); a block
+    # carries 1000 * log2(1 + snr) bits and a packet is 256 bits.
     "zero-load": (10, 10, 50, 0.0, 0.0, "exp"),
     "deficit-closes": (10, 10, 50, 100.0, 0.0, "exp"),
-    "overload": (10, 10, 50, 400.0, 0.0, "exp"),
+    "overload": (10, 10, 50, 1000.0, 0.0, "exp"),  # the deficit never closes
     "embb-min-rate": (4, 3, 30, 20.0, 4e6, "exp"),
     "all-tied": (4, 3, 30, 20.0, 2e6, "tied"),
     "three-valued": (5, 4, 40, 60.0, 2e6, "three"),
