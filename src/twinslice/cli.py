@@ -10,8 +10,9 @@ Exit codes:
 * 2: a configuration fault, found before any simulation or training work:
   bad flags or flag values, an unknown policy, a missing or invalid
   scenario file (parse error, unknown key, value out of range or not
-  finite), a dnn policy without --weights, or a weights file that is
-  missing, malformed, truncated or shaped for another scenario.
+  finite), a dnn policy without --weights, a weights file that is
+  missing, malformed, truncated or shaped for another scenario, or an
+  orthogonal run whose urllc_fraction gives blocks to a class without users.
 * 3: a runtime failure while simulating, training or writing outputs,
   such as a non-finite training loss or an unwritable output directory.
 """

@@ -242,8 +242,9 @@ def _greedy_oracle(
             rows, top = [u], peak[u]
         if d != deficit[u]:
             deficit[rows] = d
-            # While d is >= every rate in the rows, minimum(rates, d) is the
-            # rates themselves, as before, and the rows stand.
+            # While d is still >= every rate in the rows, minimum(rates, d)
+            # is the rates themselves, as for the earlier, larger deficit,
+            # so the rows stand.
             if d < top:
                 cols = rates_t[:, rows]
                 fresh = cols + penalty_weight * np.minimum(cols, d)
