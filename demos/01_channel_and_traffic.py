@@ -16,9 +16,9 @@ from twinslice.envsim import (
     FadingParams,
     db_to_linear,
     fading_gains,
+    rate_sums,
     step_channel,
     urllc_arrivals,
-    user_rate,
 )
 from twinslice.scenario import Scenario
 
@@ -67,8 +67,7 @@ two = (
 )
 small = step_channel(rng, two, grid)
 m = AllocationMatrix((0, 0, 10, 10))
-for uid in (0, 10):
-    bits = user_rate(m, small, uid, grid, scen.slot_duration)
+for uid, bits in rate_sums(m, small, grid, scen.slot_duration).items():
     print(f"  user {uid:>2} holds blocks {m.blocks_of(uid)} -> {bits:8.1f} bits/slot")
 
 print()

@@ -7,7 +7,6 @@ and the URLLC-priority repair step fixes a deliberately starved decision.
 import numpy as np
 
 from twinslice.domain import slice_of
-from twinslice.envsim import rate_matrix
 from twinslice.policy import (
     OrthogonalConfig,
     oracle_allocate,
@@ -61,12 +60,15 @@ print("Repairing a URLLC-starved decision (all blocks to eMBB):")
 starved = orthogonal_allocate(
     snap, OrthogonalConfig(0.0), scen.grid, users, scen.slot_duration
 )
-rates = rate_matrix(snap.channel, scen.grid, scen.slot_duration)
-before = predicted_urllc_rate(starved.allocation, rates, users)
+before = predicted_urllc_rate(
+    starved.allocation, snap, scen.grid, users, scen.slot_duration
+)
 repaired = priority_repair(
     starved, snap, scen.qos, scen.grid, users, scen.slot_duration
 )
-after = predicted_urllc_rate(repaired.allocation, rates, users)
+after = predicted_urllc_rate(
+    repaired.allocation, snap, scen.grid, users, scen.slot_duration
+)
 print(f"  before: {starved.allocation.assignment}  predicted R_u = {before:8.1f} bits")
 print(f"  after:  {repaired.allocation.assignment}  predicted R_u = {after:8.1f} bits")
 print(f"  constraint unmet flag: {repaired.constraint_unmet}")

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -141,11 +140,13 @@ class ChannelState:
     """Linear-scale SNR per user per resource block for one slot.
 
     Rows follow ascending user id order; ``user_ids`` records that order
-    explicitly so callers never guess the mapping.
+    explicitly so callers never guess the mapping. ``rate_memo`` keeps the
+    state's rate matrices, filled by ``envsim.rate_matrix``.
     """
 
     snr: np.ndarray  # [num_users, num_rbs]
     user_ids: tuple[int, ...]
+    rate_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         snr = _readonly(self.snr, ndmin=2)
@@ -165,11 +166,6 @@ class ChannelState:
 
     def row(self, user_id: int) -> np.ndarray:
         return self.snr[self.user_ids.index(user_id)]
-
-    @cached_property
-    def rows(self) -> dict[int, list[float]]:
-        """``{user_id: SNR row}`` as Python floats, for per-block loops."""
-        return dict(zip(self.user_ids, self.snr.tolist()))
 
 
 @dataclass(frozen=True)

@@ -130,40 +130,53 @@ def urllc_arrivals(rng: np.random.Generator, lam: float) -> int:
     return int(rng.poisson(lam))
 
 
+def block_rates(snr: np.ndarray, bw: float, slot_duration: float) -> np.ndarray:
+    """The rate kernel: ``bw * log2(1 + snr) * tau`` for every entry, with
+    Python's log2, so each float is the one a per-block scalar loop gives."""
+    logs = np.fromiter(map(math.log2, (1.0 + snr).ravel().tolist()), float, snr.size)
+    return bw * logs.reshape(snr.shape) * slot_duration
+
+
 def rate_matrix(
     ch: ChannelState, grid: ResourceGrid, slot_duration: float
 ) -> np.ndarray:
-    """Shannon bits/slot each user would get from each block alone."""
-    return grid.rb_bandwidth * slot_duration * np.log2(1.0 + ch.snr)
+    """Shannon bits/slot each user would get from each block alone, read-only.
+    ``block_rates`` runs once per state and the result is kept on ``ch``: the
+    environment, the twin's snapshots and every policy share it."""
+    key = (grid.rb_bandwidth, slot_duration)
+    rates = ch.rate_memo.get(key)
+    if rates is None:
+        rates = block_rates(ch.snr, *key)
+        rates.setflags(write=False)
+        ch.rate_memo[key] = rates
+    return rates
 
 
 def rate_sums(
     m: AllocationMatrix, ch: ChannelState, grid: ResourceGrid, slot_duration: float
 ) -> dict[int, float]:
-    """Bits/slot delivered capacity of every user of ``ch`` under an allocation.
-
-    One pass over the blocks adds ``bw * log2(1 + snr) * tau`` to the holder's
-    sum, so each user accumulates in block order; re-derivations that follow
-    the same order reproduce every float exactly.
-    """
-    rows = ch.rows
-    rates = dict.fromkeys(rows, 0.0)
-    bw = grid.rb_bandwidth
-    for b, uid in enumerate(m.assignment):
-        if uid != UNASSIGNED:
-            rates[uid] += bw * math.log2(1.0 + rows[uid][b]) * slot_duration
+    """Bits/slot delivered capacity of every user of ``ch`` under an allocation:
+    the user's ``rate_matrix`` entries added in block order."""
+    rates = dict.fromkeys(ch.user_ids, 0.0)
+    row = dict(zip(ch.user_ids, range(len(ch.user_ids))))
+    a = m.assignment
+    held = [b for b, uid in enumerate(a) if uid != UNASSIGNED]
+    entries = rate_matrix(ch, grid, slot_duration)[[row[a[b]] for b in held], held]
+    for b, r in zip(held, entries.tolist()):
+        rates[a[b]] += r
     return rates
 
 
-def user_rate(
-    m: AllocationMatrix,
-    ch: ChannelState,
-    user_id: int,
-    grid: ResourceGrid,
-    slot_duration: float,
+def class_rate(
+    rates: Mapping[int, float], users: Iterable[UserTerminal], service: ServiceClass
 ) -> float:
-    """Bits/slot delivered capacity of one user under an allocation."""
-    return rate_sums(m, ch, grid, slot_duration)[user_id]
+    """Sum of ``rates`` over one service class's users, in ascending id order:
+    the one grouping behind every realised and predicted class sum."""
+    total = 0.0
+    for u in users:
+        if u.service is service:
+            total += rates[u.id]
+    return total
 
 
 @dataclass(frozen=True)
@@ -208,13 +221,6 @@ def advance(
         raise ValueError(f"invalid allocation: {check.reason}")
 
     rates = rate_sums(decision, state.channel, state.grid, state.clock.slot_duration)
-    embb_sum = 0.0
-    urllc_sum = 0.0
-    for u in state.users:
-        if u.service is ServiceClass.EMBB:
-            embb_sum += rates[u.id]
-        else:
-            urllc_sum += rates[u.id]
 
     traffic = state.traffic
     urllc_ids = traffic.urllc_user_ids
@@ -234,8 +240,8 @@ def advance(
     outcome = SlotOutcome(
         t=state.clock.t,
         rates=rates,
-        embb_sum_rate=embb_sum,
-        urllc_sum_rate=urllc_sum,
+        embb_sum_rate=class_rate(rates, state.users, ServiceClass.EMBB),
+        urllc_sum_rate=class_rate(rates, state.users, ServiceClass.URLLC),
         urllc_served_bits=served,
         urllc_arrival_packets=int(arrivals.sum()),
         lambda_t=lam_t,

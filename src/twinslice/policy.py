@@ -7,15 +7,17 @@ reproducible bit for bit.
 """
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property, partial
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .domain import (
     UNASSIGNED,
     AllocationMatrix,
+    ChannelState,
     ConfigError,
     QoSRequirement,
     ResourceGrid,
@@ -23,7 +25,7 @@ from .domain import (
     UserTerminal,
     canonical_users,
 )
-from .envsim import rate_matrix, rate_sums
+from .envsim import class_rate, rate_matrix, rate_sums
 from .nn import MLP, FeatureScaling, decode_output, encode_features, forward
 from .twin import TwinSnapshot
 
@@ -62,15 +64,25 @@ class OrthogonalConfig:
 
 @dataclass(frozen=True)
 class PolicyDecision:
+    """``objective`` is the decision's objective value, or a zero-argument
+    callable that computes it on the first read of ``objective_estimate``."""
+
     allocation: AllocationMatrix
-    objective_estimate: float
+    objective: Union[float, Callable[[], float]]
     policy_id: str
     constraint_unmet: bool = False
 
+    @cached_property
+    def objective_estimate(self) -> float:
+        return self.objective() if callable(self.objective) else self.objective
 
-def default_penalty_weight(rates: np.ndarray) -> float:
-    """Large enough that QoS violations dominate any rate gain; ``rates`` is
-    the snapshot's ``rate_matrix``."""
+
+def default_penalty_weight(
+    ch: ChannelState, grid: ResourceGrid, slot_duration: float
+) -> float:
+    """Large enough that QoS violations dominate any rate gain. A scale, not
+    a rate: it keeps numpy's log2, not the ``rate_matrix`` kernel."""
+    rates = grid.rb_bandwidth * slot_duration * np.log2(1.0 + ch.snr)
     return PENALTY_SCALE * float(rates.max()) if rates.size else PENALTY_SCALE
 
 
@@ -91,23 +103,19 @@ def allocation_objective(
     ordered = canonical_users(users)
     ch = snapshot.channel
     if penalty_weight is None:
-        penalty_weight = default_penalty_weight(rate_matrix(ch, grid, slot_duration))
-    lam = snapshot.traffic.urllc_rate
-    load = qos.urllc_packet_bits * lam
+        penalty_weight = default_penalty_weight(ch, grid, slot_duration)
+    load = qos.urllc_packet_bits * snapshot.traffic.urllc_rate
     min_rate_bits = qos.embb_min_rate * slot_duration
 
     rates = rate_sums(m, ch, grid, slot_duration)
     total = 0.0
-    urllc_rate = 0.0
     embb_deficit = 0.0
     for u in ordered:
         r = rates[u.id]
         total += r
-        if u.service is ServiceClass.URLLC:
-            urllc_rate += r
-        else:
+        if u.service is ServiceClass.EMBB:
             embb_deficit += max(0.0, min_rate_bits - r)
-    urllc_deficit = max(0.0, load - urllc_rate)
+    urllc_deficit = max(0.0, load - class_rate(rates, ordered, ServiceClass.URLLC))
     return total - penalty_weight * urllc_deficit - penalty_weight * embb_deficit
 
 
@@ -133,7 +141,8 @@ def orthogonal_allocate(
         grid.num_rbs, len(by_class[ServiceClass.URLLC]), len(by_class[ServiceClass.EMBB])
     )
 
-    rows = snapshot.channel.rows
+    ch = snapshot.channel
+    row = dict(zip(ch.user_ids, range(len(ch.user_ids))))
     assignment = [UNASSIGNED] * grid.num_rbs
     for service, blocks in (
         (ServiceClass.URLLC, range(split)),
@@ -141,7 +150,7 @@ def orthogonal_allocate(
     ):
         ids = [u.id for u in by_class[service]]
         # columns[b][i]: SNR of the i-th member (ascending id) on block b.
-        columns = list(zip(*(rows[uid] for uid in ids)))
+        columns = ch.snr[[row[uid] for uid in ids]].T.tolist()
         waiting: list[int] = []
         for b in blocks:
             # Every member gets one block per round, so the least-loaded
@@ -154,34 +163,29 @@ def orthogonal_allocate(
             assignment[b] = ids[best]
 
     m = AllocationMatrix(assignment=tuple(assignment))
-    objective = allocation_objective(
-        m, snapshot, grid, ordered, snapshot.qos, slot_duration
+    objective = partial(
+        allocation_objective, m, snapshot, grid, ordered, snapshot.qos, slot_duration
     )
     return PolicyDecision(m, objective, "orthogonal")
 
 
 def _exhaustive_oracle(
+    rates: np.ndarray,
     snapshot: TwinSnapshot,
-    grid: ResourceGrid,
     ordered: tuple[UserTerminal, ...],
     qos: QoSRequirement,
     slot_duration: float,
     penalty_weight: float,
 ) -> tuple[AllocationMatrix, float]:
-    n_users = len(ordered)
-    bw = grid.rb_bandwidth
-    rows = snapshot.channel.rows
-    # rate_sums' per-block term, so the sums below repeat its floats exactly.
-    block_rate = np.array(
-        [[bw * math.log2(1.0 + s) * slot_duration for s in rows[u.id]] for u in ordered]
-    )
+    n_users, n_rbs = rates.shape
     # holders[b][n]: user index holding block b in the n-th assignment. C
     # order is itertools.product's order: the last block varies fastest.
-    every = np.arange(n_users**grid.num_rbs)
-    holders = np.unravel_index(every, (n_users,) * grid.num_rbs)
+    # Each user's sum adds its entries in block order, as rate_sums does.
+    every = np.arange(n_users**n_rbs)
+    holders = np.unravel_index(every, (n_users,) * n_rbs)
     sums = np.zeros((every.size, n_users))
     for b, holder in enumerate(holders):
-        sums[every, holder] += block_rate[holder, b]
+        sums[every, holder] += rates[holder, b]
 
     # allocation_objective's terms, accumulated in user order.
     load = qos.urllc_packet_bits * snapshot.traffic.urllc_rate
@@ -298,15 +302,16 @@ def oracle_allocate(
         raise ValueError(f"exhaustive search of {size} assignments exceeds cap {cap}")
     rates = rate_matrix(snapshot.channel, grid, slot_duration)
     if penalty_weight is None:
-        penalty_weight = default_penalty_weight(rates)
+        penalty_weight = default_penalty_weight(snapshot.channel, grid, slot_duration)
     if mode == "exhaustive":
         m, obj = _exhaustive_oracle(
-            snapshot, grid, ordered, qos, slot_duration, penalty_weight
+            rates, snapshot, ordered, qos, slot_duration, penalty_weight
         )
     else:
         m = _greedy_oracle(rates, snapshot, ordered, qos, slot_duration, penalty_weight)
-        obj = allocation_objective(
-            m, snapshot, grid, ordered, qos, slot_duration, penalty_weight
+        obj = partial(
+            allocation_objective, m, snapshot, grid, ordered, qos, slot_duration,
+            penalty_weight,
         )
     return PolicyDecision(m, obj, "oracle")
 
@@ -319,11 +324,9 @@ def dynamic_allocate(
     qos: QoSRequirement,
     scaling: FeatureScaling,
     slot_duration: float,
-    rates: Optional[np.ndarray] = None,
 ) -> PolicyDecision:
     """Neural allocator: encode the snapshot, run the net, decode per-block
-    argmax. The decode step guarantees a valid matrix for any finite net.
-    ``rates`` is the snapshot's ``rate_matrix`` if the caller has it."""
+    argmax. The decode step guarantees a valid matrix for any finite net."""
     ordered = canonical_users(users)
     x = encode_features(snapshot, grid, ordered, qos, scaling)
     y = forward(net, x)
@@ -333,27 +336,24 @@ def dynamic_allocate(
             f"({grid.num_rbs}, {len(ordered)})"
         )
     m = decode_output(y, ordered)
-    if rates is None:
-        rates = rate_matrix(snapshot.channel, grid, slot_duration)
-    objective = allocation_objective(
-        m, snapshot, grid, ordered, qos, slot_duration, default_penalty_weight(rates)
+    objective = partial(
+        allocation_objective, m, snapshot, grid, ordered, qos, slot_duration
     )
     return PolicyDecision(m, objective, "dnn")
 
 
 def predicted_urllc_rate(
-    m: AllocationMatrix, rates: np.ndarray, users: Iterable[UserTerminal]
+    m: AllocationMatrix,
+    snapshot: TwinSnapshot,
+    grid: ResourceGrid,
+    users: Iterable[UserTerminal],
+    slot_duration: float,
 ) -> float:
-    """Sum URLLC capacity that ``rates``, the ``rate_matrix`` of a (possibly
-    stale) snapshot, predicts for ``m``; added user by user, block by block."""
-    ordered = canonical_users(users)
-    total = 0.0
-    for i, u in enumerate(ordered):
-        if u.service is ServiceClass.URLLC:
-            for b, uid in enumerate(m.assignment):
-                if uid == u.id:
-                    total += rates[i, b]
-    return total
+    """Sum URLLC capacity that a (possibly stale) snapshot predicts for ``m``.
+    It is summed as ``advance`` sums the realised rate, so at zero twin delay
+    the two are equal bit for bit."""
+    rates = rate_sums(m, snapshot.channel, grid, slot_duration)
+    return class_rate(rates, canonical_users(users), ServiceClass.URLLC)
 
 
 def priority_repair(
@@ -363,55 +363,53 @@ def priority_repair(
     grid: ResourceGrid,
     users: Iterable[UserTerminal],
     slot_duration: float,
-    rates: Optional[np.ndarray] = None,
 ) -> PolicyDecision:
     """Reassign eMBB blocks to URLLC until the predicted load constraint holds.
 
-    Each step moves the eMBB-held block with the highest URLLC marginal rate
-    to the URLLC user gaining most from it. URLLC-held blocks are never
-    touched. Runs on the snapshot's channel deliberately, so twin staleness
-    degrades the repair exactly as it would in operation. ``rates`` is the
-    snapshot's ``rate_matrix`` if the caller has it.
+    Each move takes the eMBB-held block with the highest URLLC marginal rate
+    to the URLLC user gaining most from it, and the repair stops at the
+    first move after which ``predicted_urllc_rate`` exceeds the load.
+    URLLC-held blocks are never touched. Runs on the snapshot's channel
+    deliberately, so twin staleness degrades the repair exactly as it would
+    in operation.
     """
     ordered = canonical_users(users)
-    service = {u.id: u.service for u in ordered}
-    lam = snapshot.traffic.urllc_rate
-    target = qos.urllc_packet_bits * lam
-    policy_id = decision.policy_id + "+repair"
+    target = qos.urllc_packet_bits * snapshot.traffic.urllc_rate
+    urllc = [i for i, u in enumerate(ordered) if u.service is ServiceClass.URLLC]
+    moves: list[tuple[int, int]] = []  # (block, new holder) in the order made
+    if urllc:
+        gain = rate_matrix(snapshot.channel, grid, slot_duration)[urllc]
+        top, best = gain.max(axis=0).tolist(), gain.argmax(axis=0).tolist()
+        service = {u.id: u.service for u in ordered}
+        embb_blocks = [
+            b
+            for b, uid in enumerate(decision.allocation.assignment)
+            if uid != UNASSIGNED and service[uid] is ServiceClass.EMBB
+        ]
+        # A move leaves the other blocks' rates as they are, so the order is
+        # fixed: highest rate first, then the lowest block, then the lowest id.
+        order = sorted(embb_blocks, key=lambda b: -top[b])
+        moves = [(b, ordered[urllc[best[b]]].id) for b in order]
 
-    if rates is None:
-        rates = rate_matrix(snapshot.channel, grid, slot_duration)
-    urllc_rows = [i for i, u in enumerate(ordered) if u.service is ServiceClass.URLLC]
-    assignment = list(decision.allocation.assignment)
-    predicted = predicted_urllc_rate(decision.allocation, rates, ordered)
+    def after(k: int) -> AllocationMatrix:
+        assignment = list(decision.allocation.assignment)
+        for b, uid in moves[:k]:
+            assignment[b] = uid
+        return AllocationMatrix(assignment=tuple(assignment))
+
+    def covered(k: int) -> bool:
+        m = after(k)
+        return predicted_urllc_rate(m, snapshot, grid, ordered, slot_duration) > target
 
     # R <= load is an outage (metrics.outage_event), so an exact hit is
-    # repaired too: at zero load, URLLC still gets a block.
-    unmet = False
-    if predicted <= target:
-        if not urllc_rows:
-            unmet = True
-        else:
-            urllc_gain = rates[urllc_rows, :]  # [n_urllc, num_rbs]
-            while predicted <= target:
-                embb_blocks = [
-                    b
-                    for b, uid in enumerate(assignment)
-                    if uid != UNASSIGNED and service[uid] is ServiceClass.EMBB
-                ]
-                if not embb_blocks:
-                    unmet = True
-                    break
-                sub = urllc_gain[:, embb_blocks]  # [n_urllc, candidates]
-                flat = int(np.argmax(sub.T))  # lowest block first, then user
-                j, k = divmod(flat, len(urllc_rows))
-                block = embb_blocks[j]
-                user = ordered[urllc_rows[k]]
-                assignment[block] = user.id
-                predicted += float(urllc_gain[k, block])
-
-    m = AllocationMatrix(assignment=tuple(assignment))
-    objective = allocation_objective(
-        m, snapshot, grid, ordered, qos, slot_duration, default_penalty_weight(rates)
+    # repaired too: at zero load, URLLC still gets a block. A move adds a
+    # rate >= 0 to one user's sum, which never lowers the prediction, so
+    # bisection finds the first move count that clears the load.
+    k = bisect_left(range(len(moves) + 1), True, key=covered)
+    m = after(k)
+    objective = partial(
+        allocation_objective, m, snapshot, grid, ordered, qos, slot_duration
     )
-    return PolicyDecision(m, objective, policy_id, constraint_unmet=unmet)
+    return PolicyDecision(
+        m, objective, decision.policy_id + "+repair", constraint_unmet=k > len(moves)
+    )

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import metrics, nn, policy as policy_mod
 from .domain import ConfigError
-from .envsim import rate_matrix
 from .metrics import RunSummary, SlotMetrics
 from .nn import MLP, TrainConfig, TrainResult
 from .scenario import ExperimentSpec, Scenario
@@ -57,15 +56,12 @@ def _make_policy(
         scaling = scenario.scaling()
 
         def decide(snap: TwinSnapshot) -> policy_mod.PolicyDecision:
-            # One rate matrix per decision, shared by the net's objective
-            # and the repair.
-            rates = rate_matrix(snap.channel, grid, tau)
             decision = policy_mod.dynamic_allocate(
-                snap, net, grid, users, scenario.qos, scaling, tau, rates
+                snap, net, grid, users, scenario.qos, scaling, tau
             )
             if policy_id == "dnn+repair":
                 decision = policy_mod.priority_repair(
-                    decision, snap, scenario.qos, grid, users, tau, rates
+                    decision, snap, scenario.qos, grid, users, tau
                 )
             return decision
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,8 @@ def delay_to_slots(
 
 @dataclass(frozen=True)
 class TwinSnapshot:
-    """Immutable copy of (channel, traffic, QoS) as of ``captured_at``."""
+    """(channel, traffic, QoS) as of ``captured_at``: the recorded read-only
+    states themselves, shared with the physical history, not copies."""
 
     captured_at: int
     delivered_at: int
@@ -89,12 +90,11 @@ def sync(
                 chosen = state
             else:
                 break
-    # replace() rebuilds each value object, which copies its array once.
     return TwinSnapshot(
         captured_at=chosen.clock.t,
         delivered_at=now,
-        channel=replace(chosen.channel),
-        traffic=replace(chosen.traffic),
+        channel=chosen.channel,
+        traffic=chosen.traffic,
         qos=chosen.qos,
         stale_underflow=underflow,
     )

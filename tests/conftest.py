@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from twinslice.domain import (
     ChannelState,
@@ -15,6 +16,13 @@ from twinslice.scenario import LambdaSchedule, Scenario
 from twinslice.twin import TwinSnapshot
 
 RAYLEIGH = FadingParams(FadingModel.RAYLEIGH)
+
+# Property tests draw a fixed set of examples and save none, so every run of
+# the suite sees the same ones.
+settings.register_profile(
+    "twinslice", derandomize=True, max_examples=100, deadline=None, database=None
+)
+settings.load_profile("twinslice")
 
 
 @pytest.fixture(scope="session")

@@ -22,10 +22,10 @@ from twinslice.envsim import (
     advance,
     db_to_linear,
     fading_gains,
+    rate_matrix,
     rate_sums,
     step_channel,
     urllc_arrivals,
-    user_rate,
 )
 
 from conftest import RAYLEIGH, make_users
@@ -87,24 +87,41 @@ def _channel(snr_rows, ids):
     return ChannelState(snr=np.asarray(snr_rows, dtype=float), user_ids=ids)
 
 
-def test_user_rate_zero_when_unassigned():
+def test_rate_sums_zero_when_unassigned():
     ch = _channel([[3.0, 7.0]], (0,))
     m = AllocationMatrix((UNASSIGNED, UNASSIGNED))
-    assert user_rate(m, ch, 0, ResourceGrid(2, 10.0), 1.0) == 0.0
+    assert rate_sums(m, ch, ResourceGrid(2, 10.0), 1.0) == {0: 0.0}
 
 
-def test_user_rate_single_block_closed_form():
+def test_rate_sums_single_block_closed_form():
     # 1 Hz x 1 s x log2(1 + 1) = 1 bit
     ch = _channel([[1.0]], (0,))
-    m = AllocationMatrix((0,))
-    assert user_rate(m, ch, 0, ResourceGrid(1, 1.0), 1.0) == pytest.approx(1.0)
+    grid = ResourceGrid(1, 1.0)
+    assert rate_matrix(ch, grid, 1.0).tolist() == [[1.0]]
+    assert rate_sums(AllocationMatrix((0,)), ch, grid, 1.0) == {0: 1.0}
 
 
-def test_user_rate_two_blocks_closed_form():
+def test_rate_sums_two_blocks_closed_form():
     # 10 Hz x (log2 4 + log2 8) = 50 bits
     ch = _channel([[3.0, 7.0]], (0,))
-    m = AllocationMatrix((0, 0))
-    assert user_rate(m, ch, 0, ResourceGrid(2, 10.0), 1.0) == pytest.approx(50.0)
+    grid = ResourceGrid(2, 10.0)
+    assert rate_matrix(ch, grid, 1.0).tolist() == [[20.0, 30.0]]
+    assert rate_sums(AllocationMatrix((0, 0)), ch, grid, 1.0) == {0: 50.0}
+
+
+def test_rate_matrix_is_the_scalar_term_memoised_read_only():
+    users = make_users(3, 2)
+    grid = ResourceGrid(9, 1.8e5)
+    ch = step_channel(np.random.default_rng(2), users, grid)
+    rates = rate_matrix(ch, grid, 1e-3)
+    assert rates.tolist() == [
+        [grid.rb_bandwidth * math.log2(1.0 + s) * 1e-3 for s in row]
+        for row in ch.snr.tolist()
+    ]
+    assert rate_matrix(ch, grid, 1e-3) is rates
+    assert rate_matrix(ch, grid, 2e-3) is not rates
+    with pytest.raises(ValueError):
+        rates[0, 0] = 1.0
 
 
 def _state(users, grid, lam=0.0, queue=None, seed=0):
@@ -196,8 +213,8 @@ def test_rate_monotonicity_adding_a_block_never_hurts():
         idle = [b for b, v in enumerate(base) if v == UNASSIGNED]
         grown = list(base)
         grown[idle[0]] = 0
-        r0 = user_rate(AllocationMatrix(base), ch, 0, grid, 1e-3)
-        r1 = user_rate(AllocationMatrix(tuple(grown)), ch, 0, grid, 1e-3)
+        r0 = rate_sums(AllocationMatrix(base), ch, grid, 1e-3)[0]
+        r1 = rate_sums(AllocationMatrix(tuple(grown)), ch, grid, 1e-3)[0]
         assert r1 >= r0
 
 
@@ -306,4 +323,3 @@ def test_rate_accumulator_equals_plain_user_block_loop():
         for u in users:
             expected = _plain_rate(m.assignment, ch, u.id, grid.rb_bandwidth, 1e-3)
             assert rates[u.id] == expected
-            assert user_rate(m, ch, u.id, grid, 1e-3) == expected

@@ -17,6 +17,7 @@ from twinslice.nn import MLP, FeatureScaling, feature_dim
 from twinslice.policy import (
     EXHAUSTIVE_CAP,
     OrthogonalConfig,
+    PolicyDecision,
     allocation_objective,
     default_penalty_weight,
     dynamic_allocate,
@@ -151,7 +152,7 @@ def test_objective_equals_plain_user_block_loop_with_idle_blocks():
     for _ in range(200):
         snap = make_snapshot(rng.exponential(2.0, (5, 8)), users, lam=rng.uniform(0, 9))
         m = AllocationMatrix(tuple(rng.choice(choices, size=8)))
-        default = default_penalty_weight(rate_matrix(snap.channel, grid, 1e-3))
+        default = default_penalty_weight(snap.channel, grid, 1e-3)
         for given, penalty in ((None, default), (2.5, 2.5)):
             expected = _independent_objective(
                 m.assignment, snap, grid, users, qos, 1e-3, penalty
@@ -212,7 +213,7 @@ def test_oracle_exhaustive_matches_enumeration_up_to_the_cap(n_embb, n_urllc, nu
             snap, grid, users, qos, 1e-3, mode="exhaustive", penalty_weight=penalty
         )
         if penalty is None:
-            penalty = default_penalty_weight(rate_matrix(snap.channel, grid, 1e-3))
+            penalty = default_penalty_weight(snap.channel, grid, 1e-3)
         best_obj = -math.inf
         best = None
         for combo in itertools.product(ids, repeat=num_rbs):
@@ -230,7 +231,7 @@ def _reference_greedy(snap, grid, users, qos, tau, penalty_weight):
     in (block, user) order."""
     rates = rate_matrix(snap.channel, grid, tau)
     if penalty_weight is None:
-        penalty_weight = default_penalty_weight(rates)
+        penalty_weight = default_penalty_weight(snap.channel, grid, tau)
     n_users, n_rbs = rates.shape
     is_urllc = np.array([u.service is ServiceClass.URLLC for u in users])
     load = qos.urllc_packet_bits * snap.traffic.urllc_rate
@@ -440,9 +441,8 @@ def test_repair_monotone_and_never_touches_urllc_blocks():
         )
         base = orthogonal_allocate(snap, OrthogonalConfig(1 / 3), grid, users, 1e-3)
         repaired = priority_repair(base, snap, qos, grid, users, 1e-3)
-        rates = rate_matrix(snap.channel, grid, 1e-3)
-        before = predicted_urllc_rate(base.allocation, rates, users)
-        after = predicted_urllc_rate(repaired.allocation, rates, users)
+        before = predicted_urllc_rate(base.allocation, snap, grid, users, 1e-3)
+        after = predicted_urllc_rate(repaired.allocation, snap, grid, users, 1e-3)
         assert after >= before - 1e-9
         for b, uid in enumerate(base.allocation.assignment):
             if uid in (2, 3):  # URLLC-held stays put
@@ -450,6 +450,65 @@ def test_repair_monotone_and_never_touches_urllc_blocks():
         n_embb = sum(1 for u in base.allocation.assignment if u in (0, 1))
         n_embb_after = sum(1 for u in repaired.allocation.assignment if u in (0, 1))
         assert n_embb_after <= n_embb
+
+
+def _stepwise_repair(decision, snap, qos, grid, users, tau):
+    """The repair one move at a time: after every move the best (eMBB-held
+    block, URLLC user) rate is searched afresh and the prediction
+    re-evaluated. Returns the assignment, the unmet flag and the prediction
+    after each move."""
+    rates = rate_matrix(snap.channel, grid, tau)
+    service = {u.id: u.service for u in users}
+    urllc = [i for i, u in enumerate(users) if u.service is ServiceClass.URLLC]
+    target = qos.urllc_packet_bits * snap.traffic.urllc_rate
+    assignment = list(decision.allocation.assignment)
+    trail = []
+    while True:
+        m = AllocationMatrix(tuple(assignment))
+        trail.append(predicted_urllc_rate(m, snap, grid, users, tau))
+        if trail[-1] > target:
+            return m.assignment, False, trail
+        embb = [
+            b
+            for b, uid in enumerate(assignment)
+            if uid != UNASSIGNED and service[uid] is ServiceClass.EMBB
+        ]
+        if not urllc or not embb:
+            return m.assignment, True, trail
+        _, nb, ni = max((rates[i, b], -b, -i) for b in embb for i in urllc)
+        assignment[-nb] = users[-ni].id
+
+
+def test_repair_equals_stepwise_reference():
+    rng = np.random.default_rng(71)
+    grid = ResourceGrid(7, 1e5)
+    qos = QoSRequirement(urllc_packet_bits=64)
+    cases = 0
+    for n_embb, n_urllc in ((2, 1), (2, 2), (1, 3), (3, 0), (0, 2)):
+        users = make_users(n_embb, n_urllc)
+        choices = [u.id for u in users] + [UNASSIGNED]
+        for i in range(60):
+            shape = (len(users), 7)
+            if i % 3:
+                snr = rng.exponential(2.0, shape)
+            else:  # ties
+                snr = rng.choice([0.0, 1.0, 3.0], shape)
+            m = AllocationMatrix(tuple(rng.choice(choices, size=7)))
+            lam = rng.uniform(0, 12)
+            _, _, trail = _stepwise_repair(
+                PolicyDecision(m, 0.0, "dnn"), make_snapshot(snr, users, lam=lam),
+                qos, grid, users, 1e-3,
+            )
+            if i % 2:  # a load equal to the prediction after some move
+                lam = trail[int(rng.integers(len(trail)))] / qos.urllc_packet_bits
+            snap = make_snapshot(snr, users, lam=lam)
+            base = PolicyDecision(m, 0.0, "dnn")
+            want, unmet, _ = _stepwise_repair(base, snap, qos, grid, users, 1e-3)
+            got = priority_repair(base, snap, qos, grid, users, 1e-3)
+            assert got.allocation.assignment == want
+            assert got.constraint_unmet == unmet
+            cases += want != m.assignment
+    assert cases > 100
 
 
 def test_policy_outputs_always_validate_fuzz():

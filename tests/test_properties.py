@@ -1,0 +1,154 @@
+"""Slot invariants on generated scenarios.
+
+Every example builds a small scenario, runs a few slots of the runner's
+sync -> decide -> advance loop under one policy and checks what each slot
+promises: queue bits are conserved, served bits stay within capacity and
+backlog, decisions validate, and at zero twin delay the twin's predicted
+URLLC rate is the realised one, bit for bit. The examples are drawn from a
+fixed seed (the profile in ``conftest.py``), so every run sees the same ones.
+"""
+import math
+
+from hypothesis import example, given, strategies as st
+
+from twinslice import metrics, nn, runner
+from twinslice.domain import QoSRequirement, validate_allocation
+from twinslice.envsim import FadingModel, FadingParams
+from twinslice.policy import predicted_urllc_rate
+from twinslice.scenario import LambdaSchedule, Scenario
+from twinslice.twin import DelayClass
+
+POLICIES = ("orthogonal", "oracle", "dnn", "dnn+repair")
+SLOTS = 8
+
+FADINGS = (
+    FadingParams(FadingModel.RAYLEIGH),
+    FadingParams(FadingModel.RICIAN, k_factor=5.0),
+    FadingParams(FadingModel.RICIAN, k_factor=math.inf),
+)
+
+
+@st.composite
+def scenarios(draw, zero_delay=False):
+    n_embb = draw(st.integers(0, 3))
+    n_urllc = draw(st.integers(0 if n_embb else 1, 3))
+    snr_db = st.floats(-5.0, 20.0)
+    embb_snrs = draw(st.lists(snr_db, min_size=n_embb, max_size=n_embb))
+    urllc_snrs = draw(st.lists(snr_db, min_size=n_urllc, max_size=n_urllc))
+    if n_urllc == 0:
+        fraction = 0.0
+    elif n_embb == 0:
+        fraction = 1.0
+    else:
+        fraction = draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)))
+    lambdas = draw(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3))
+    delay, cadence = DelayClass.MINIMAL, 1
+    if not zero_delay:
+        delay = draw(st.sampled_from(tuple(DelayClass)))
+        cadence = draw(st.integers(1, 3))
+    return Scenario(
+        n_embb=n_embb,
+        n_urllc=n_urllc,
+        embb_mean_snr_db=tuple(embb_snrs),
+        urllc_mean_snr_db=tuple(urllc_snrs),
+        fading=draw(st.sampled_from(FADINGS)),
+        num_rbs=draw(st.integers(1, 6)),
+        rb_bandwidth=draw(st.sampled_from((1e5, 1e6))),
+        lambda_schedule=LambdaSchedule(tuple(lambdas), dwell=draw(st.integers(1, 3))),
+        qos=QoSRequirement(
+            embb_min_rate=draw(st.sampled_from((0.0, 2e5))),
+            urllc_packet_bits=draw(st.sampled_from((64, 256, 1024))),
+        ),
+        twin_delay=delay,
+        moderate_slots=1,
+        significant_slots=3,
+        twin_cadence=cadence,
+        urllc_fraction=fraction,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _slots(scen, policy_id, net_seed):
+    """(snapshot, state before, decision, outcome, state after) per slot."""
+    users = scen.users()
+    n, b = len(users), scen.num_rbs
+    net = nn.MLP.glorot([nn.feature_dim(n, b), 8, b * n], (b, n), seed=net_seed)
+    env = scen.environment()
+    twin = scen.make_twin()
+    decide = runner._make_policy(policy_id, scen, net)
+    for t in range(SLOTS):
+        before = env.state
+        twin.record(before)
+        snap = twin.snapshot(now=t)
+        decision = decide(snap)
+        outcome = env.step(decision.allocation)
+        yield snap, before, decision, outcome, env.state
+
+
+@given(scenarios(), st.sampled_from(POLICIES), st.integers(0, 100))
+def test_queue_bits_are_conserved(scen, policy_id, net_seed):
+    bits = scen.qos.urllc_packet_bits
+    for _, before, _, outcome, after in _slots(scen, policy_id, net_seed):
+        ids = before.traffic.urllc_user_ids
+        packets = 0
+        for i, uid in enumerate(ids):
+            left = before.traffic.urllc_queue[i] - outcome.urllc_served_bits[uid]
+            arrived = (after.traffic.urllc_queue[i] - left) / bits
+            k = round(arrived)
+            assert k >= 0 and abs(arrived - k) <= 1e-9 * max(1, k)
+            packets += k
+        assert packets == outcome.urllc_arrival_packets
+
+
+@given(scenarios(), st.sampled_from(POLICIES), st.integers(0, 100))
+def test_served_bits_within_capacity_and_backlog(scen, policy_id, net_seed):
+    for _, before, _, outcome, _ in _slots(scen, policy_id, net_seed):
+        for i, uid in enumerate(before.traffic.urllc_user_ids):
+            served = outcome.urllc_served_bits[uid]
+            assert 0 <= served <= min(outcome.rates[uid], before.traffic.urllc_queue[i])
+
+
+@given(scenarios(), st.sampled_from(POLICIES), st.integers(0, 100))
+def test_every_decision_validates(scen, policy_id, net_seed):
+    users = scen.users()
+    for _, _, decision, _, _ in _slots(scen, policy_id, net_seed):
+        assert validate_allocation(decision.allocation, scen.grid, users)
+        assert decision.policy_id == policy_id
+
+
+@given(scenarios(zero_delay=True), st.sampled_from(POLICIES), st.integers(0, 100))
+def test_zero_delay_prediction_is_the_realised_rate(scen, policy_id, net_seed):
+    users = scen.users()
+    for snap, _, decision, outcome, _ in _slots(scen, policy_id, net_seed):
+        predicted = predicted_urllc_rate(
+            decision.allocation, snap, scen.grid, users, scen.slot_duration
+        )
+        assert predicted == outcome.urllc_sum_rate
+
+
+# The load equals the realised URLLC rate of the first slot's repaired
+# decision. A repair that stops on a prediction summed in another order
+# than the realised rate can stop a few ulps short of it: an outage.
+BOUNDARY = Scenario(
+    n_embb=1,
+    n_urllc=1,
+    embb_mean_snr_db=(10.0,),
+    urllc_mean_snr_db=(5.0,),
+    fading=FadingParams(FadingModel.RAYLEIGH),
+    num_rbs=3,
+    rb_bandwidth=1e5,
+    lambda_schedule=LambdaSchedule.constant(6.019551514475285),
+    qos=QoSRequirement(urllc_packet_bits=64),
+    seed=1,
+)
+
+
+@given(scenarios(zero_delay=True), st.integers(0, 100))
+@example(BOUNDARY, 1)
+def test_zero_delay_repaired_slot_is_never_an_outage(scen, net_seed):
+    bits = scen.qos.urllc_packet_bits
+    for _, _, decision, outcome, _ in _slots(scen, "dnn+repair", net_seed):
+        if not decision.constraint_unmet:
+            assert not metrics.outage_event(
+                outcome.urllc_sum_rate, bits, outcome.lambda_t
+            )

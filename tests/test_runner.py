@@ -1,11 +1,13 @@
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
-from twinslice import nn, runner
+from twinslice import envsim, nn, runner
 from twinslice.metrics import CSV_COLUMNS
-from twinslice.scenario import ExperimentSpec
+from twinslice.scenario import ExperimentSpec, load_scenario
+from twinslice.twin import DelayClass
 
 from conftest import tiny_scenario
 
@@ -192,3 +194,41 @@ def test_schedule_lambda_varies_in_logged_metrics():
     run = runner.simulate(cycled, "orthogonal")
     lams = {s.lambda_t for s in run.slots}
     assert lams == {1.0, 3.0}
+
+
+@pytest.mark.parametrize(
+    "cfg,delay,policy_id",
+    [
+        ("default.cfg", DelayClass.MINIMAL, "orthogonal"),
+        ("default.cfg", DelayClass.MINIMAL, "oracle"),
+        ("default.cfg", DelayClass.MINIMAL, "dnn+repair"),
+        ("tiny.cfg", DelayClass.SIGNIFICANT, "orthogonal"),
+        ("tiny.cfg", DelayClass.SIGNIFICANT, "oracle"),
+        ("tiny.cfg", DelayClass.SIGNIFICANT, "dnn+repair"),
+    ],
+)
+def test_one_rate_matrix_per_physical_state(
+    cfg, delay, policy_id, repo_root_scenarios, monkeypatch
+):
+    """The environment, the twin's snapshots and the policy share each
+    state's rate matrix: 100 slots compute 100 matrices, one per state."""
+    scen = replace(
+        load_scenario(repo_root_scenarios / cfg), horizon_slots=100, twin_delay=delay
+    )
+    n_users, num_rbs = scen.n_embb + scen.n_urllc, scen.num_rbs
+    net = nn.MLP.glorot(
+        [nn.feature_dim(n_users, num_rbs), 16, num_rbs * n_users],
+        (num_rbs, n_users),
+        seed=0,
+    )
+    computed = []
+    kernel = envsim.block_rates
+
+    def counted(snr, bw, tau):
+        computed.append(snr)
+        return kernel(snr, bw, tau)
+
+    monkeypatch.setattr(envsim, "block_rates", counted)
+    runner.simulate(scen, policy_id, lam=100.0, net=net)
+    assert len(computed) == 100
+    assert len({id(snr) for snr in computed}) == 100

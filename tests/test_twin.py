@@ -102,17 +102,39 @@ def test_sync_underflow_returns_oldest_and_flags():
     assert snap.captured_at == 0
 
 
-def test_snapshot_is_a_deep_copy():
+def test_snapshot_is_isolated_from_later_steps():
+    # Snapshots share the recorded read-only states instead of copying them.
     env = _env()
     twin = DigitalTwin()
     twin.record(env.state)
     snap = twin.snapshot(now=0)
-    assert snap.channel.snr is not env.state.channel.snr
     with pytest.raises(ValueError):
-        snap.channel.snr[0, 0] = 1.0  # read-only copy
+        snap.channel.snr[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        snap.traffic.urllc_queue[0] = 1.0
     before = snap.channel.snr.copy()
     env.step(AllocationMatrix((0, 1, 2, 2)))
     assert np.array_equal(snap.channel.snr, before)
+
+
+def test_delayed_snapshots_keep_their_slot_over_many_steps():
+    env = _env(seed=4)
+    twin = DigitalTwin(delay=DelayClass.SIGNIFICANT, significant_slots=5)
+    seen = []  # (snr, queue) copies of the physical state at each slot
+    held = []  # (snapshot, its content when delivered)
+    for t in range(60):
+        state = env.state
+        seen.append((state.channel.snr.copy(), state.traffic.urllc_queue.copy()))
+        twin.record(env.state)
+        snap = twin.snapshot(now=t)
+        held.append((snap, snap.channel.snr.copy(), snap.traffic.urllc_queue.copy()))
+        env.step(AllocationMatrix((0, 1, 2, 2)))
+    for snap, snr, queue in held:
+        assert np.array_equal(snap.channel.snr, snr)
+        assert np.array_equal(snap.traffic.urllc_queue, queue)
+        assert np.array_equal(snr, seen[snap.captured_at][0])
+        assert np.array_equal(queue, seen[snap.captured_at][1])
+    assert held[-1][0].captured_at == 54
 
 
 def test_calibrate_identity_is_exactly_zero():
