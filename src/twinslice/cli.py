@@ -11,7 +11,8 @@ Exit codes:
   bad flags or flag values, an unknown policy, a missing or invalid
   scenario file (parse error, unknown key, value out of range or not
   finite), a dnn policy without --weights, a weights file that is
-  missing, malformed, truncated or shaped for another scenario, or an
+  missing, malformed, truncated, of another format version or dtype, or
+  shaped for another scenario, or an
   orthogonal run whose urllc_fraction gives blocks to a class without users.
 * 3: a runtime failure while simulating, training or writing outputs,
   such as a non-finite training loss or an unwritable output directory.

@@ -104,21 +104,37 @@ def fading_gains(
     return re * re + im * im
 
 
+class ChannelDraw:
+    """One run's channel draw. The users never change within a run, so their
+    order, their runs of equal fading, the linear-mean column and the ids are
+    derived once here; each call draws one slot."""
+
+    def __init__(self, users: Iterable[UserTerminal], grid: ResourceGrid):
+        ordered = canonical_users(users)
+        self.ids = tuple(u.id for u in ordered)
+        self.runs = [
+            (fading, sum(1 for _ in run))
+            for fading, run in itertools.groupby(ordered, key=lambda u: u.link.fading)
+        ]
+        self.means = np.array([db_to_linear(u.link.mean_snr_db) for u in ordered])[:, None]
+        self.num_rbs = grid.num_rbs
+
+    def __call__(self, rng: np.random.Generator) -> ChannelState:
+        """Per-user mean times an i.i.d. fading gain, drawn once per run of
+        consecutive users that share their fading."""
+        gains = np.empty((len(self.ids), self.num_rbs))
+        start = 0
+        for fading, n in self.runs:
+            gains[start : start + n] = fading_gains(rng, fading, (n, self.num_rbs))
+            start += n
+        return ChannelState(snr=self.means * gains, user_ids=self.ids)
+
+
 def step_channel(
     rng: np.random.Generator, users: Iterable[UserTerminal], grid: ResourceGrid
 ) -> ChannelState:
-    """Draw one slot's SNR matrix: per-user mean times an i.i.d. fading gain,
-    drawn once per run of consecutive users that share their fading."""
-    ordered = canonical_users(users)
-    gains = np.empty((len(ordered), grid.num_rbs))
-    start = 0
-    for fading, run in itertools.groupby(ordered, key=lambda u: u.link.fading):
-        n = sum(1 for _ in run)
-        gains[start : start + n] = fading_gains(rng, fading, (n, grid.num_rbs))
-        start += n
-    means = np.array([db_to_linear(u.link.mean_snr_db) for u in ordered])
-    ids = tuple(u.id for u in ordered)
-    return ChannelState(snr=means[:, None] * gains, user_ids=ids)
+    """Draw one slot's SNR matrix; a one-shot ``ChannelDraw``."""
+    return ChannelDraw(users, grid)(rng)
 
 
 def urllc_arrivals(rng: np.random.Generator, lam: float) -> int:
@@ -207,6 +223,7 @@ def advance(
     decision: AllocationMatrix,
     rng: np.random.Generator,
     next_lambda: Optional[float] = None,
+    draw: Optional[ChannelDraw] = None,
 ) -> tuple[PhysicalState, SlotOutcome]:
     """Apply an allocation for the current slot and move to the next one.
 
@@ -214,7 +231,8 @@ def advance(
     channel, drain URLLC queues by served bits, add the slot's new arrivals
     (packet count times packet size), then tick the clock and draw a fresh
     channel. ``next_lambda`` sets the following slot's arrival rate; omitted
-    means unchanged.
+    means unchanged. ``draw`` is the run's channel draw; omitted, one is
+    derived from the state's users.
     """
     check = validate_allocation(decision, state.grid, state.users)
     if not check:
@@ -249,7 +267,7 @@ def advance(
 
     next_state = PhysicalState(
         clock=state.clock.tick(),
-        channel=step_channel(rng, state.users, state.grid),
+        channel=(draw or ChannelDraw(state.users, state.grid))(rng),
         traffic=TrafficState(
             urllc_rate=lam_t if next_lambda is None else float(next_lambda),
             urllc_queue=queue,
@@ -279,12 +297,13 @@ class Environment:
         self.qos = qos
         self.lambda_schedule = lambda_schedule
         self.rng = np.random.default_rng(seed)
+        self.draw = ChannelDraw(self.users, grid)
         urllc_ids = tuple(
             u.id for u in self.users if u.service is ServiceClass.URLLC
         )
         self.state = PhysicalState(
             clock=SlotClock(0, slot_duration),
-            channel=step_channel(self.rng, self.users, grid),
+            channel=self.draw(self.rng),
             traffic=TrafficState(
                 urllc_rate=float(lambda_schedule(0)),
                 urllc_queue=np.zeros(len(urllc_ids)),
@@ -305,5 +324,6 @@ class Environment:
             decision,
             self.rng,
             next_lambda=self.lambda_schedule(self.now + 1),
+            draw=self.draw,
         )
         return outcome

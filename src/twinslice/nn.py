@@ -6,6 +6,11 @@ a categorical distribution over users for that block. Training imitates an
 allocation oracle via per-block cross-entropy and mini-batch gradient
 descent. No autodiff framework: gradients are hand-derived and guarded by
 a finite-difference check.
+
+The parameter dtype is a property of the net, read from its arrays: float32
+or float64. Inputs are cast to it, so a net trains and serves in one
+precision. ``MLP.glorot``/``MLP.zeros`` build float64 nets, which the
+finite-difference check needs; ``MLP.astype`` converts.
 """
 from __future__ import annotations
 
@@ -28,7 +33,9 @@ from .domain import (
 from .envsim import db_to_linear
 from .twin import TwinSnapshot
 
-WEIGHTS_FORMAT_VERSION = 1
+WEIGHTS_FORMAT_VERSION = 2
+# Header ``dtype`` -> parameter dtype; blocks are stored little-endian.
+WEIGHTS_DTYPES = {"<f4": np.dtype(np.float32), "<f8": np.dtype(np.float64)}
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -49,7 +56,7 @@ class OutputTensor:
     probs: np.ndarray  # [num_rbs, num_users]
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float, copy=True)
+        p = np.asarray(self.probs).view()  # read-only view, no copy
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         if p.ndim != 2:
@@ -60,7 +67,8 @@ class MLP:
     """Feedforward net; parameters live in ``weights``/``biases`` lists.
 
     ``output_shape`` records how the flat output layer splits into
-    (num_rbs, num_users) softmax rows.
+    (num_rbs, num_users) softmax rows. Every parameter array has the net's
+    ``dtype``, float32 or float64.
     """
 
     def __init__(
@@ -85,6 +93,13 @@ class MLP:
                 raise ValueError(f"bias {i} has shape {b.shape}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i} parameters are not finite")
+        dtypes = {a.dtype for a in (*weights, *biases)}
+        if len(dtypes) != 1 or not dtypes <= set(WEIGHTS_DTYPES.values()):
+            raise ValueError(
+                f"parameters must all be float32 or all float64, got "
+                f"{sorted(map(str, dtypes))}"
+            )
+        self.dtype = dtypes.pop()
         self.layer_sizes = list(layer_sizes)
         self.output_shape = (int(rbs), int(users))
         self.weights = weights
@@ -113,13 +128,17 @@ class MLP:
         biases = [np.zeros(o) for o in layer_sizes[1:]]
         return cls(layer_sizes, output_shape, weights, biases)
 
-    def copy(self) -> "MLP":
+    def astype(self, dtype) -> "MLP":
+        """A copy of the net with its parameters cast to ``dtype``."""
         return MLP(
             list(self.layer_sizes),
             self.output_shape,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
+            [w.astype(dtype) for w in self.weights],
+            [b.astype(dtype) for b in self.biases],
         )
+
+    def copy(self) -> "MLP":
+        return self.astype(self.dtype)
 
     @property
     def input_dim(self) -> int:
@@ -127,9 +146,10 @@ class MLP:
 
 
 def _forward_batch(net: MLP, X: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """Return (probs [n, rbs, users], pre-activations, activations)."""
-    zs, acts = [], [X]
-    a = X
+    """Return (probs [n, rbs, users], pre-activations, activations), all in
+    the net's dtype: the input is cast to it here, for every caller."""
+    a = np.asarray(X, dtype=net.dtype)
+    zs, acts = [], [a]
     n_layers = len(net.weights)
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -148,7 +168,7 @@ def _forward_batch(net: MLP, X: np.ndarray) -> tuple[np.ndarray, list, list]:
 
 def forward(net: MLP, x: np.ndarray) -> OutputTensor:
     """Single-sample inference; deterministic for a fixed (net, x)."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if x.shape != (net.input_dim,):
         raise ValueError(f"expected input of shape ({net.input_dim},), got {x.shape}")
     probs, _, _ = _forward_batch(net, x[None, :])
@@ -230,6 +250,27 @@ def encode_features(
     return x
 
 
+def _labelled(probs: np.ndarray, labels: np.ndarray) -> tuple:
+    """Index of the labelled entry of every (sample, block) row of ``probs``."""
+    n, rbs, _ = probs.shape
+    return np.arange(n)[:, None], np.arange(rbs)[None, :], labels
+
+
+def _loss(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Summed-over-blocks cross-entropy of ``probs``, averaged over samples.
+
+    A labelled probability that underflows is clamped to a positive floor in
+    the probabilities' dtype: 1e-300 in float64, and in float32, where
+    1e-300 rounds to 0, the smallest normal float32.
+    """
+    picked = probs[_labelled(probs, labels)]
+    floor = max(1e-300, float(np.finfo(probs.dtype).tiny))
+    loss = float(-np.log(np.maximum(picked, floor)).sum() / probs.shape[0])
+    if not math.isfinite(loss):
+        raise FloatingPointError("non-finite training loss")
+    return loss
+
+
 def loss_and_grads(
     net: MLP, X: np.ndarray, labels: np.ndarray
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
@@ -237,20 +278,15 @@ def loss_and_grads(
 
     ``labels`` holds the target user column per (sample, block). For a
     zero-initialised net the loss is exactly num_rbs * ln(num_users).
+    Gradients are in the net's dtype.
     """
     n = X.shape[0]
     rbs, users = net.output_shape
     probs, zs, acts = _forward_batch(net, X)
+    loss = _loss(probs, labels)
 
-    idx_n = np.arange(n)[:, None]
-    idx_r = np.arange(rbs)[None, :]
-    picked = probs[idx_n, idx_r, labels]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).sum() / n)
-    if not math.isfinite(loss):
-        raise FloatingPointError("non-finite training loss")
-
-    dlogits = probs.copy()
-    dlogits[idx_n, idx_r, labels] -= 1.0  # indices are unique per (n, rb)
+    dlogits = probs  # not read again: the gradient overwrites it in place
+    dlogits[_labelled(probs, labels)] -= 1.0  # indices are unique per (n, rb)
     dlogits /= n
     grad = dlogits.reshape(n, rbs * users)
 
@@ -304,17 +340,20 @@ def train(
 
     Deterministic for a fixed config: shuffling comes from a generator
     seeded with ``cfg.seed``. Raises on non-finite loss instead of
-    continuing with poisoned parameters.
+    continuing with poisoned parameters. Trains in the net's dtype; ``X``
+    is cast to it once. The update ``g *= lr; w -= g`` rounds exactly as
+    ``w -= lr * g`` does, without a parameter-sized temporary.
     """
     if X.ndim != 2 or labels.ndim != 2 or X.shape[0] != labels.shape[0]:
         raise ValueError("X and labels must be aligned 2-D arrays")
     net = net.copy()
+    X = np.asarray(X, dtype=net.dtype)
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
+    lr = cfg.learning_rate
     curve: list[tuple[int, int, float]] = []
 
-    loss0, _, _ = loss_and_grads(net, X, labels)
-    curve.append((0, 0, loss0))
+    curve.append((0, 0, _loss(_forward_batch(net, X)[0], labels)))
 
     step = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -322,9 +361,9 @@ def train(
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             loss, grads_w, grads_b = loss_and_grads(net, X[batch], labels[batch])
-            for i in range(len(net.weights)):
-                net.weights[i] -= cfg.learning_rate * grads_w[i]
-                net.biases[i] -= cfg.learning_rate * grads_b[i]
+            for p, g in zip(net.weights + net.biases, grads_w + grads_b):
+                g *= lr
+                p -= g
             step += 1
             curve.append((step, epoch, loss))
     return TrainResult(net=net, loss_curve=curve)
@@ -339,7 +378,12 @@ def accuracy(net: MLP, X: np.ndarray, labels: np.ndarray) -> float:
 def grad_check(
     net: MLP, x: np.ndarray, labels: np.ndarray, h: float = 1e-5
 ) -> float:
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between analytic and central-difference gradients.
+
+    Needs a float64 net: central differences at h = 1e-5 cancel to noise in
+    float32."""
+    if net.dtype != np.float64:
+        raise ValueError(f"grad_check needs a float64 net, got {net.dtype}")
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     labels2 = np.atleast_2d(np.asarray(labels, dtype=int))
     _, grads_w, grads_b = loss_and_grads(net, x2, labels2)
@@ -364,9 +408,12 @@ def grad_check(
 
 
 def save_weights(net: MLP, path, seed: int) -> None:
-    """Versioned flat binary: one JSON header line, then raw little-endian
-    float64 parameter blocks in layer order (W then b per layer)."""
+    """Versioned flat binary: one JSON header line, then the raw
+    little-endian parameter blocks in layer order (W then b per layer), in
+    the dtype the header's ``dtype`` names (``"<f4"`` or ``"<f8"``)."""
+    stored = net.dtype.newbyteorder("<")
     header = {
+        "dtype": stored.str,
         "format_version": WEIGHTS_FORMAT_VERSION,
         "layer_sizes": net.layer_sizes,
         "output_shape": list(net.output_shape),
@@ -375,27 +422,32 @@ def save_weights(net: MLP, path, seed: int) -> None:
     with open(path, "wb") as f:
         f.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
         for w, b in zip(net.weights, net.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(w, dtype=stored).tobytes())
+            f.write(np.ascontiguousarray(b, dtype=stored).tobytes())
 
 
 def load_weights(path) -> tuple[MLP, int]:
-    """Inverse of save_weights. A file that is not a whole weights file of
-    this format version raises ConfigError naming the file."""
+    """Inverse of save_weights; the net comes back in the stored dtype. A
+    file that is not a whole weights file of this format version, or that
+    names another dtype, raises ConfigError naming the file and the key."""
     try:
         with open(path, "rb") as f:
             header = json.loads(f.readline().decode("ascii"))
             version = header.get("format_version") if isinstance(header, dict) else None
             if version != WEIGHTS_FORMAT_VERSION:
                 raise ValueError(f"unsupported weights format_version {version!r}")
+            stored = header["dtype"]
+            if stored not in WEIGHTS_DTYPES:
+                raise ValueError(f"unsupported weights dtype {stored!r}")
+            dtype = WEIGHTS_DTYPES[stored]
             layer_sizes = [int(s) for s in header["layer_sizes"]]
             output_shape = tuple(int(s) for s in header["output_shape"])
             weights, biases = [], []
             for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-                w = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8")
-                weights.append(w.reshape(fan_in, fan_out).copy())
-                b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
-                biases.append(b.copy())
+                w = np.frombuffer(f.read(dtype.itemsize * fan_in * fan_out), stored)
+                weights.append(w.reshape(fan_in, fan_out).astype(dtype))
+                b = np.frombuffer(f.read(dtype.itemsize * fan_out), stored)
+                biases.append(b.astype(dtype))
             trailing = f.read()
         if trailing:
             raise ValueError(f"{len(trailing)} unexpected trailing bytes")

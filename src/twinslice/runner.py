@@ -277,14 +277,18 @@ def collect_training_data(
 
 
 def build_net(scenario: Scenario, cfg: TrainConfig) -> MLP:
+    """The scenario's net, initialised as ``cfg.init`` says in float64 and
+    rounded to float32, the precision it trains and serves in."""
     users = scenario.users()
     input_dim = nn.feature_dim(len(users), scenario.num_rbs)
     output_dim = scenario.num_rbs * len(users)
     layer_sizes = [input_dim, *scenario.train.hidden_sizes, output_dim]
     shape = (scenario.num_rbs, len(users))
     if cfg.init == "zeros":
-        return MLP.zeros(layer_sizes, shape)
-    return MLP.glorot(layer_sizes, shape, seed=cfg.seed)
+        net = MLP.zeros(layer_sizes, shape)
+    else:
+        net = MLP.glorot(layer_sizes, shape, seed=cfg.seed)
+    return net.astype(np.float32)
 
 
 def train_command(

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -99,3 +100,18 @@ def tiny_trained():
         "X_test": X[2000:],
         "labels_test": labels[2000:],
     }
+
+
+def write_v1_weights(path, net, seed):
+    """A weights file of format version 1: no dtype key, float64 blocks."""
+    header = {
+        "format_version": 1,
+        "layer_sizes": net.layer_sizes,
+        "output_shape": list(net.output_shape),
+        "seed": seed,
+    }
+    with open(path, "wb") as f:
+        f.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
+        for w, b in zip(net.weights, net.biases):
+            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())

@@ -3,6 +3,8 @@ import pytest
 from twinslice.cli import EXIT_CONFIG, EXIT_OK, main
 from twinslice.nn import MLP, save_weights
 
+from conftest import write_v1_weights
+
 TINY_TEXT = """\
 [users]
 embb = 2
@@ -247,6 +249,21 @@ def test_bad_weights_are_a_config_error(tiny_cfg, tmp_path, capsys, write):
     )
     assert code == EXIT_CONFIG
     assert str(weights) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_with_version_1_weights_is_a_config_error(tiny_cfg, tmp_path, capsys):
+    # A version-1 file of the right shape: only its format is out of date.
+    weights = tmp_path / "weights.bin"
+    write_v1_weights(weights, MLP.zeros([21, 8, 12], (4, 3)), seed=0)
+    out = tmp_path / "o"
+    code = main(
+        ["run", "--scenario", tiny_cfg, "--policy", "dnn+repair",
+         "--weights", str(weights), "--out", str(out)]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(weights) in err and "format_version" in err
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from twinslice.domain import (
     ChannelState,
     QoSRequirement,
     ResourceGrid,
+    ServiceClass,
     SlotClock,
     TrafficState,
 )
@@ -27,6 +28,7 @@ from twinslice.envsim import (
     step_channel,
     urllc_arrivals,
 )
+from twinslice.scenario import load_scenario
 
 from conftest import RAYLEIGH, make_users
 
@@ -280,6 +282,27 @@ def test_rician_gains_draw_real_parts_then_imaginary_parts():
     im = scale * b.standard_normal(6)
     assert np.array_equal(gains, re * re + im * im)
     assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("source", ["default_cfg", "mixed"])
+def test_environment_channel_draws_equal_per_user_draws(source, repo_root_scenarios):
+    """The run's hoisted channel draw over 200 slots, arrivals drawn between
+    the channels, against per-user draws from a second generator."""
+    if source == "default_cfg":
+        scenario = load_scenario(repo_root_scenarios / "default.cfg")
+        users, grid, lam = scenario.users(), scenario.grid, 100.0
+    else:
+        users, grid, lam = _mixed_users(), ResourceGrid(7, 1e5), 30.0
+    n_urllc = sum(u.service is ServiceClass.URLLC for u in users)
+    env = Environment(users, grid, QoSRequirement(), 1e-3, lambda t: lam, seed=17)
+    ref = np.random.default_rng(17)
+    idle = AllocationMatrix((UNASSIGNED,) * grid.num_rbs)
+    for _ in range(200):
+        assert (env.state.channel.snr == _per_user_channel(ref, users, grid)).all()
+        env.step(idle)
+        ref.poisson(lam / n_urllc, size=n_urllc)
+    assert (env.state.channel.snr == _per_user_channel(ref, users, grid)).all()
+    assert env.rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, 30.0])

@@ -3,7 +3,9 @@
 Speed-ups must leave all of them unchanged. A change that alters the
 channel or arrival draw order, the rate arithmetic or training re-baselines
 them on purpose: print the new table with
-``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py``, which marks each entry that
+differs from ``GOLDEN`` (or is not in it, or is missing), and say why in
+CHANGES.md.
 """
 import hashlib
 from dataclasses import replace
@@ -47,8 +49,8 @@ GOLDEN = {
     "tiny/oracle_lam2.csv": "0a3a1aeb52963779f1c31396219e3a6cb9c212ac22e9da2497a2bf65b2bed040",
     "tiny/oracle_lam2.csv.summary": "ba4490dd7db008e14211efd5a2d1e89ab7358de07b15c5d1eff693210ca96c3f",
     "tiny/oracle_lam2.twin.csv": "d5dc118af9a076a6f0937a75b61c8e8a85caf2e93586d41490f95541e506edcf",
-    "train/loss_curve.csv": "d6366add975e7bf9a7325999f5c5f81c677e151ff574dfdb4ad5d0090a932fc3",
-    "train/weights.bin": "399b039be8b10b69d4ab2e9860ff0705ddc7a1e4681233104a1c7a35e0ee5d1d",
+    "train/loss_curve.csv": "6f4708186142f3b370d36297fe2e1fb011ace458fe213e84c73d101e9d642ebd",
+    "train/weights.bin": "60ffccf90f7be0f3d1fa626e30cab204a4f53be3659823d5b8dbffcbbe160c9f",
 }
 
 
@@ -120,5 +122,13 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as d:
-        for name, digest in golden_run(Path(d)).items():
-            print(f'    "{name}": "{digest}",')
+        digests = golden_run(Path(d))
+    for name, digest in digests.items():
+        mark = ""
+        if name not in GOLDEN:
+            mark = "  # new"
+        elif GOLDEN[name] != digest:
+            mark = "  # changed"
+        print(f'    "{name}": "{digest}",{mark}')
+    for name in sorted(GOLDEN.keys() - digests.keys()):
+        print(f'    # missing: "{name}"')

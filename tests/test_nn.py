@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from twinslice.domain import QoSRequirement, ResourceGrid
+from twinslice.domain import ConfigError, QoSRequirement, ResourceGrid
 from twinslice.nn import (
     MLP,
     FeatureScaling,
@@ -22,7 +23,7 @@ from twinslice.nn import (
     train,
 )
 
-from conftest import make_snapshot, make_users
+from conftest import make_snapshot, make_users, write_v1_weights
 
 
 def test_zero_net_outputs_uniform_rows():
@@ -249,7 +250,7 @@ def test_weights_roundtrip_and_version_guard(tmp_path):
         assert np.array_equal(a, b)
 
     raw = path.read_bytes()
-    corrupted = raw.replace(b'"format_version": 1', b'"format_version": 9', 1)
+    corrupted = raw.replace(b'"format_version": 2', b'"format_version": 9', 1)
     bad = tmp_path / "bad.bin"
     bad.write_bytes(corrupted)
     with pytest.raises(ValueError, match="format_version"):
@@ -262,3 +263,139 @@ def test_weights_file_is_byte_stable(tmp_path):
     save_weights(net, p1, seed=4)
     save_weights(net, p2, seed=4)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weights_round_trip_exactly_in_both_dtypes(tmp_path, dtype):
+    net = MLP.glorot([5, 7, 6], (3, 2), seed=4).astype(dtype)
+    net.weights[0][0, 0] = np.finfo(dtype).tiny  # the smallest normal survives too
+    path, again = tmp_path / "w.bin", tmp_path / "again.bin"
+    save_weights(net, path, seed=4)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header["format_version"] == 2
+    assert header["dtype"] == np.dtype(dtype).newbyteorder("<").str
+    loaded, _ = load_weights(path)
+    assert loaded.dtype == np.dtype(dtype)
+    for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    save_weights(loaded, again, seed=4)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_weights_format_version_1_is_a_config_error(tmp_path):
+    path = tmp_path / "v1.bin"
+    write_v1_weights(path, MLP.glorot([5, 7, 6], (3, 2), seed=4), seed=4)
+    with pytest.raises(ConfigError, match="format_version"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("stored", ["<f2", ">f4", "float32", None])
+def test_weights_other_dtype_is_a_config_error(tmp_path, stored):
+    path = tmp_path / "w.bin"
+    save_weights(MLP.zeros([5, 7, 6], (3, 2)).astype(np.float32), path, seed=0)
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["dtype"] = stored
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    with pytest.raises(ConfigError, match="dtype"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize(
+    "dtypes",
+    [
+        (np.float32, np.float64),
+        (np.float64, np.float32),
+        (np.float16, np.float16),
+        (np.int64, np.int64),
+        (np.dtype(">f8"), np.dtype(">f8")),
+    ],
+    ids=["f32_then_f64", "f64_then_f32", "f16", "int64", "big_endian_f8"],
+)
+def test_mlp_rejects_mixed_or_unsupported_dtypes(dtypes):
+    base = MLP.zeros([3, 4, 6], (2, 3))
+    weights = [w.astype(d) for w, d in zip(base.weights, dtypes)]
+    biases = [b.astype(d) for b, d in zip(base.biases, dtypes)]
+    with pytest.raises(ValueError, match="float32 or all float64"):
+        MLP(base.layer_sizes, base.output_shape, weights, biases)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_copy_and_astype_keep_the_dtype(dtype):
+    net = MLP.glorot([4, 5, 6], (2, 3), seed=1).astype(dtype)
+    assert net.dtype == np.dtype(dtype)
+    twin = net.copy()
+    assert twin.dtype == net.dtype
+    assert all(a.dtype == net.dtype for a in twin.weights + twin.biases)
+    assert all(a is not b for a, b in zip(twin.weights, net.weights))
+    assert net.astype(np.float64).astype(dtype).weights[0].dtype == np.dtype(dtype)
+
+
+def test_glorot_and_zeros_nets_are_float64():
+    assert MLP.glorot([4, 5, 6], (2, 3), seed=1).dtype == np.float64
+    assert MLP.zeros([4, 5, 6], (2, 3)).dtype == np.float64
+
+
+def test_grad_check_rejects_a_float32_net():
+    net = MLP.glorot([4, 5, 6], (2, 3), seed=0).astype(np.float32)
+    with pytest.raises(ValueError, match="float32"):
+        grad_check(net, np.zeros(4), np.zeros(2, dtype=int))
+
+
+def test_float32_loss_is_finite_when_the_labelled_probability_underflows():
+    # Logits (0, 200): exp(-200) is 0 in float32, so the labelled user-0
+    # probability underflows; the loss is clamped at the float32 floor.
+    w = np.array([[0.0, 200.0]], dtype=np.float32)
+    net = MLP([1, 2], (1, 2), [w], [np.zeros(2, dtype=np.float32)])
+    X = np.ones((1, 1), dtype=np.float32)
+    labels = np.zeros((1, 1), dtype=int)
+    loss, grads_w, grads_b = loss_and_grads(net, X, labels)
+    assert loss == pytest.approx(-math.log(np.finfo(np.float32).tiny))
+    assert all(np.all(np.isfinite(g)) for g in grads_w + grads_b)
+    res = train(net, X, labels, TrainConfig(learning_rate=1e-3, epochs=2, batch_size=1))
+    assert all(math.isfinite(loss) for _, _, loss in res.loss_curve)
+
+
+def test_float32_net_computes_in_float32():
+    rng = np.random.default_rng(14)
+    net = MLP.glorot([6, 12, 8], (2, 4), seed=2).astype(np.float32)
+    X = rng.standard_normal((16, 6))  # float64 input, cast by the net
+    labels = rng.integers(0, 4, size=(16, 2))
+    assert forward(net, X[0]).probs.dtype == np.float32
+    _, grads_w, grads_b = loss_and_grads(net, X, labels)
+    assert all(g.dtype == np.float32 for g in grads_w + grads_b)
+    res = train(net, X, labels, TrainConfig(learning_rate=0.2, epochs=3, batch_size=4))
+    assert res.net.dtype == np.float32
+    assert np.array_equal(
+        forward(res.net, X[0]).probs, forward(res.net, X[0].astype(np.float32)).probs
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_equals_the_out_of_place_reference_loop(dtype):
+    """nn.train against the plain loop: step-0 loss from loss_and_grads on
+    the whole float64 dataset, then ``w -= lr * g`` on float64 batches."""
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((37, 6))
+    labels = rng.integers(0, 4, size=(37, 2))
+    cfg = TrainConfig(learning_rate=0.3, epochs=3, batch_size=8, seed=5)
+    net = MLP.glorot([6, 12, 8], (2, 4), seed=3).astype(dtype)
+    res = train(net, X, labels, cfg)
+
+    ref = net.copy()
+    order_rng = np.random.default_rng(cfg.seed)
+    curve = [(0, 0, loss_and_grads(ref, X, labels)[0])]
+    step = 0
+    for epoch in range(1, cfg.epochs + 1):
+        order = order_rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            loss, grads_w, grads_b = loss_and_grads(ref, X[batch], labels[batch])
+            for i in range(len(ref.weights)):
+                ref.weights[i] -= cfg.learning_rate * grads_w[i]
+                ref.biases[i] -= cfg.learning_rate * grads_b[i]
+            step += 1
+            curve.append((step, epoch, loss))
+    assert res.loss_curve == curve
+    for a, b in zip(res.net.weights + res.net.biases, ref.weights + ref.biases):
+        assert a.dtype == b.dtype == np.dtype(dtype) and np.array_equal(a, b)

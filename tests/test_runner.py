@@ -2,6 +2,7 @@ import math
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from twinslice import envsim, nn, runner
@@ -115,6 +116,23 @@ def test_train_command_artifacts(tiny_weights):
     net, seed = nn.load_weights(artifacts.weights_path)
     assert seed == 0
     assert net.output_shape == (4, 3)
+
+
+def test_scenario_nets_train_and_serve_in_float32(tiny_weights):
+    artifacts, scen = tiny_weights
+    cfg = nn.TrainConfig(seed=0)
+    net = runner.build_net(scen, cfg)
+    glorot = nn.MLP.glorot(net.layer_sizes, net.output_shape, seed=0)
+    assert net.dtype == np.float32
+    assert all(
+        np.array_equal(a, b.astype(np.float32))
+        for a, b in zip(net.weights + net.biases, glorot.weights + glorot.biases)
+    )
+    trained = artifacts.result.net
+    loaded, _ = nn.load_weights(artifacts.weights_path)
+    assert trained.dtype == loaded.dtype == np.float32
+    for a, b in zip(trained.weights + trained.biases, loaded.weights + loaded.biases):
+        assert np.array_equal(a, b)
 
 
 def test_retrain_same_seed_is_byte_identical(tmp_path):
