@@ -18,7 +18,6 @@ from twinslice.envsim import (
     fading_gains,
     rate_sums,
     step_channel,
-    urllc_arrivals,
 )
 from twinslice.scenario import Scenario
 
@@ -53,7 +52,7 @@ print()
 print("=" * 64)
 print("3. Poisson arrivals at lambda = 100 packets/slot")
 print("=" * 64)
-draws = [urllc_arrivals(rng, 100.0) for _ in range(5000)]
+draws = [int(rng.poisson(100.0)) for _ in range(5000)]
 print(f"  sample mean {np.mean(draws):.2f}, variance/mean {np.var(draws)/np.mean(draws):.3f}")
 
 print()
@@ -68,7 +67,8 @@ two = (
 small = step_channel(rng, two, grid)
 m = AllocationMatrix((0, 0, 10, 10))
 for uid, bits in rate_sums(m, small, grid, scen.slot_duration).items():
-    print(f"  user {uid:>2} holds blocks {m.blocks_of(uid)} -> {bits:8.1f} bits/slot")
+    blocks = tuple(b for b, holder in enumerate(m.assignment) if holder == uid)
+    print(f"  user {uid:>2} holds blocks {blocks} -> {bits:8.1f} bits/slot")
 
 print()
 print("=" * 64)

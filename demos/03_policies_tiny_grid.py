@@ -6,7 +6,7 @@ and the URLLC-priority repair step fixes a deliberately starved decision.
 """
 import numpy as np
 
-from twinslice.domain import slice_of
+from twinslice.domain import UNASSIGNED, ServiceClass
 from twinslice.policy import (
     OrthogonalConfig,
     oracle_allocate,
@@ -49,7 +49,11 @@ greedy = oracle_allocate(
 
 print(f"{'policy':<12} {'assignment':<16} {'slices e/u/idle':<16} {'objective':>12}")
 for d in (orth, exhaustive, greedy):
-    counts = slice_of(d.allocation, users)
+    service = [
+        None if uid == UNASSIGNED else users[uid].service
+        for uid in d.allocation.assignment
+    ]
+    counts = [service.count(c) for c in (ServiceClass.EMBB, ServiceClass.URLLC, None)]
     print(
         f"{d.policy_id:<12} {str(d.allocation.assignment):<16} "
         f"{str(tuple(counts)):<16} {d.objective_estimate:>12.1f}"

@@ -16,7 +16,6 @@ from .domain import (
     SlotClock,
     TrafficState,
     UserTerminal,
-    slice_of,
     validate_allocation,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "SlotClock",
     "TrafficState",
     "UserTerminal",
-    "slice_of",
     "validate_allocation",
 ]
 

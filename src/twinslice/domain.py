@@ -1,15 +1,19 @@
 """Core vocabulary types shared by the environment, twin, policies and metrics.
 
-Everything here is an immutable value object: instances can be shared freely
-across threads and across simulation runs. Numpy arrays held by these types
-are copied on construction and marked read-only.
+The value objects here are immutable and validated when built: they are
+what a caller hands in (scenario pieces, hand-built channel and traffic
+states) and what a state is read as. A run keeps its slot state in arrays
+instead (``envsim.StateRing``) and builds ``ChannelState`` and
+``TrafficState`` only when someone reads them; those two copy their arrays
+on construction and mark them read-only. ``UserLayout`` holds a user set's
+per-run constants, and ``AllocationMatrix`` carries a policy's user rows.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -113,20 +117,82 @@ class ResourceGrid:
         return self.num_rbs * self.rb_bandwidth
 
 
-@dataclass(frozen=True)
+class UserLayout:
+    """A user set's per-run constants, derived once: the users in ascending id
+    order (a user's row), their ids, and the rows of each service class.
+    Functions that take users also take a layout (``UserLayout.of``)."""
+
+    @classmethod
+    def of(cls, users: Iterable[UserTerminal]) -> "UserLayout":
+        return users if isinstance(users, UserLayout) else cls(users)
+
+    def __init__(self, users: Iterable[UserTerminal]):
+        self.users = canonical_users(users)
+        self.ids = tuple(u.id for u in self.users)
+        urllc = ServiceClass.URLLC
+        flags = [u.service is urllc for u in self.users]
+        self.urllc = [i for i, f in enumerate(flags) if f]
+        self.embb = [i for i, f in enumerate(flags) if not f]
+        self.is_urllc = np.array(flags, dtype=bool)
+        self.urllc_rows = np.array(self.urllc, dtype=np.intp)
+        self.urllc_ids = tuple(self.ids[i] for i in self.urllc)
+
+
 class AllocationMatrix:
-    """Per-slot map of each resource block to one user id or UNASSIGNED."""
+    """Per-slot map of each resource block to one user id or UNASSIGNED.
 
-    assignment: tuple[int, ...]
+    Built from ids, or by a policy from user rows of a ``UserLayout``
+    (``of_rows``); the ids of a row-built matrix are derived when read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(map(int, self.assignment)))
+    __slots__ = ("_assignment", "_rows", "_layout", "idle")
+
+    def __init__(self, assignment: Iterable[int]):
+        self._assignment = tuple(map(int, assignment))
+        self._rows = self._layout = None
+        self.idle = UNASSIGNED in self._assignment  # some block left unassigned
+
+    @classmethod
+    def of_rows(cls, rows: Sequence[int], layout: UserLayout) -> "AllocationMatrix":
+        """A policy's output: one user row per block, UNASSIGNED for an idle
+        block. The range check here is the only one the rows get."""
+        lo, hi = min(rows), max(rows)
+        if lo < UNASSIGNED or hi >= len(layout.ids):
+            raise ValueError(
+                f"allocation rows {list(rows)} outside the {len(layout.ids)} users"
+            )
+        m = cls.__new__(cls)
+        m._assignment, m._layout, m.idle = None, layout, lo == UNASSIGNED
+        m._rows = np.array(rows, dtype=np.intp)
+        return m
+
+    @property
+    def assignment(self) -> tuple[int, ...]:
+        if self._assignment is None:
+            ids = self._layout.ids
+            self._assignment = tuple(
+                UNASSIGNED if r == UNASSIGNED else ids[r] for r in self._rows.tolist()
+            )
+        return self._assignment
+
+    def rows_in(self, ids: tuple[int, ...]) -> np.ndarray:
+        """The row of each block's user among ``ids`` (ascending); a
+        ValueError names an id that is not one of them."""
+        if self._layout is not None and self._layout.ids == ids:
+            return self._rows
+        row = {uid: i for i, uid in enumerate(ids)}
+        try:
+            return np.array(
+                [uid if uid == UNASSIGNED else row[uid] for uid in self.assignment],
+                dtype=np.intp,
+            )
+        except KeyError as exc:
+            raise ValueError(
+                f"invalid allocation: user {exc.args[0]} is not among {ids}"
+            ) from None
 
     def __len__(self) -> int:
         return len(self.assignment)
-
-    def blocks_of(self, user_id: int) -> tuple[int, ...]:
-        return tuple(b for b, uid in enumerate(self.assignment) if uid == user_id)
 
 
 def _readonly(a: np.ndarray, ndmin: int) -> np.ndarray:
@@ -159,10 +225,6 @@ class ChannelState:
             raise ValueError("user_ids must be strictly increasing")
         if not np.isfinite(snr).all() or (snr < 0).any():
             raise ValueError("snr entries must be finite and >= 0")
-
-    @property
-    def num_rbs(self) -> int:
-        return self.snr.shape[1]
 
     def row(self, user_id: int) -> np.ndarray:
         return self.snr[self.user_ids.index(user_id)]
@@ -204,12 +266,6 @@ class AllocationCheck:
         return self.ok
 
 
-class SliceCounts(NamedTuple):
-    embb: int
-    urllc: int
-    unassigned: int
-
-
 def validate_allocation(
     m: AllocationMatrix, grid: ResourceGrid, users: Iterable[UserTerminal]
 ) -> AllocationCheck:
@@ -225,19 +281,3 @@ def validate_allocation(
                 False, f"block {b} assigned to unknown user {uid}", index=b, user_id=uid
             )
     return AllocationCheck(True)
-
-
-def slice_of(m: AllocationMatrix, users: Iterable[UserTerminal]) -> SliceCounts:
-    """Count resource blocks held by each service class."""
-    service = {u.id: u.service for u in users}
-    embb = urllc = idle = 0
-    for uid in m.assignment:
-        if uid == UNASSIGNED:
-            idle += 1
-        elif service[uid] is ServiceClass.EMBB:
-            embb += 1
-        elif service[uid] is ServiceClass.URLLC:
-            urllc += 1
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"user {uid} has unknown service class")
-    return SliceCounts(embb, urllc, idle)

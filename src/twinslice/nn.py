@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from .domain import (
     ConfigError,
     QoSRequirement,
     ResourceGrid,
-    ServiceClass,
+    UserLayout,
     UserTerminal,
-    canonical_users,
 )
 from .envsim import db_to_linear
 from .twin import TwinSnapshot
@@ -177,14 +176,12 @@ def forward(net: MLP, x: np.ndarray) -> OutputTensor:
 
 def decode_output(y: OutputTensor, users: Iterable[UserTerminal]) -> AllocationMatrix:
     """Per block, pick the argmax user; ties resolve to the lowest id."""
-    ordered = canonical_users(users)
-    if y.probs.shape[1] != len(ordered):
+    layout = UserLayout.of(users)
+    if y.probs.shape[1] != len(layout.ids):
         raise ValueError(
-            f"output has {y.probs.shape[1]} user columns for {len(ordered)} users"
+            f"output has {y.probs.shape[1]} user columns for {len(layout.ids)} users"
         )
-    cols = np.argmax(y.probs, axis=1)  # first max wins = lowest id
-    ids = tuple(ordered[c].id for c in cols)
-    return AllocationMatrix(assignment=ids)
+    return AllocationMatrix.of_rows(np.argmax(y.probs, axis=1).tolist(), layout)
 
 
 @dataclass(frozen=True)
@@ -218,36 +215,44 @@ def encode_features(
     share and a queue level, then the three QoS entries. All slices are
     linear in their sources, so doubling every SNR doubles the SNR slice.
     """
-    ordered = canonical_users(users)
-    ids = tuple(u.id for u in ordered)
-    if snapshot.channel.user_ids != ids:
+    layout = UserLayout.of(users)
+    held = snapshot.ring.layout
+    if (held.ids, held.urllc_ids) != (layout.ids, layout.urllc_ids):
         raise ValueError("snapshot channel users do not match the user set")
-    if snapshot.channel.num_rbs != grid.num_rbs:
+    if snapshot.snr.shape[1] != grid.num_rbs:
         raise ValueError("snapshot channel grid does not match the resource grid")
+    return feature_encoder(grid, layout, qos, scaling)(snapshot)
 
+
+def feature_encoder(
+    grid: ResourceGrid,
+    users: Iterable[UserTerminal],
+    qos: QoSRequirement,
+    scaling: FeatureScaling,
+) -> Callable[[TwinSnapshot], np.ndarray]:
+    """``encode_features`` for one run's snapshots: the positions of the
+    URLLC users' traffic entries and the constant entries are placed once."""
+    layout = UserLayout.of(users)
+    n_snr = len(layout.ids) * grid.num_rbs
     zeta = qos.urllc_packet_bits
     ref_bits = zeta * scaling.reference_lambda  # bits/slot reference load
-    lam = snapshot.traffic.urllc_rate
-    urllc_ids = snapshot.traffic.urllc_user_ids
-    n_urllc = max(1, len(urllc_ids))
+    n_urllc = max(1, len(layout.urllc))
+    rate_at = n_snr + 2 * layout.urllc_rows
+    queue_at = rate_at + 1
+    embb_entry = qos.embb_min_rate * scaling.slot_duration / ref_bits
 
-    snr_block = (snapshot.channel.snr / scaling.reference_snr).ravel()
-    traffic_block = np.zeros(2 * len(ordered))
-    for i, u in enumerate(ordered):
-        if u.service is ServiceClass.URLLC:
-            traffic_block[2 * i] = (lam / n_urllc) / scaling.reference_lambda
-            traffic_block[2 * i + 1] = snapshot.traffic.queue_of(u.id) / ref_bits
-    qos_block = np.array(
-        [
-            qos.embb_min_rate * scaling.slot_duration / ref_bits,
-            (zeta * lam) / ref_bits,
-            qos.urllc_outage_threshold,
-        ]
-    )
-    x = np.concatenate([snr_block, traffic_block, qos_block])
-    if not np.all(np.isfinite(x)):
-        raise ValueError("encoded features contain non-finite entries")
-    return x
+    def encode(snapshot: TwinSnapshot) -> np.ndarray:
+        lam = snapshot.lam
+        x = np.zeros(feature_dim(len(layout.ids), grid.num_rbs))
+        x[:n_snr] = (snapshot.snr / scaling.reference_snr).ravel()
+        x[rate_at] = (lam / n_urllc) / scaling.reference_lambda
+        x[queue_at] = snapshot.queue / ref_bits
+        x[-3:] = (embb_entry, (zeta * lam) / ref_bits, qos.urllc_outage_threshold)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("encoded features contain non-finite entries")
+        return x
+
+    return encode
 
 
 def _labelled(probs: np.ndarray, labels: np.ndarray) -> tuple:
@@ -324,13 +329,6 @@ class TrainResult:
     net: MLP
     # (step, epoch, loss) per optimisation step; step 0 is the pre-update loss.
     loss_curve: list[tuple[int, int, float]] = field(default_factory=list)
-
-    def smoothed_losses(self, window: int = 25) -> list[float]:
-        vals = [l for _, _, l in self.loss_curve]
-        return [
-            float(np.mean(vals[max(0, i - window + 1) : i + 1]))
-            for i in range(len(vals))
-        ]
 
 
 def train(

@@ -1,9 +1,13 @@
 """Allocation strategies.
 
 Four entry points share one contract: take a twin snapshot, return a
-``PolicyDecision`` whose allocation always validates. Tie-breaking is
-lowest block index then lowest user id everywhere, so decisions are
-reproducible bit for bit.
+``PolicyDecision`` whose allocation always validates. Each is one call of a
+per-run policy (``orthogonal_policy``, ``oracle_policy``, ``dynamic_policy``,
+``repair_policy``), which derives a run's constants once (the user layout,
+the orthogonal split, the oracle's search space, the encoder's positions)
+and then decides slot after slot; ``users`` may be a ``UserLayout``.
+Tie-breaking is lowest block index then lowest user id everywhere, so
+decisions are reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -21,18 +25,19 @@ from .domain import (
     ConfigError,
     QoSRequirement,
     ResourceGrid,
-    ServiceClass,
+    UserLayout,
     UserTerminal,
-    canonical_users,
 )
-from .envsim import class_rate, rate_matrix, rate_sums
-from .nn import MLP, FeatureScaling, decode_output, encode_features, forward
+from .envsim import class_sum, user_rates
+from .nn import MLP, FeatureScaling, decode_output, feature_encoder, forward
 from .twin import TwinSnapshot
 
 #: Penalty multiplier applied to the largest per-block rate in the snapshot.
 PENALTY_SCALE = 10.0
 #: Exhaustive search cap: enumerate only when num_users ** num_rbs fits.
 EXHAUSTIVE_CAP = 4 ** 6
+
+Policy = Callable[[TwinSnapshot], "PolicyDecision"]
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,11 @@ class PolicyDecision:
 
 
 def default_penalty_weight(
-    ch: ChannelState, grid: ResourceGrid, slot_duration: float
+    ch: Union[ChannelState, TwinSnapshot], grid: ResourceGrid, slot_duration: float
 ) -> float:
-    """Large enough that QoS violations dominate any rate gain. A scale, not
-    a rate: it keeps numpy's log2, not the ``rate_matrix`` kernel."""
+    """Large enough that QoS violations dominate any rate gain, from the SNRs
+    of a channel state or a snapshot. A scale, not a rate: it keeps numpy's
+    log2, not the ``block_rates`` kernel."""
     rates = grid.rb_bandwidth * slot_duration * np.log2(1.0 + ch.snr)
     return PENALTY_SCALE * float(rates.max()) if rates.size else PENALTY_SCALE
 
@@ -97,26 +103,64 @@ def allocation_objective(
 ) -> float:
     """Sum rate minus penalised URLLC and eMBB QoS deficits.
 
-    Each user's rate accumulates in block order (``rate_sums``) and the
+    Each user's rate accumulates in block order (``user_rates``) and the
     totals in user order, so independent re-derivations agree exactly.
     """
-    ordered = canonical_users(users)
-    ch = snapshot.channel
+    layout = UserLayout.of(users)
     if penalty_weight is None:
-        penalty_weight = default_penalty_weight(ch, grid, slot_duration)
-    load = qos.urllc_packet_bits * snapshot.traffic.urllc_rate
+        penalty_weight = default_penalty_weight(snapshot, grid, slot_duration)
+    load = qos.urllc_packet_bits * snapshot.lam
     min_rate_bits = qos.embb_min_rate * slot_duration
 
-    rates = rate_sums(m, ch, grid, slot_duration)
-    total = 0.0
-    embb_deficit = 0.0
-    for u in ordered:
-        r = rates[u.id]
+    rates = snapshot.rates(grid.rb_bandwidth, slot_duration)
+    rates = user_rates(m, layout.ids, rates).tolist()
+    total = embb_deficit = 0.0
+    for r in rates:
         total += r
-        if u.service is ServiceClass.EMBB:
-            embb_deficit += max(0.0, min_rate_bits - r)
-    urllc_deficit = max(0.0, load - class_rate(rates, ordered, ServiceClass.URLLC))
+    for i in layout.embb:
+        embb_deficit += max(0.0, min_rate_bits - rates[i])
+    urllc_deficit = max(0.0, load - class_sum(rates, layout.urllc))
     return total - penalty_weight * urllc_deficit - penalty_weight * embb_deficit
+
+
+def orthogonal_policy(
+    cfg: OrthogonalConfig,
+    grid: ResourceGrid,
+    users: Iterable[UserTerminal],
+    slot_duration: float,
+) -> Policy:
+    """Static orthogonal slicing baseline.
+
+    The first floor(urllc_fraction * num_rbs) blocks belong to the URLLC
+    partition in every slot; each partition is shared round-robin, feeding
+    the next block to whichever least-loaded user has the best SNR on it.
+    """
+    layout = UserLayout.of(users)
+    split = cfg.split(grid.num_rbs, len(layout.urllc), len(layout.embb))
+    partitions = ((layout.urllc, range(split)), (layout.embb, range(split, grid.num_rbs)))
+
+    def decide(snapshot: TwinSnapshot) -> PolicyDecision:
+        # columns[b][r]: SNR of the user in row r on block b.
+        columns = snapshot.snr.T.tolist()
+        rows = [UNASSIGNED] * grid.num_rbs
+        for members, blocks in partitions:
+            waiting: list[int] = []
+            for b in blocks:
+                # Every member gets one block per round, so the least-loaded
+                # members are exactly those still waiting in this round.
+                if not waiting:
+                    waiting = list(members)
+                # max keeps the first of equal SNRs: the lowest id wins ties.
+                best = max(waiting, key=columns[b].__getitem__)
+                waiting.remove(best)
+                rows[b] = best
+        m = AllocationMatrix.of_rows(rows, layout)
+        objective = partial(
+            allocation_objective, m, snapshot, grid, layout, snapshot.qos, slot_duration
+        )
+        return PolicyDecision(m, objective, "orthogonal")
+
+    return decide
 
 
 def orthogonal_allocate(
@@ -126,75 +170,32 @@ def orthogonal_allocate(
     users: Iterable[UserTerminal],
     slot_duration: float,
 ) -> PolicyDecision:
-    """Static orthogonal slicing baseline.
-
-    The first floor(urllc_fraction * num_rbs) blocks belong to the URLLC
-    partition in every slot; each partition is shared round-robin, feeding
-    the next block to whichever least-loaded user has the best SNR on it.
-    """
-    ordered = canonical_users(users)
-    by_class = {
-        ServiceClass.URLLC: [u for u in ordered if u.service is ServiceClass.URLLC],
-        ServiceClass.EMBB: [u for u in ordered if u.service is ServiceClass.EMBB],
-    }
-    split = cfg.split(
-        grid.num_rbs, len(by_class[ServiceClass.URLLC]), len(by_class[ServiceClass.EMBB])
-    )
-
-    ch = snapshot.channel
-    row = dict(zip(ch.user_ids, range(len(ch.user_ids))))
-    assignment = [UNASSIGNED] * grid.num_rbs
-    for service, blocks in (
-        (ServiceClass.URLLC, range(split)),
-        (ServiceClass.EMBB, range(split, grid.num_rbs)),
-    ):
-        ids = [u.id for u in by_class[service]]
-        # columns[b][i]: SNR of the i-th member (ascending id) on block b.
-        columns = ch.snr[[row[uid] for uid in ids]].T.tolist()
-        waiting: list[int] = []
-        for b in blocks:
-            # Every member gets one block per round, so the least-loaded
-            # members are exactly those still waiting in this round.
-            if not waiting:
-                waiting = list(range(len(ids)))
-            # max keeps the first of equal SNRs: the lowest id wins ties.
-            best = max(waiting, key=columns[b].__getitem__)
-            waiting.remove(best)
-            assignment[b] = ids[best]
-
-    m = AllocationMatrix(assignment=tuple(assignment))
-    objective = partial(
-        allocation_objective, m, snapshot, grid, ordered, snapshot.qos, slot_duration
-    )
-    return PolicyDecision(m, objective, "orthogonal")
+    return orthogonal_policy(cfg, grid, users, slot_duration)(snapshot)
 
 
 def _exhaustive_oracle(
     rates: np.ndarray,
-    snapshot: TwinSnapshot,
-    ordered: tuple[UserTerminal, ...],
-    qos: QoSRequirement,
-    slot_duration: float,
+    load: float,
+    min_rate_bits: float,
+    is_urllc: np.ndarray,
+    every: np.ndarray,
+    holders: tuple[np.ndarray, ...],
     penalty_weight: float,
-) -> tuple[AllocationMatrix, float]:
-    n_users, n_rbs = rates.shape
-    # holders[b][n]: user index holding block b in the n-th assignment. C
-    # order is itertools.product's order: the last block varies fastest.
-    # Each user's sum adds its entries in block order, as rate_sums does.
-    every = np.arange(n_users**n_rbs)
-    holders = np.unravel_index(every, (n_users,) * n_rbs)
+) -> tuple[list[int], float]:
+    n_users = rates.shape[0]
+    # holders[b][n]: user row holding block b in the n-th assignment. C order
+    # is itertools.product's order: the last block varies fastest. Each
+    # user's sum adds its entries in block order, as user_rates does.
     sums = np.zeros((every.size, n_users))
     for b, holder in enumerate(holders):
         sums[every, holder] += rates[holder, b]
 
     # allocation_objective's terms, accumulated in user order.
-    load = qos.urllc_packet_bits * snapshot.traffic.urllc_rate
-    min_rate_bits = qos.embb_min_rate * slot_duration
     total = urllc_rate = embb_deficit = 0.0
-    for i, u in enumerate(ordered):
+    for i in range(n_users):
         r = sums[:, i]
         total = total + r
-        if u.service is ServiceClass.URLLC:
+        if is_urllc[i]:
             urllc_rate = urllc_rate + r
         else:
             embb_deficit = embb_deficit + np.maximum(0.0, min_rate_bits - r)
@@ -203,70 +204,64 @@ def _exhaustive_oracle(
     # The first maximum is the lexicographically first optimal assignment:
     # lowest block index, then lowest user id.
     best = int(np.argmax(obj))
-    assignment = tuple(ordered[h[best]].id for h in holders)
-    return AllocationMatrix(assignment=assignment), float(obj[best])
+    return [h[best] for h in holders], float(obj[best])
 
 
 def _greedy_oracle(
     rates: np.ndarray,
-    snapshot: TwinSnapshot,
-    ordered: tuple[UserTerminal, ...],
-    qos: QoSRequirement,
-    slot_duration: float,
+    load: float,
+    min_rate_bits: float,
+    is_urllc: np.ndarray,
+    urllc_rows: np.ndarray,
     penalty_weight: float,
-) -> AllocationMatrix:
+) -> list[int]:
     n_users, n_rbs = rates.shape
-    is_urllc = np.array([u.service is ServiceClass.URLLC for u in ordered])
-    urllc_rows = np.flatnonzero(is_urllc)
-    load = qos.urllc_packet_bits * snapshot.traffic.urllc_rate
-    min_rate_bits = qos.embb_min_rate * slot_duration
     peak = rates.max(axis=1)
     urllc_peak = peak[urllc_rows].max() if urllc_rows.size else 0.0
 
     # Each row's deficit: the URLLC rows share the class deficit, each eMBB
     # row has its own. Deficits never grow.
-    user_rates = np.zeros(n_users)
+    got = np.zeros(n_users)
     deficit = np.where(is_urllc, load, min_rate_bits)
     # gain[b, u]: the rate of block b for user u plus the penalty relief it
     # buys on u's deficit, -inf once b is taken. Block-major, so the first
     # flat argmax is the lowest block, then the lowest user id.
     rates_t = np.ascontiguousarray(rates.T)
     gain = rates_t + penalty_weight * np.minimum(rates_t, deficit)
-    assignment = [UNASSIGNED] * n_rbs
+    rows = [UNASSIGNED] * n_rbs
     for _ in range(n_rbs if deficit.any() else 0):
         b, u = divmod(int(gain.argmax()), n_users)
-        assignment[b] = ordered[u].id
+        rows[b] = u
         gain[b] = -np.inf
-        user_rates[u] += rates[u, b]
+        got[u] += rates[u, b]
         if is_urllc[u]:
-            d = max(0.0, load - user_rates[is_urllc].sum())
-            rows, top = urllc_rows, urllc_peak
+            d = max(0.0, load - got[is_urllc].sum())
+            held, top = urllc_rows, urllc_peak
         else:
-            d = max(0.0, min_rate_bits - user_rates[u])
-            rows, top = [u], peak[u]
+            d = max(0.0, min_rate_bits - got[u])
+            held, top = [u], peak[u]
         if d != deficit[u]:
-            deficit[rows] = d
+            deficit[held] = d
             # While d is still >= every rate in the rows, minimum(rates, d)
             # is the rates themselves, as for the earlier, larger deficit,
             # so the rows stand.
             if d < top:
-                cols = rates_t[:, rows]
+                cols = rates_t[:, held]
                 fresh = cols + penalty_weight * np.minimum(cols, d)
-                fresh[np.not_equal(assignment, UNASSIGNED)] = -np.inf
-                gain[:, rows] = fresh
+                fresh[np.not_equal(rows, UNASSIGNED)] = -np.inf
+                gain[:, held] = fresh
             if d == 0 and not deficit.any():
                 break
 
     # Every deficit is 0, so the gains no longer change: each open block
     # goes to its column's first maximum, as the one-by-one picks would.
-    open_blocks = [b for b, uid in enumerate(assignment) if uid == UNASSIGNED]
+    open_blocks = [b for b, r in enumerate(rows) if r == UNASSIGNED]
     for b, u in zip(open_blocks, gain[open_blocks].argmax(axis=1).tolist()):
-        assignment[b] = ordered[u].id
-    return AllocationMatrix(assignment=tuple(assignment))
+        rows[b] = u
+    return rows
 
 
-def oracle_allocate(
-    snapshot: TwinSnapshot,
+def oracle_policy(
     grid: ResourceGrid,
     users: Iterable[UserTerminal],
     qos: QoSRequirement,
@@ -274,7 +269,7 @@ def oracle_allocate(
     mode: str = "auto",
     cap: int = EXHAUSTIVE_CAP,
     penalty_weight: Optional[float] = None,
-) -> PolicyDecision:
+) -> Policy:
     """QoS-penalised sum-rate optimiser; training target and test oracle.
 
     Exhaustive mode (only when num_users ** num_rbs <= cap) scores every
@@ -290,30 +285,86 @@ def oracle_allocate(
     to its best user in one step. The result is the same as rebuilding the
     matrix for every block.
     """
-    ordered = canonical_users(users)
-    if not ordered:
+    layout = UserLayout.of(users)
+    n_users = len(layout.ids)
+    if not n_users:
         raise ValueError("need at least one user")
-    size = len(ordered) ** grid.num_rbs
+    size = n_users**grid.num_rbs
     if mode == "auto":
         mode = "exhaustive" if size <= cap else "greedy"
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown oracle mode {mode!r}")
     if mode == "exhaustive" and size > cap:
         raise ValueError(f"exhaustive search of {size} assignments exceeds cap {cap}")
-    rates = rate_matrix(snapshot.channel, grid, slot_duration)
-    if penalty_weight is None:
-        penalty_weight = default_penalty_weight(snapshot.channel, grid, slot_duration)
     if mode == "exhaustive":
-        m, obj = _exhaustive_oracle(
-            rates, snapshot, ordered, qos, slot_duration, penalty_weight
+        every = np.arange(size)
+        holders = np.unravel_index(every, (n_users,) * grid.num_rbs)
+    bw = grid.rb_bandwidth
+    min_rate_bits = qos.embb_min_rate * slot_duration
+
+    def decide(snapshot: TwinSnapshot) -> PolicyDecision:
+        rates = snapshot.rates(bw, slot_duration)
+        pw = penalty_weight
+        if pw is None:
+            pw = default_penalty_weight(snapshot, grid, slot_duration)
+        load = qos.urllc_packet_bits * snapshot.lam
+        if mode == "exhaustive":
+            rows, obj = _exhaustive_oracle(
+                rates, load, min_rate_bits, layout.is_urllc, every, holders, pw
+            )
+            return PolicyDecision(AllocationMatrix.of_rows(rows, layout), obj, "oracle")
+        rows = _greedy_oracle(
+            rates, load, min_rate_bits, layout.is_urllc, layout.urllc_rows, pw
         )
-    else:
-        m = _greedy_oracle(rates, snapshot, ordered, qos, slot_duration, penalty_weight)
-        obj = partial(
-            allocation_objective, m, snapshot, grid, ordered, qos, slot_duration,
-            penalty_weight,
+        m = AllocationMatrix.of_rows(rows, layout)
+        objective = partial(
+            allocation_objective, m, snapshot, grid, layout, qos, slot_duration, pw
         )
-    return PolicyDecision(m, obj, "oracle")
+        return PolicyDecision(m, objective, "oracle")
+
+    return decide
+
+
+def oracle_allocate(
+    snapshot: TwinSnapshot,
+    grid: ResourceGrid,
+    users: Iterable[UserTerminal],
+    qos: QoSRequirement,
+    slot_duration: float,
+    mode: str = "auto",
+    cap: int = EXHAUSTIVE_CAP,
+    penalty_weight: Optional[float] = None,
+) -> PolicyDecision:
+    policy = oracle_policy(grid, users, qos, slot_duration, mode, cap, penalty_weight)
+    return policy(snapshot)
+
+
+def dynamic_policy(
+    net: MLP,
+    grid: ResourceGrid,
+    users: Iterable[UserTerminal],
+    qos: QoSRequirement,
+    scaling: FeatureScaling,
+    slot_duration: float,
+) -> Policy:
+    """Neural allocator: encode the snapshot, run the net, decode per-block
+    argmax. The decode step guarantees a valid matrix for any finite net."""
+    layout = UserLayout.of(users)
+    if net.output_shape != (grid.num_rbs, len(layout.ids)):
+        raise ValueError(
+            f"net output shape {net.output_shape} does not match "
+            f"({grid.num_rbs}, {len(layout.ids)})"
+        )
+    encode = feature_encoder(grid, layout, qos, scaling)
+
+    def decide(snapshot: TwinSnapshot) -> PolicyDecision:
+        m = decode_output(forward(net, encode(snapshot)), layout)
+        objective = partial(
+            allocation_objective, m, snapshot, grid, layout, qos, slot_duration
+        )
+        return PolicyDecision(m, objective, "dnn")
+
+    return decide
 
 
 def dynamic_allocate(
@@ -325,21 +376,7 @@ def dynamic_allocate(
     scaling: FeatureScaling,
     slot_duration: float,
 ) -> PolicyDecision:
-    """Neural allocator: encode the snapshot, run the net, decode per-block
-    argmax. The decode step guarantees a valid matrix for any finite net."""
-    ordered = canonical_users(users)
-    x = encode_features(snapshot, grid, ordered, qos, scaling)
-    y = forward(net, x)
-    if y.probs.shape != (grid.num_rbs, len(ordered)):
-        raise ValueError(
-            f"net output shape {y.probs.shape} does not match "
-            f"({grid.num_rbs}, {len(ordered)})"
-        )
-    m = decode_output(y, ordered)
-    objective = partial(
-        allocation_objective, m, snapshot, grid, ordered, qos, slot_duration
-    )
-    return PolicyDecision(m, objective, "dnn")
+    return dynamic_policy(net, grid, users, qos, scaling, slot_duration)(snapshot)
 
 
 def predicted_urllc_rate(
@@ -350,10 +387,69 @@ def predicted_urllc_rate(
     slot_duration: float,
 ) -> float:
     """Sum URLLC capacity that a (possibly stale) snapshot predicts for ``m``.
-    It is summed as ``advance`` sums the realised rate, so at zero twin delay
-    the two are equal bit for bit."""
-    rates = rate_sums(m, snapshot.channel, grid, slot_duration)
-    return class_rate(rates, canonical_users(users), ServiceClass.URLLC)
+    It is summed as ``Environment.step`` sums the realised rate, so at zero
+    twin delay the two are equal bit for bit."""
+    layout = UserLayout.of(users)
+    rates = snapshot.rates(grid.rb_bandwidth, slot_duration)
+    return class_sum(user_rates(m, layout.ids, rates).tolist(), layout.urllc)
+
+
+def repair_policy(
+    qos: QoSRequirement,
+    grid: ResourceGrid,
+    users: Iterable[UserTerminal],
+    slot_duration: float,
+) -> Callable[[PolicyDecision, TwinSnapshot], PolicyDecision]:
+    """Reassign eMBB blocks to URLLC until the predicted load constraint holds.
+
+    Each move takes the eMBB-held block with the highest URLLC marginal rate
+    to the URLLC user gaining most from it, and the repair stops at the
+    first move after which ``predicted_urllc_rate`` exceeds the load.
+    URLLC-held blocks are never touched. Runs on the snapshot's channel
+    deliberately, so twin staleness degrades the repair exactly as it would
+    in operation.
+    """
+    layout = UserLayout.of(users)
+    urllc = layout.urllc
+
+    def repair(decision: PolicyDecision, snapshot: TwinSnapshot) -> PolicyDecision:
+        rows = decision.allocation.rows_in(layout.ids).tolist()
+        target = qos.urllc_packet_bits * snapshot.lam
+        moves: list[tuple[int, int]] = []  # (block, new holder) in the order made
+        if urllc:
+            gain = snapshot.rates(grid.rb_bandwidth, slot_duration)[urllc]
+            top, best = gain.max(axis=0).tolist(), gain.argmax(axis=0).tolist()
+            held = [b for b, r in enumerate(rows) if r != UNASSIGNED]
+            embb_blocks = [b for b in held if not layout.is_urllc[rows[b]]]
+            # A move leaves the other blocks' rates as they are, so the order
+            # is fixed: highest rate first, then the lowest block, then the
+            # lowest id.
+            order = sorted(embb_blocks, key=lambda b: -top[b])
+            moves = [(b, urllc[best[b]]) for b in order]
+
+        def after(k: int) -> AllocationMatrix:
+            moved = rows.copy()
+            for b, r in moves[:k]:
+                moved[b] = r
+            return AllocationMatrix.of_rows(moved, layout)
+
+        def covered(k: int) -> bool:
+            m = after(k)
+            return predicted_urllc_rate(m, snapshot, grid, layout, slot_duration) > target
+
+        # R <= load is an outage (metrics.outage_event), so an exact hit is
+        # repaired too: at zero load, URLLC still gets a block. A move adds a
+        # rate >= 0 to one user's sum, which never lowers the prediction, so
+        # bisection finds the first move count that clears the load.
+        k = bisect_left(range(len(moves) + 1), True, key=covered)
+        m = after(k)
+        objective = partial(
+            allocation_objective, m, snapshot, grid, layout, qos, slot_duration
+        )
+        policy_id = decision.policy_id + "+repair"
+        return PolicyDecision(m, objective, policy_id, constraint_unmet=k > len(moves))
+
+    return repair
 
 
 def priority_repair(
@@ -364,52 +460,4 @@ def priority_repair(
     users: Iterable[UserTerminal],
     slot_duration: float,
 ) -> PolicyDecision:
-    """Reassign eMBB blocks to URLLC until the predicted load constraint holds.
-
-    Each move takes the eMBB-held block with the highest URLLC marginal rate
-    to the URLLC user gaining most from it, and the repair stops at the
-    first move after which ``predicted_urllc_rate`` exceeds the load.
-    URLLC-held blocks are never touched. Runs on the snapshot's channel
-    deliberately, so twin staleness degrades the repair exactly as it would
-    in operation.
-    """
-    ordered = canonical_users(users)
-    target = qos.urllc_packet_bits * snapshot.traffic.urllc_rate
-    urllc = [i for i, u in enumerate(ordered) if u.service is ServiceClass.URLLC]
-    moves: list[tuple[int, int]] = []  # (block, new holder) in the order made
-    if urllc:
-        gain = rate_matrix(snapshot.channel, grid, slot_duration)[urllc]
-        top, best = gain.max(axis=0).tolist(), gain.argmax(axis=0).tolist()
-        service = {u.id: u.service for u in ordered}
-        embb_blocks = [
-            b
-            for b, uid in enumerate(decision.allocation.assignment)
-            if uid != UNASSIGNED and service[uid] is ServiceClass.EMBB
-        ]
-        # A move leaves the other blocks' rates as they are, so the order is
-        # fixed: highest rate first, then the lowest block, then the lowest id.
-        order = sorted(embb_blocks, key=lambda b: -top[b])
-        moves = [(b, ordered[urllc[best[b]]].id) for b in order]
-
-    def after(k: int) -> AllocationMatrix:
-        assignment = list(decision.allocation.assignment)
-        for b, uid in moves[:k]:
-            assignment[b] = uid
-        return AllocationMatrix(assignment=tuple(assignment))
-
-    def covered(k: int) -> bool:
-        m = after(k)
-        return predicted_urllc_rate(m, snapshot, grid, ordered, slot_duration) > target
-
-    # R <= load is an outage (metrics.outage_event), so an exact hit is
-    # repaired too: at zero load, URLLC still gets a block. A move adds a
-    # rate >= 0 to one user's sum, which never lowers the prediction, so
-    # bisection finds the first move count that clears the load.
-    k = bisect_left(range(len(moves) + 1), True, key=covered)
-    m = after(k)
-    objective = partial(
-        allocation_objective, m, snapshot, grid, ordered, qos, slot_duration
-    )
-    return PolicyDecision(
-        m, objective, decision.policy_id + "+repair", constraint_unmet=k > len(moves)
-    )
+    return repair_policy(qos, grid, users, slot_duration)(decision, snapshot)

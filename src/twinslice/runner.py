@@ -9,12 +9,13 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import metrics, nn, policy as policy_mod
-from .domain import ConfigError
+from .domain import ConfigError, UserLayout
+from .envsim import SlotOutcome
 from .metrics import RunSummary, SlotMetrics
 from .nn import MLP, TrainConfig, TrainResult
 from .scenario import ExperimentSpec, Scenario
@@ -39,34 +40,44 @@ def derive_seed(base_seed: int, run_index: int) -> int:
 
 def _make_policy(
     policy_id: str, scenario: Scenario, net: Optional[MLP]
-) -> Callable[[TwinSnapshot], policy_mod.PolicyDecision]:
-    users = scenario.users()
-    grid = scenario.grid
-    tau = scenario.slot_duration
+) -> policy_mod.Policy:
+    """The run's policy: its constants are derived here, once per run."""
+    layout = UserLayout(scenario.users())
+    grid, qos, tau = scenario.grid, scenario.qos, scenario.slot_duration
     if policy_id == "orthogonal":
         cfg = policy_mod.OrthogonalConfig(urllc_fraction=scenario.urllc_fraction)
-        return lambda snap: policy_mod.orthogonal_allocate(snap, cfg, grid, users, tau)
+        return policy_mod.orthogonal_policy(cfg, grid, layout, tau)
     if policy_id == "oracle":
-        return lambda snap: policy_mod.oracle_allocate(
-            snap, grid, users, scenario.qos, tau, mode="auto"
-        )
+        return policy_mod.oracle_policy(grid, layout, qos, tau)
     if policy_id in ("dnn", "dnn+repair"):
         if net is None:
             raise ConfigError(f"policy {policy_id!r} needs trained weights")
         scaling = scenario.scaling()
-
-        def decide(snap: TwinSnapshot) -> policy_mod.PolicyDecision:
-            decision = policy_mod.dynamic_allocate(
-                snap, net, grid, users, scenario.qos, scaling, tau
-            )
-            if policy_id == "dnn+repair":
-                decision = policy_mod.priority_repair(
-                    decision, snap, scenario.qos, grid, users, tau
-                )
-            return decision
-
-        return decide
+        decide = policy_mod.dynamic_policy(net, grid, layout, qos, scaling, tau)
+        if policy_id == "dnn":
+            return decide
+        repair = policy_mod.repair_policy(qos, grid, layout, tau)
+        return lambda snap: repair(decide(snap), snap)
     raise ConfigError(f"unknown policy {policy_id!r}; known: {POLICY_IDS}")
+
+
+def _slots(
+    scenario: Scenario,
+    decide: policy_mod.Policy,
+    seed: Optional[int] = None,
+    lam: Optional[float] = None,
+) -> Iterator[tuple[int, TwinSnapshot, policy_mod.PolicyDecision, SlotOutcome]]:
+    """The slot loop of every run: the twin records the physical state and is
+    asked for a snapshot before the decision is made, so the allocation
+    applied at slot t only ever depends on twin state delivered at or before
+    t; the environment then steps. Yields (t, snapshot, decision, outcome)."""
+    env = scenario.environment(seed=seed, lam_override=lam)
+    twin = scenario.make_twin()
+    for t in range(scenario.horizon_slots):
+        twin.record(env.state)
+        snap = twin.snapshot(now=t)
+        decision = decide(snap)
+        yield t, snap, decision, env.step(decision.allocation)
 
 
 @dataclass
@@ -88,14 +99,8 @@ def simulate(
     seed: Optional[int] = None,
     net: Optional[MLP] = None,
 ) -> RunResult:
-    """Run one policy for the scenario horizon and collect per-slot metrics.
-
-    Within each slot the twin records the physical state and is asked for a
-    snapshot before the decision is made, so the allocation applied at slot
-    t only ever depends on twin state delivered at or before t.
-    """
-    env = scenario.environment(seed=seed, lam_override=lam)
-    twin = scenario.make_twin()
+    """Run one policy for the scenario horizon (``_slots``) and collect
+    per-slot metrics."""
     decide = _make_policy(policy_id, scenario, net)
     run_seed = scenario.seed if seed is None else seed
 
@@ -107,15 +112,11 @@ def simulate(
     repair_exhausted = 0
 
     twin_log: list[tuple[int, int, int, bool]] = []
-    for t in range(scenario.horizon_slots):
-        twin.record(env.state)
-        snap = twin.snapshot(now=t)
+    for t, snap, decision, outcome in _slots(scenario, decide, seed, lam):
         staleness_log.append(t - snap.captured_at)
         twin_log.append((t, snap.captured_at, snap.delivered_at, snap.stale_underflow))
-        decision = decide(snap)
         if decision.constraint_unmet:
             repair_exhausted += 1
-        outcome = env.step(decision.allocation)
 
         # Spectral efficiency counts delivered bits: eMBB is fully buffered
         # so its capacity is delivered; URLLC delivery is backlog-limited.
@@ -254,25 +255,17 @@ def collect_training_data(
     Returns (features [n, d], labels [n, num_rbs]) where each label is the
     user column index the oracle chose for that block.
     """
-    env = scenario.environment(seed=seed)
-    twin = scenario.make_twin()
-    users = scenario.users()
-    id_to_col = {u.id: i for i, u in enumerate(users)}
+    layout = UserLayout(scenario.users())
     grid = scenario.grid
-    tau = scenario.slot_duration
-    scaling = scenario.scaling()
+    decide = policy_mod.oracle_policy(grid, layout, scenario.qos, scenario.slot_duration)
+    encode = nn.feature_encoder(grid, layout, scenario.qos, scenario.scaling())
 
-    X = np.empty((scenario.horizon_slots, nn.feature_dim(len(users), grid.num_rbs)))
+    X = np.empty((scenario.horizon_slots, nn.feature_dim(len(layout.ids), grid.num_rbs)))
     labels = np.empty((scenario.horizon_slots, grid.num_rbs), dtype=int)
-    for t in range(scenario.horizon_slots):
-        twin.record(env.state)
-        snap = twin.snapshot(now=t)
-        decision = policy_mod.oracle_allocate(
-            snap, grid, users, scenario.qos, tau, mode="auto"
-        )
-        X[t] = nn.encode_features(snap, grid, users, scenario.qos, scaling)
-        labels[t] = [id_to_col[uid] for uid in decision.allocation.assignment]
-        env.step(decision.allocation)
+    for t, snap, decision, _ in _slots(scenario, decide, seed):
+        X[t] = encode(snap)
+        # A user's label is its column, which is its row.
+        labels[t] = decision.allocation.rows_in(layout.ids)
     return X, labels
 
 

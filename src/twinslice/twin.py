@@ -1,20 +1,28 @@
 """Digital twin of the physical network state.
 
-The twin keeps a bounded history of physical states, delivers possibly
+The twin copies its run's physical states into a ``StateRing`` of arrays
+of its own, keeping the last ``history_depth`` slots, delivers possibly
 stale snapshots according to a configured delay class, and scores its own
-fidelity against the live physical state.
+fidelity against the live physical state. A snapshot is a slot of that
+ring, read in place.
 """
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import ChannelState, QoSRequirement, TrafficState
-from .envsim import PhysicalState
+from .domain import (
+    ChannelState,
+    QoSRequirement,
+    ServiceClass,
+    TrafficState,
+    UserLayout,
+    UserTerminal,
+)
+from .envsim import PhysicalState, StateRing
 
 
 class DelayClass(enum.Enum):
@@ -38,21 +46,46 @@ def delay_to_slots(
     return significant_slots
 
 
-@dataclass(frozen=True)
-class TwinSnapshot:
-    """(channel, traffic, QoS) as of ``captured_at``: the recorded read-only
-    states themselves, shared with the physical history, not copies."""
+class TwinSnapshot(PhysicalState):
+    """(channel, traffic, QoS) as of ``captured_at``, delivered at
+    ``delivered_at``: a view of the captured slot in a ``StateRing``, read in
+    place, with ``channel`` and ``traffic`` built on their first read."""
 
-    captured_at: int
-    delivered_at: int
-    channel: ChannelState
-    traffic: TrafficState
-    qos: QoSRequirement
-    stale_underflow: bool = False
+    __slots__ = ("delivered_at", "stale_underflow")
 
-    def __post_init__(self):
-        if self.delivered_at < self.captured_at:
+    def __init__(
+        self,
+        captured_at: int,
+        delivered_at: int,
+        channel: ChannelState,
+        traffic: TrafficState,
+        qos: QoSRequirement,
+        stale_underflow: bool = False,
+    ):
+        """A hand-built snapshot: a one-slot ring holding these values. Its
+        users are the channel's ids, the traffic's ids being the URLLC ones;
+        a snapshot knows no link budgets."""
+        if delivered_at < captured_at:
             raise ValueError("delivered_at must be >= captured_at")
+        urllc = set(traffic.urllc_user_ids)
+        layout = UserLayout(
+            UserTerminal(i, ServiceClass.URLLC if i in urllc else ServiceClass.EMBB, None)
+            for i in channel.user_ids
+        )
+        self._hold(captured_at, channel, traffic, StateRing(1, qos, layout))
+        self.delivered_at, self.stale_underflow = delivered_at, stale_underflow
+
+    @classmethod
+    def of(
+        cls, ring: StateRing, captured_at: int, delivered_at: int, stale_underflow: bool
+    ) -> "TwinSnapshot":
+        snap = cls.view(ring, captured_at)
+        snap.delivered_at, snap.stale_underflow = delivered_at, stale_underflow
+        return snap
+
+    @property
+    def captured_at(self) -> int:
+        return self.t
 
 
 def staleness(s: TwinSnapshot, now: int) -> int:
@@ -62,42 +95,27 @@ def staleness(s: TwinSnapshot, now: int) -> int:
     return now - s.captured_at
 
 
+def _capture(first: int, last: int, delay_slots: int, now: int) -> tuple[int, bool]:
+    """The slot a snapshot delivered at ``now`` captures from the consecutive
+    slots ``first..last``, and whether ``now - delay_slots`` predates them."""
+    target = now - delay_slots
+    if target < first:
+        return first, True
+    return min(target, last), False
+
+
 def sync(
     history: Sequence[PhysicalState], delay_slots: int, now: int
 ) -> TwinSnapshot:
     """Deliver the physical state as of ``now - delay_slots``.
 
-    ``history`` must be ordered by slot. When the requested slot predates
-    the oldest recorded state, the oldest one is delivered with
+    ``history`` holds consecutive slots, oldest first. When the requested
+    slot predates the oldest one, the oldest is delivered with
     ``stale_underflow`` set rather than failing the loop.
     """
-    if not history:
-        raise ValueError("cannot sync from an empty history")
-    if delay_slots < 0:
-        raise ValueError("delay_slots must be >= 0")
-    latest = history[-1]
-    if now < latest.clock.t:
-        raise ValueError(f"now={now} precedes latest recorded slot {latest.clock.t}")
-
-    target = now - delay_slots
-    underflow = False
-    chosen = history[0]
-    if target < chosen.clock.t:
-        underflow = True
-    else:
-        for state in history:
-            if state.clock.t <= target:
-                chosen = state
-            else:
-                break
-    return TwinSnapshot(
-        captured_at=chosen.clock.t,
-        delivered_at=now,
-        channel=chosen.channel,
-        traffic=chosen.traffic,
-        qos=chosen.qos,
-        stale_underflow=underflow,
-    )
+    first = history[0].t
+    captured, underflow = _capture(first, history[-1].t, delay_slots, now)
+    return TwinSnapshot.of(history[captured - first].ring, captured, now, underflow)
 
 
 @dataclass(frozen=True)
@@ -142,10 +160,15 @@ def calibrate(
 
 
 class DigitalTwin:
-    """Single-writer twin: the simulation loop records, anyone may read.
+    """Single-writer twin: the simulation loop records every slot, in order,
+    and anyone may read.
 
     ``cadence`` throttles deliveries: between due slots the previously
-    delivered snapshot is returned unchanged, so its staleness grows.
+    delivered snapshot is returned unchanged, so its staleness grows. The
+    twin keeps the last ``history_depth`` slots (delay + 1 by default). A
+    snapshot is served for up to ``cadence`` slots, so ``record`` copies
+    each state into the twin's own ring of ``ring_depth = history_depth +
+    cadence`` slots, sharing the state's rate memo.
     """
 
     def __init__(
@@ -164,21 +187,29 @@ class DigitalTwin:
         depth = history_depth if history_depth is not None else self.delay_slots + 1
         if depth < self.delay_slots + 1:
             raise ValueError("history_depth must cover the configured delay")
-        self._history: deque[PhysicalState] = deque(maxlen=depth)
-        self._last: Optional[TwinSnapshot] = None
+        self.ring_depth = depth + cadence
+        self.ring: Optional[StateRing] = None
+        self._first = self._last = 0
+        self._last_snapshot: Optional[TwinSnapshot] = None
         self._last_sync_slot: Optional[int] = None
 
     def record(self, physical: PhysicalState) -> None:
-        self._history.append(physical)
+        t, i, src = physical.t, physical.held(), physical.ring
+        if self.ring is None:
+            self.ring, self._first = src.like(self.ring_depth), t
+        elif t != self._last + 1:
+            raise ValueError(f"slot {t} recorded after slot {self._last}, not next")
+        self.ring.put(t, src.snr[i], src.queue[i], src.lam[i], src.memo[i])
+        self._last = t
 
     def snapshot(self, now: int) -> TwinSnapshot:
         """Deliver the snapshot the application layer sees at slot ``now``."""
-        due = (
-            self._last_sync_slot is None
-            or now - self._last_sync_slot >= self.cadence
-        )
-        if due:
-            self._last = sync(self._history, self.delay_slots, now)
+        if self.ring is None:
+            raise ValueError("no physical state recorded yet")
+        if self._last_sync_slot is None or now - self._last_sync_slot >= self.cadence:
+            # history_depth covers the delay, so now - delay never predates
+            # the kept slots except before the first one.
+            captured, underflow = _capture(self._first, self._last, self.delay_slots, now)
+            self._last_snapshot = TwinSnapshot.of(self.ring, captured, now, underflow)
             self._last_sync_slot = now
-        assert self._last is not None
-        return self._last
+        return self._last_snapshot

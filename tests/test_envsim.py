@@ -26,7 +26,6 @@ from twinslice.envsim import (
     rate_matrix,
     rate_sums,
     step_channel,
-    urllc_arrivals,
 )
 from twinslice.scenario import load_scenario
 
@@ -67,20 +66,27 @@ def test_step_channel_same_seed_is_bit_identical():
     assert np.array_equal(a.snr, b.snr)
 
 
+def _arrivals(lam, slots, seed):
+    """Packets per slot of an environment whose one URLLC user holds no block."""
+    env = Environment(
+        make_users(0, 1), ResourceGrid(2, 1e5), QoSRequirement(), 1e-3,
+        lambda t: lam, seed=seed,
+    )
+    idle = AllocationMatrix((UNASSIGNED, UNASSIGNED))
+    return np.array([env.step(idle).urllc_arrival_packets for _ in range(slots)])
+
+
 def test_arrivals_zero_lambda_is_always_zero():
-    rng = np.random.default_rng(1)
-    assert all(urllc_arrivals(rng, 0.0) == 0 for _ in range(100))
+    assert not _arrivals(0.0, 100, seed=1).any()
 
 
 def test_arrivals_law_of_large_numbers():
-    rng = np.random.default_rng(7)
-    draws = [urllc_arrivals(rng, 100.0) for _ in range(10_000)]
+    draws = _arrivals(100.0, 10_000, seed=7)
     assert 98.0 <= np.mean(draws) <= 102.0
 
 
 def test_arrivals_poisson_dispersion():
-    rng = np.random.default_rng(11)
-    draws = np.array([urllc_arrivals(rng, 200.0) for _ in range(10_000)])
+    draws = _arrivals(200.0, 10_000, seed=11)
     ratio = draws.var() / draws.mean()
     assert 0.9 <= ratio <= 1.1
 
@@ -228,6 +234,35 @@ def test_advance_rejects_invalid_allocation():
         advance(state, AllocationMatrix((0, 99)), np.random.default_rng(0))
 
 
+def test_hand_built_state_ids_must_be_the_users_in_order():
+    users = make_users(1, 2)  # id 0 eMBB, ids 1 and 2 URLLC
+    grid = ResourceGrid(2, 1e5)
+    state = _state(users, grid)
+    for channel, traffic in (
+        (_channel(np.ones((3, 2)), (0, 1, 5)), state.traffic),
+        (state.channel, TrafficState(0.0, np.zeros(2), (2, 1))),
+        (state.channel, TrafficState(0.0, np.zeros(1), (1,))),
+    ):
+        with pytest.raises(ValueError, match="do not match the users"):
+            PhysicalState(state.clock, channel, traffic, state.qos, users, grid)
+
+
+def test_a_view_raises_once_its_ring_entry_is_reused():
+    users = make_users(1, 1)
+    env = Environment(users, ResourceGrid(2, 1e5), QoSRequirement(), 1e-3, lambda t: 5.0, 3)
+    state = env.state
+    env.step(AllocationMatrix((0, 1)))
+    assert state.snr.shape == (2, 2) and state.lam == 5.0  # the step left it
+    env.step(AllocationMatrix((0, 1)))  # slot 2 takes slot 0's entry
+    for read in ("snr", "queue", "lam", "memo", "channel", "traffic"):
+        with pytest.raises(LookupError, match="slot 0 has left"):
+            getattr(state, read)
+    with pytest.raises(LookupError):
+        state.rates(1e5, 1e-3)
+    with pytest.raises(LookupError):
+        advance(state, AllocationMatrix((0, 1)), np.random.default_rng(0))
+
+
 def test_link_budget_validation():
     with pytest.raises(ValueError):
         LinkBudget(mean_snr_db=math.nan)
@@ -315,7 +350,8 @@ def test_single_arrivals_draw_equals_per_user_draws(lam):
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
     nxt, outcome = advance(state, idle, rng)
 
-    packets = [urllc_arrivals(ref, lam / 4) for _ in range(4)]
+    # Reference: four single-user Poisson(lam / 4) draws; nothing at lam = 0.
+    packets = [int(ref.poisson(lam / 4)) if lam else 0 for _ in range(4)]
     expected_queue = queue + np.array(packets) * state.qos.urllc_packet_bits
     assert outcome.urllc_arrival_packets == sum(packets)
     assert np.array_equal(nxt.traffic.urllc_queue, expected_queue)

@@ -18,6 +18,19 @@ from twinslice.twin import DelayClass
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
+    "cadence/comparison.csv": "196b9eddccab07ffa33da9009bdc6e560ea6e979338680e46d7c525956585580",
+    "cadence/oracle_lam2.csv": "a1f0916eac534e162cb0f95eef6c329e578b8ae2baa1d2d6ac89e5d436e4bd13",
+    "cadence/oracle_lam2.csv.summary": "b126575934f213351ceb0acd1b7bf2f6cdbf728d6c239f2b6196c7122a9e864d",
+    "cadence/oracle_lam2.twin.csv": "c710d0144d626c2472e2433088ec37f66562d3a4cc261f675d2df9e67beb6721",
+    "cadence/oracle_lam8.csv": "062853d644deb86ae4c3d2ef6beabebc5fee960f3a68aadb0a4fe30dcee6afa8",
+    "cadence/oracle_lam8.csv.summary": "48b65f78e6cad4e8363f78e34bbdbff2ce46a794606de32159eb1f83fad448ea",
+    "cadence/oracle_lam8.twin.csv": "c710d0144d626c2472e2433088ec37f66562d3a4cc261f675d2df9e67beb6721",
+    "cadence/orthogonal_lam2.csv": "bb97005fee03b845fb466fdc8432ae9d95803cde267ffd6143061840a84096ff",
+    "cadence/orthogonal_lam2.csv.summary": "a5b6b5826df4da1d6637d45e9ae85a810e3938856a260a43dd917020b8211ae7",
+    "cadence/orthogonal_lam2.twin.csv": "c710d0144d626c2472e2433088ec37f66562d3a4cc261f675d2df9e67beb6721",
+    "cadence/orthogonal_lam8.csv": "129f1d1b471c912d49ea5d9f02fb6c3f81b569df194e10fec622cf8ad5a1f91d",
+    "cadence/orthogonal_lam8.csv.summary": "189e43d4d5f33eecb7a20cbd5d829699e1fc5d2c7d2e2b5dacfe49150d74bf25",
+    "cadence/orthogonal_lam8.twin.csv": "c710d0144d626c2472e2433088ec37f66562d3a4cc261f675d2df9e67beb6721",
     "default/comparison.csv": "05a4bc6faa4bb9ead1ab7e568b2aed89e1c76ce74d5d63d29b6c073384c2a383",
     "default/dnn_repair_lam100.csv": "61cf794dd846d5f6d1e5f1214be4918dc8115b1cb4299e6c99481728b487b477",
     "default/dnn_repair_lam100.csv.summary": "5e2751ca27171dbdb03fcd97670ef87bc2e610fb28e1aa1e05af0fc961ba3fd1",
@@ -65,7 +78,8 @@ def _digests(root: Path) -> dict[str, str]:
 def golden_run(root: Path) -> dict[str, str]:
     """Train a tiny net on default.cfg, sweep three policies there, run the
     greedy oracle there under heavy load, and run the exhaustive oracle on
-    tiny.cfg behind a significant twin delay."""
+    tiny.cfg behind a significant twin delay, then it and orthogonal behind
+    a moderate delay delivered every third slot."""
     default = replace(
         load_scenario(SCENARIOS / "default.cfg"),
         horizon_slots=100,
@@ -97,6 +111,23 @@ def golden_run(root: Path) -> dict[str, str]:
             policies=("oracle",),
             out_dir=str(root / "tiny"),
             lambdas=(2.0, 16.0),
+            dump_twin=True,
+        )
+    )
+    # A 2-slot delay delivered every third slot from a history of exactly
+    # delay + 1 states: a snapshot is served for two slots after the slot it
+    # was captured at has left the kept history.
+    runner.run_experiment(
+        ExperimentSpec(
+            scenario=replace(
+                tiny,
+                twin_delay=DelayClass.MODERATE,
+                twin_cadence=3,
+                history_depth=3,
+            ),
+            policies=("orthogonal", "oracle"),
+            out_dir=str(root / "cadence"),
+            lambdas=(2.0, 8.0),
             dump_twin=True,
         )
     )

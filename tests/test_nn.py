@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +135,18 @@ def test_encode_snr_slice_is_linear():
     assert np.allclose(x2[n_snr:], x1[n_snr:])
 
 
+def test_encode_rejects_a_snapshot_of_another_user_set():
+    users, grid, qos, scaling = _enc_args()  # ids 0, 1 eMBB and 2 URLLC
+    shifted = tuple(replace(u, id=u.id + 1) for u in users)
+    for other in (shifted, make_users(1, 2)):  # the same size, other ids or classes
+        snap = make_snapshot(np.ones((3, 4)), other)
+        with pytest.raises(ValueError, match="do not match the user set"):
+            encode_features(snap, grid, users, qos, scaling)
+    snap = make_snapshot(np.ones((3, 5)), users)
+    with pytest.raises(ValueError, match="resource grid"):
+        encode_features(snap, grid, users, qos, scaling)
+
+
 def test_initial_loss_of_zero_net_is_rbs_log_users():
     rng = np.random.default_rng(6)
     rbs, n_users = 5, 7
@@ -159,7 +172,9 @@ def test_training_loss_nonincreasing_when_smoothed():
     X = rng.standard_normal((64, 10))
     labels = rng.integers(0, 4, size=(64, 3))
     res = train(net, X, labels, TrainConfig(learning_rate=0.1, epochs=60, batch_size=16))
-    smoothed = res.smoothed_losses(window=40)
+    losses = [loss for _, _, loss in res.loss_curve]
+    # trailing moving average over 40 steps
+    smoothed = [np.mean(losses[max(0, i - 39) : i + 1]) for i in range(len(losses))]
     # quarter-to-quarter trend must fall monotonically
     q = len(smoothed) // 4
     quarters = [np.mean(smoothed[i * q : (i + 1) * q]) for i in range(4)]

@@ -8,15 +8,18 @@ URLLC rate is the realised one, bit for bit. The examples are drawn from a
 fixed seed (the profile in ``conftest.py``), so every run sees the same ones.
 """
 import math
+from functools import partial
 
 from hypothesis import example, given, strategies as st
 
 from twinslice import metrics, nn, runner
-from twinslice.domain import QoSRequirement, validate_allocation
+from twinslice.domain import AllocationMatrix, QoSRequirement, validate_allocation
 from twinslice.envsim import FadingModel, FadingParams
 from twinslice.policy import predicted_urllc_rate
 from twinslice.scenario import LambdaSchedule, Scenario
 from twinslice.twin import DelayClass
+
+from conftest import make_snapshot
 
 POLICIES = ("orthogonal", "oracle", "dnn", "dnn+repair")
 SLOTS = 8
@@ -152,3 +155,64 @@ def test_zero_delay_repaired_slot_is_never_an_outage(scen, net_seed):
             assert not metrics.outage_event(
                 outcome.urllc_sum_rate, bits, outcome.lambda_t
             )
+
+
+@given(
+    st.sampled_from(tuple(DelayClass)),
+    st.integers(1, 5),
+    st.sampled_from((None, 0, 1, 3)),
+    st.integers(0, 2**32 - 1),
+)
+def test_snapshot_is_the_state_recorded_at_its_capture_slot(
+    delay, cadence, extra_depth, seed
+):
+    """Every delay class and cadence, with the history sized automatically
+    (None) or explicitly (delay + 1 + extra_depth): each slot's snapshot
+    holds the SNR, queue and lambda of the physical state at ``captured_at``
+    bit for bit, and is flagged exactly when its target slot predates the
+    oldest kept one. The features read the snapshot where policies read it."""
+    delay_slots = {DelayClass.MINIMAL: 0, DelayClass.MODERATE: 2}.get(delay, 4)
+    depth = delay_slots + 1 + (extra_depth or 0)
+    scen = Scenario(
+        n_embb=2,
+        n_urllc=2,
+        num_rbs=3,
+        rb_bandwidth=1e5,
+        lambda_schedule=LambdaSchedule((4.0, 30.0, 0.0), dwell=2),
+        qos=QoSRequirement(urllc_packet_bits=64),
+        twin_delay=delay,
+        moderate_slots=2,
+        significant_slots=4,
+        twin_cadence=cadence,
+        history_depth=0 if extra_depth is None else depth,
+        seed=seed,
+    )
+    env = scen.environment()
+    twin = scen.make_twin()
+    users = scen.users()
+    ids = [u.id for u in users]
+    features = partial(
+        nn.encode_features, grid=scen.grid, users=users, qos=scen.qos, scaling=scen.scaling()
+    )
+    recorded = []
+    for t in range(depth + 3 * cadence + 4):
+        state = env.state
+        recorded.append(
+            (
+                state.channel.snr.copy(),
+                state.traffic.urllc_queue.copy(),
+                state.traffic.urllc_rate,
+            )
+        )
+        twin.record(state)
+        snap = twin.snapshot(now=t)
+        snr, queue, lam = recorded[snap.captured_at]
+        held = make_snapshot(snr, users, lam=lam, queue=queue)
+        assert features(snap).tobytes() == features(held).tobytes()
+        assert snap.channel.snr.tobytes() == snr.tobytes()
+        assert snap.traffic.urllc_queue.tobytes() == queue.tobytes()
+        assert snap.traffic.urllc_rate == lam
+        oldest_kept = max(0, snap.delivered_at - depth + 1)
+        assert snap.stale_underflow == (snap.delivered_at - delay_slots < oldest_kept)
+        assert t - snap.delivered_at < cadence
+        env.step(AllocationMatrix([ids[(b + t) % len(ids)] for b in range(3)]))

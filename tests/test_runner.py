@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twinslice import envsim, nn, runner
+from twinslice import domain, envsim, nn, policy, runner, scenario, twin
 from twinslice.metrics import CSV_COLUMNS
 from twinslice.scenario import ExperimentSpec, load_scenario
 from twinslice.twin import DelayClass
@@ -250,3 +250,45 @@ def test_one_rate_matrix_per_physical_state(
     runner.simulate(scen, policy_id, lam=100.0, net=net)
     assert len(computed) == 100
     assert len({id(snr) for snr in computed}) == 100
+
+
+@pytest.mark.parametrize("policy_id", runner.POLICY_IDS + ("labels",))
+def test_no_per_slot_user_sorting_or_state_objects(policy_id, monkeypatch):
+    """A run derives its user order once (``canonical_users`` runs a fixed
+    number of times, whatever the horizon) and no slot builds, copies or
+    scans a ``ChannelState`` or ``TrafficState``."""
+    calls = {"canonical_users": 0, "ChannelState": 0, "TrafficState": 0}
+    sort = domain.canonical_users
+
+    def counted_sort(users):
+        calls["canonical_users"] += 1
+        return sort(users)
+
+    for module in (domain, envsim, nn, policy, runner, scenario, twin):
+        if hasattr(module, "canonical_users"):
+            monkeypatch.setattr(module, "canonical_users", counted_sort)
+    for cls in (domain.ChannelState, domain.TrafficState):
+
+        def counted_check(self, check=cls.__post_init__, name=cls.__name__):
+            calls[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted_check)
+
+    net = nn.MLP.glorot([nn.feature_dim(3, 4), 8, 12], (4, 3), seed=0)
+
+    def run(horizon):
+        calls.update(dict.fromkeys(calls, 0))
+        scen = replace(
+            tiny_scenario(horizon=horizon), twin_delay=DelayClass.MODERATE, twin_cadence=2
+        )
+        if policy_id == "labels":
+            runner.collect_training_data(scen)
+        else:
+            runner.simulate(scen, policy_id, net=net)
+        return dict(calls)
+
+    short, long = run(10), run(50)
+    assert short == long
+    assert short["ChannelState"] == short["TrafficState"] == 0
+    assert 0 < short["canonical_users"] <= 4

@@ -3,6 +3,8 @@ import pytest
 
 from twinslice.domain import AllocationMatrix, QoSRequirement, ResourceGrid
 from twinslice.envsim import Environment
+from twinslice.nn import FeatureScaling, encode_features
+from twinslice.policy import OrthogonalConfig, oracle_allocate, orthogonal_allocate
 from twinslice.twin import (
     CalibrationTolerances,
     DelayClass,
@@ -135,6 +137,35 @@ def test_delayed_snapshots_keep_their_slot_over_many_steps():
         assert np.array_equal(snr, seen[snap.captured_at][0])
         assert np.array_equal(queue, seen[snap.captured_at][1])
     assert held[-1][0].captured_at == 54
+
+
+@pytest.mark.parametrize("decide", ["orthogonal", "oracle", "encode"])
+def test_an_expired_snapshot_raises_instead_of_reading_another_slot(decide):
+    env, twin = _env(), DigitalTwin()  # a ring of history_depth + cadence = 2
+    twin.record(env.state)
+    snap = twin.snapshot(now=0)
+    for _ in range(2):  # slot 2 takes slot 0's entry
+        env.step(AllocationMatrix((0, 1, 2, 2)))
+        twin.record(env.state)
+    users, grid, qos = make_users(2, 1), ResourceGrid(4, 1e5), QoSRequirement()
+    with pytest.raises(LookupError, match="slot 0 has left"):
+        if decide == "orthogonal":
+            orthogonal_allocate(snap, OrthogonalConfig(), grid, users, 1e-3)
+        elif decide == "oracle":
+            oracle_allocate(snap, grid, users, qos, 1e-3)
+        else:
+            encode_features(snap, grid, users, qos, FeatureScaling())
+
+
+def test_record_takes_every_slot_in_order():
+    env, twin = _env(), DigitalTwin()
+    with pytest.raises(ValueError, match="no physical state recorded"):
+        twin.snapshot(now=0)
+    twin.record(env.state)
+    for _ in range(2):
+        env.step(AllocationMatrix((0, 1, 2, 2)))
+    with pytest.raises(ValueError, match="slot 2 recorded after slot 0"):
+        twin.record(env.state)
 
 
 def test_calibrate_identity_is_exactly_zero():
