@@ -15,7 +15,9 @@ Exit codes:
   shaped for another scenario, or an
   orthogonal run whose urllc_fraction gives blocks to a class without users.
 * 3: a runtime failure while simulating, training or writing outputs,
-  such as a non-finite training loss or an unwritable output directory.
+  such as a non-finite training loss, a run whose mean rates or spectral
+  efficiency are not finite (it writes no files), or an unwritable output
+  directory.
 """
 from __future__ import annotations
 

@@ -121,9 +121,19 @@ def step_channel(
 
 
 def block_rates(snr: np.ndarray, bw: float, slot_duration: float) -> np.ndarray:
-    """The rate kernel: ``bw * log2(1 + snr) * tau`` for every entry, with
-    Python's log2, so each float is the one a per-block scalar loop gives."""
-    logs = np.fromiter(map(math.log2, (1.0 + snr).ravel().tolist()), float, snr.size)
+    """The rate kernel: ``bw * log2(1 + snr) * tau`` for every entry.
+
+    One ``np.log2`` call over the matrix runs the C library's log2, the one
+    ``math.log2`` calls, so each float is the one a per-block scalar loop
+    ``bw * math.log2(1 + s) * tau`` gives. ``tests/test_envsim.py`` pins
+    that bit for bit."""
+    # Reversed view: numpy runs its own SIMD log2 only on forward-strided
+    # input, and that loop differs from the C library's log2 in the last
+    # bit on about 0.1 % of entries; on a negative stride numpy's scalar
+    # loop calls the C library's log2. test_block_rates_is_the_scalar_formula_bit_for_bit
+    # (tests/test_envsim.py) fails, naming the numpy version, if an upgrade
+    # changes that dispatch.
+    logs = np.log2((1.0 + snr).ravel()[::-1])[::-1]
     return bw * logs.reshape(snr.shape) * slot_duration
 
 

@@ -127,8 +127,19 @@ def summarize_run(
     window: int,
     eps_max: float,
 ) -> RunSummary:
+    """Aggregate a run's slots. Raises ``FloatingPointError`` when the mean
+    of a per-slot column is not finite, so such a run writes no file."""
     if not slots:
         raise ValueError("cannot summarize an empty run")
+    means = {
+        name: float(np.mean([getattr(s, name) for s in slots]))
+        for name in ("spectral_efficiency", "sum_rate_embb", "sum_rate_urllc", "lambda_t")
+    }
+    bad = [f"{name}={m}" for name, m in means.items() if not math.isfinite(m)]
+    if bad:
+        raise FloatingPointError(
+            f"{policy_id} run (seed {seed}) has non-finite mean {', '.join(bad)}"
+        )
     outages = [s.outage for s in slots]
     rates = window_outage_rates(outages, window)
     if not rates:  # run shorter than one window: treat the run as one window
@@ -139,12 +150,10 @@ def summarize_run(
         scenario_hash=scenario_hash,
         n_slots=len(slots),
         window=window,
-        mean_spectral_efficiency=float(
-            np.mean([s.spectral_efficiency for s in slots])
-        ),
+        mean_spectral_efficiency=means["spectral_efficiency"],
         outage_probability=float(np.mean(outages)),
         cdf=outage_cdf(rates, eps_max),
-        mean_lambda=float(np.mean([s.lambda_t for s in slots])),
+        mean_lambda=means["lambda_t"],
     )
 
 

@@ -150,16 +150,17 @@ def _forward_batch(net: MLP, X: np.ndarray) -> tuple[np.ndarray, list, list]:
     a = np.asarray(X, dtype=net.dtype)
     zs, acts = [], [a]
     n_layers = len(net.weights)
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = a @ w + b
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError(
-                f"non-finite values in layer {i} pre-activation"
-            )
-        zs.append(z)
-        a = z if i == n_layers - 1 else relu(z)
-        acts.append(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = a @ w
+            z += b  # in place: the same rounding as ``a @ w + b``
+            if not np.isfinite(z).all():
+                raise FloatingPointError(
+                    f"non-finite values in layer {i} pre-activation"
+                )
+            zs.append(z)
+            a = z if i == n_layers - 1 else relu(z)
+            acts.append(a)
     rbs, users = net.output_shape
     logits = a.reshape(a.shape[0], rbs, users)
     return softmax_rows(logits), zs, acts

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from .domain import ConfigError, QoSRequirement, ResourceGrid, ServiceClass, UserTerminal
-from .envsim import Environment, FadingModel, FadingParams, LinkBudget
+from .envsim import Environment, FadingModel, FadingParams, LinkBudget, db_to_linear
 from .nn import FeatureScaling
 from .twin import DelayClass, DigitalTwin, delay_to_slots
 
@@ -169,6 +169,23 @@ class Scenario:
             raise ValueError("reference_lambda must be > 0")
         # Exercise the constituent type invariants now, not at first use.
         ResourceGrid(self.num_rbs, self.rb_bandwidth)
+        if not math.isfinite(self.num_rbs * self.rb_bandwidth):
+            raise ValueError(
+                f"rb_bandwidth_hz = {self.rb_bandwidth:g} gives a system "
+                f"bandwidth over {self.num_rbs} blocks that is not finite"
+            )
+        for name, snrs in (
+            ("embb_mean_snr_db", self.embb_snrs()),
+            ("urllc_mean_snr_db", self.urllc_snrs()),
+            ("reference_snr_db", (self.reference_snr_db,)),
+        ):
+            for snr_db in snrs:
+                try:
+                    db_to_linear(snr_db)
+                except OverflowError:
+                    raise ValueError(
+                        f"{name} = {snr_db:g} dB has no finite linear value"
+                    ) from None
         if not (math.isfinite(self.slot_duration) and self.slot_duration > 0):
             raise ValueError(
                 f"slot_duration_s must be finite and > 0, got {self.slot_duration}"

@@ -1,6 +1,6 @@
 import pytest
 
-from twinslice.cli import EXIT_CONFIG, EXIT_OK, main
+from twinslice.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from twinslice.nn import MLP, save_weights
 
 from conftest import write_v1_weights
@@ -188,6 +188,11 @@ NON_FINITE = [
     ("traffic", "urllc_lambda", "inf"),
     ("channel", "rician_k", "nan"),
     ("features", "reference_snr_db", "nan"),
+    # finite in the file, but not over the grid or in linear units
+    ("grid", "rb_bandwidth_hz", "1e308"),
+    ("users", "embb_mean_snr_db", "4000"),
+    ("users", "urllc_mean_snr_db", "4000"),
+    ("features", "reference_snr_db", "4000"),
 ]
 
 
@@ -207,6 +212,28 @@ def test_non_finite_slot_duration_is_a_config_error(
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+@pytest.mark.parametrize(
+    "key,column",
+    [
+        ("embb_mean_snr_db", "spectral_efficiency"),
+        # URLLC delivery is backlog-limited, so only the rate column is inf
+        ("urllc_mean_snr_db", "sum_rate_urllc"),
+    ],
+)
+def test_run_with_non_finite_rates_fails_and_writes_no_csv(
+    tmp_path, capsys, key, column
+):
+    # 3080 dB is a finite linear SNR, but fading pushes it to inf.
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(_with_key("users", key, "3080"))
+    out = tmp_path / "o"
+    code = main(["run", "--scenario", str(cfg), "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert f"{column}=inf" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_short_history_depth_is_a_config_error(tmp_path, capsys):

@@ -1,8 +1,15 @@
+import ast
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+import twinslice
 
 from twinslice.domain import (
     UNASSIGNED,
@@ -21,6 +28,7 @@ from twinslice.envsim import (
     LinkBudget,
     PhysicalState,
     advance,
+    block_rates,
     db_to_linear,
     fading_gains,
     rate_matrix,
@@ -130,6 +138,115 @@ def test_rate_matrix_is_the_scalar_term_memoised_read_only():
     assert rate_matrix(ch, grid, 2e-3) is not rates
     with pytest.raises(ValueError):
         rates[0, 0] = 1.0
+
+
+def _assert_scalar_formula(snr, bw, tau):
+    """``block_rates`` gives, bit for bit, what ``bw * math.log2(1 + s) * tau``
+    gives per entry."""
+    got = block_rates(snr, bw, tau)
+    want = np.array(
+        [bw * math.log2(1.0 + s) * tau for s in snr.ravel().tolist()]
+    ).reshape(snr.shape)
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, (
+        f"block_rates differs from bw * math.log2(1 + snr) * tau on {bad.size} "
+        f"of {snr.size} entries (first at snr={snr.ravel()[bad[0]]!r}, "
+        f"bw={bw!r}, tau={tau!r}) under numpy {np.__version__}; a numpy whose "
+        "log2 dispatch differs breaks the kernel's exactness"
+    )
+
+
+def _near(x, ulps):
+    """``x`` moved ``ulps`` representable floats up (or down, if negative)."""
+    toward = math.inf if ulps > 0 else 0.0
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+#: SNR entries where a log2 is most likely to round differently: zero,
+#: subnormals, values around powers of two and around ``2**k - 1`` (where
+#: ``1 + snr`` is near a power of two), the largest finite floats (where
+#: ``1 + snr`` rounds to the largest float), the SNRs of real channels, and
+#: anything else finite.
+SNR_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 2.2250738585072014e-308, exclude_max=True),
+    st.builds(
+        lambda k, d: _near(math.ldexp(1.0, k), d),
+        st.integers(-1074, 1023),
+        st.integers(-3, 3),
+    ).filter(math.isfinite),
+    st.builds(
+        lambda k, d: _near(math.ldexp(1.0, k) - 1.0, d),
+        st.integers(1, 60),
+        st.integers(-3, 3),
+    ),
+    st.builds(lambda d: _near(sys.float_info.max, -d), st.integers(0, 5)),
+    st.floats(0.0, 1e4),
+    st.floats(0.0, allow_infinity=False),
+)
+
+
+@given(
+    snr=st.tuples(st.integers(1, 20), st.integers(1, 50)).flatmap(
+        lambda shape: arrays(float, shape, elements=SNR_ENTRIES)
+    ),
+    # A bandwidth up to the largest float: there the product overflows to inf.
+    bw=st.sampled_from([1.0, 1.8e5, 1e6, 1e300, sys.float_info.max]),
+    tau=st.sampled_from([1.0, 1e-3, 0.37]),
+)
+# No shrinking: the message names the first differing entry, and shrinking
+# a matrix of a thousand entries takes minutes.
+@settings(phases=[Phase.explicit, Phase.generate])
+def test_block_rates_is_the_scalar_formula_bit_for_bit(snr, bw, tau):
+    with np.errstate(over="ignore"):
+        _assert_scalar_formula(snr, bw, tau)
+
+
+def test_block_rates_is_the_scalar_formula_on_log_uniform_values():
+    exponents = np.random.default_rng(2024).uniform(-320.0, 308.25, 10**5)
+    snr = (10.0 ** exponents).reshape(200, 500)
+    _assert_scalar_formula(snr, 1.8e5, 1e-3)
+
+
+class _Log2Sites(ast.NodeVisitor):
+    """Every use of a name ``log2`` (``np.log2``, ``math.log2``, a bare
+    ``log2``), called or passed, as (module, innermost enclosing function)."""
+
+    def __init__(self, module):
+        self.module, self.scope, self.sites = module, ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        if node.attr == "log2":
+            self.sites.append((self.module, self.scope[-1]))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "log2":
+            self.sites.append((self.module, self.scope[-1]))
+
+
+def test_log2_is_used_only_by_the_rate_kernel_and_the_penalty_scale():
+    """``src/twinslice`` has two log2 sites: the exact rate kernel and the
+    penalty weight's documented numpy scale. Any other rate computation must
+    read ``block_rates``, so a per-entry ``math.log2`` loop cannot return."""
+    sites = []
+    for path in sorted(Path(twinslice.__file__).parent.glob("*.py")):
+        finder = _Log2Sites(path.stem)
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites += finder.sites
+    assert sorted(sites) == [
+        ("envsim", "block_rates"),
+        ("policy", "default_penalty_weight"),
+    ]
 
 
 def _state(users, grid, lam=0.0, queue=None, seed=0):

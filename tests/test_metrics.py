@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,22 @@ def test_summary_mean_se_matches_per_slot_mean():
     assert summary.mean_spectral_efficiency == pytest.approx(
         np.mean([s.spectral_efficiency for s in slots]), abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "column,value",
+    [
+        # NaN passes SlotMetrics' sign check: inf / inf bits per Hz
+        ("spectral_efficiency", float("nan")),
+        ("sum_rate_embb", float("inf")),
+        ("sum_rate_urllc", float("inf")),
+    ],
+)
+def test_summary_rejects_a_non_finite_column_mean(column, value):
+    slots = _slots(10)
+    slots[4] = replace(slots[4], **{column: value})
+    with pytest.raises(FloatingPointError, match=f"non-finite mean {column}"):
+        summarize_run(slots, "orthogonal", 1, "abc", window=5, eps_max=0.07)
 
 
 def test_export_csv_shape_and_consistency(tmp_path):
