@@ -122,9 +122,23 @@ class UserLayout:
     order (a user's row), their ids, and the rows of each service class.
     Functions that take users also take a layout (``UserLayout.of``)."""
 
+    #: The last users tuple ``of`` built a layout from, and that layout.
+    _last: tuple[object, Optional["UserLayout"]] = (object(), None)
+
     @classmethod
     def of(cls, users: Iterable[UserTerminal]) -> "UserLayout":
-        return users if isinstance(users, UserLayout) else cls(users)
+        """``users`` if it is a layout, else its layout. The layout of the
+        last tuple given is kept, with the tuple, and returned when the same
+        tuple object comes again: a tuple of frozen users cannot change."""
+        if isinstance(users, UserLayout):
+            return users
+        last, layout = UserLayout._last
+        if users is last:
+            return layout
+        layout = cls(users)
+        if type(users) is tuple:
+            UserLayout._last = (users, layout)
+        return layout
 
     def __init__(self, users: Iterable[UserTerminal]):
         self.users = canonical_users(users)

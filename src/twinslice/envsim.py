@@ -3,8 +3,11 @@
 Generates per-slot channel realisations and URLLC packet arrivals, and
 realises data rates for a chosen allocation. Everything is driven by a
 single seedable numpy Generator per run, so (seed, scenario) fully
-determines the trajectory. A run's recent states live in a ``StateRing`` of
-preallocated arrays; ``PhysicalState`` is a view of one of its slots.
+determines the trajectory. Runs that share their users step in lockstep:
+their recent states live in one ``StateRing`` of preallocated arrays with a
+leading run axis, and ``PhysicalState`` is a view of one run in one of its
+slots. A run's trajectory is the same bit for bit whether it steps alone or
+beside others.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +67,19 @@ class LinkBudget:
             raise ValueError("mean_snr_db must be finite")
 
 
+def _rician(w: np.ndarray, k: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rician power gains |sqrt(K/(K+1)) + sqrt(1/(K+1)) w|^2, w ~ CN(0,1),
+    unit mean: ``re * re + im * im`` with ``re = los + scale * w_re`` and
+    ``im = scale * w_im``, from normals ``w`` (..., 2, B) holding per row the
+    real parts, then the imaginary parts, which it overwrites."""
+    los = math.sqrt(k / (k + 1.0))
+    scale = math.sqrt(1.0 / (2.0 * (k + 1.0)))
+    w *= scale
+    w[..., 0, :] += los
+    w *= w
+    return np.add(w[..., 0, :], w[..., 1, :], out=out)
+
+
 def fading_gains(
     rng: np.random.Generator, params: FadingParams, shape: tuple[int, ...]
 ) -> np.ndarray:
@@ -71,53 +87,55 @@ def fading_gains(
     last axis after another: an ``(n, B)`` draw equals ``n`` draws of ``(B,)``."""
     if params.model is FadingModel.RAYLEIGH:
         return rng.exponential(1.0, size=shape)
-    # Rician: |sqrt(K/(K+1)) + sqrt(1/(K+1)) w|^2 with w ~ CN(0,1); unit mean.
-    k = params.k_factor
-    if math.isinf(k):
+    if math.isinf(params.k_factor):
         return np.ones(shape)
-    los = math.sqrt(k / (k + 1.0))
-    scale = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    # Per row: the real parts of w, then the imaginary parts.
-    w = rng.standard_normal((*shape[:-1], 2, shape[-1]))
-    re = los + scale * w[..., 0, :]
-    im = scale * w[..., 1, :]
-    return re * re + im * im
+    return _rician(rng.standard_normal((*shape[:-1], 2, shape[-1])), params.k_factor)
 
 
 class ChannelDraw:
-    """One run's channel draw. The users never change within a run, so their
-    runs of equal fading and the linear-mean column are derived once here;
-    each call draws one slot's SNR matrix."""
+    """The channel draw of runs that share their users. The users never
+    change, so their groups of consecutive users with equal fading and the
+    linear-mean column are derived once here; each call draws one slot's SNR
+    matrix for every run."""
 
     def __init__(self, layout: UserLayout, grid: ResourceGrid):
-        users = layout.users
-        self.runs = [
-            (fading, sum(1 for _ in run))
-            for fading, run in itertools.groupby(users, key=lambda u: u.link.fading)
-        ]
-        self.means = np.array([db_to_linear(u.link.mean_snr_db) for u in users])[:, None]
-        self.num_rbs = grid.num_rbs
-
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        """Per-user mean times an i.i.d. fading gain, drawn once per run of
-        consecutive users that share their fading."""
-        if len(self.runs) == 1:
-            fading, n = self.runs[0]
-            return self.means * fading_gains(rng, fading, (n, self.num_rbs))
-        gains = np.empty((len(self.means), self.num_rbs))
-        start = 0
-        for fading, n in self.runs:
-            gains[start : start + n] = fading_gains(rng, fading, (n, self.num_rbs))
+        self.groups, start = [], 0
+        for fading, group in itertools.groupby(layout.users, key=lambda u: u.link.fading):
+            n = sum(1 for _ in group)
+            self.groups.append((fading, start, n))
             start += n
-        return self.means * gains
+        self.means = np.array(
+            [db_to_linear(u.link.mean_snr_db) for u in layout.users]
+        )[:, None]
+
+    def __call__(self, rngs: Sequence[np.random.Generator], out: np.ndarray) -> None:
+        """Write run r's SNR matrix into ``out[r]``: its raw fading values
+        drawn from ``rngs[r]`` as ``fading_gains`` draws them, one draw per
+        group, then the gain transform and the per-user means applied to
+        every run at once."""
+        for fading, start, n in self.groups:
+            gains = out[:, start : start + n]
+            if fading.model is FadingModel.RAYLEIGH:
+                for rng, g in zip(rngs, gains):
+                    rng.standard_exponential(out=g)  # exponential(1.0), in place
+            elif math.isinf(fading.k_factor):
+                gains[...] = 1.0  # draws nothing
+            else:
+                w = np.empty((len(rngs), n, 2, out.shape[2]))
+                for rng, w_r in zip(rngs, w):
+                    rng.standard_normal(out=w_r)
+                _rician(w, fading.k_factor, out=gains)
+        out *= self.means
 
 
 def step_channel(
     rng: np.random.Generator, users: Iterable[UserTerminal], grid: ResourceGrid
 ) -> ChannelState:
     """Draw one slot's SNR matrix; a one-shot ``ChannelDraw``."""
-    layout = UserLayout(users)
-    return ChannelState(snr=ChannelDraw(layout, grid)(rng), user_ids=layout.ids)
+    layout = UserLayout.of(users)
+    snr = np.empty((1, len(layout.ids), grid.num_rbs))
+    ChannelDraw(layout, grid)([rng], snr)
+    return ChannelState(snr=snr[0], user_ids=layout.ids)
 
 
 def block_rates(snr: np.ndarray, bw: float, slot_duration: float) -> np.ndarray:
@@ -133,8 +151,12 @@ def block_rates(snr: np.ndarray, bw: float, slot_duration: float) -> np.ndarray:
     # loop calls the C library's log2. test_block_rates_is_the_scalar_formula_bit_for_bit
     # (tests/test_envsim.py) fails, naming the numpy version, if an upgrade
     # changes that dispatch.
-    logs = np.log2((1.0 + snr).ravel()[::-1])[::-1]
-    return bw * logs.reshape(snr.shape) * slot_duration
+    rates = 1.0 + snr
+    flat = rates.reshape(-1)
+    logs = np.log2(flat[::-1])
+    np.multiply(bw, logs[::-1], out=flat)  # bw * log2(1 + snr), in place
+    rates *= slot_duration
+    return rates
 
 
 def memo_rates(
@@ -159,25 +181,49 @@ def rate_matrix(
 
 
 @functools.lru_cache
-def _blocks(num_rbs: int) -> np.ndarray:
-    blocks = np.arange(num_rbs)
+def _run_index(n_runs: int, n_users: int, n_rbs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of ``n_runs`` allocations laid end to end: its run's first
+    row of a (runs * users, blocks) stack, and its block."""
+    offsets = np.repeat(np.arange(0, n_runs * n_users, n_users), n_rbs)
+    blocks = np.tile(np.arange(n_rbs), n_runs)
+    offsets.setflags(write=False)
     blocks.setflags(write=False)
-    return blocks
+    return offsets, blocks
+
+
+def _user_rates(
+    rows: Sequence[np.ndarray], rates: np.ndarray, idle: bool
+) -> np.ndarray:
+    """Bits/slot of every user of every run: ``rows[r]`` holds run r's user
+    row per block, ``rates`` (runs, users, blocks) the runs'
+    ``block_rates``; ``idle`` says some block is UNASSIGNED. One
+    ``bincount``, each run in a range of bins of its own, which adds each
+    user's entries in block order."""
+    n_runs, n_users, n_rbs = rates.shape
+    offsets, blocks = _run_index(n_runs, n_users, n_rbs)
+    if n_runs > 1:
+        rows = np.concatenate(rows)
+        bins = rows + offsets  # each entry's row in the (runs * users, blocks) stack
+        stack = rates.reshape(-1, n_rbs)
+    else:
+        rows = bins = rows[0]
+        stack = rates[0]
+    held = rows >= 0 if idle else None
+    weights = stack[bins, blocks]
+    if idle:
+        bins, weights = bins[held], weights[held]
+    return np.bincount(bins, weights=weights, minlength=n_runs * n_users).reshape(
+        n_runs, n_users
+    )
 
 
 def user_rates(
     m: AllocationMatrix, ids: tuple[int, ...], rates: np.ndarray
 ) -> np.ndarray:
     """Bits/slot of every user (the rows of ``rates``, with ``ids``) under
-    ``m``: the user's entries added in block order, as ``bincount`` adds its
-    weights in index order."""
-    rows = m.rows_in(ids)
-    if m.idle:
-        blocks = np.flatnonzero(rows >= 0)
-        rows = rows[blocks]
-    else:
-        blocks = _blocks(len(rows))
-    return np.bincount(rows, weights=rates[rows, blocks], minlength=len(rates))
+    ``m``: the user's entries added in block order, by the one ``bincount``
+    the slot kernel runs for all runs (``_user_rates``)."""
+    return _user_rates([m.rows_in(ids)], rates[None], m.idle)[0]
 
 
 def class_sum(values: list[float], rows: Iterable[int]) -> float:
@@ -199,14 +245,16 @@ def rate_sums(
 
 
 class StateRing:
-    """One run's recent physical states in preallocated arrays, beside the
-    run's constants. Slot t lives in entry t % depth until slot t + depth
-    overwrites it: its SNR matrix ``snr[i]`` (users x blocks, in ``layout``
-    order), its URLLC queues ``queue[i]`` (ascending id), its arrival rate
-    ``lam[i]`` and its rate memo ``memo[i]``, where ``block_rates`` is kept
-    once computed. The arrays take their shape from the first state put in.
-    ``grid`` and ``slot_duration`` are None only in the ring of a hand-built
-    snapshot, which is never stepped."""
+    """The recent physical states of runs that step in lockstep, in
+    preallocated arrays with a leading run axis, beside the constants the
+    runs share. Slot t lives in entry t % depth until slot t + depth
+    overwrites it: run r's SNR matrix ``snr[i, r]`` (users x blocks, in
+    ``layout`` order), its URLLC queues ``queue[i, r]`` (ascending id) and
+    its arrival rate ``lam[i][r]``, and the entry's rate memo ``memo[i]``,
+    where ``block_rates`` of all its runs' SNRs is kept once computed. The
+    arrays take their shape from the first state put in. ``grid`` and
+    ``slot_duration`` are None only in the ring of a hand-built snapshot,
+    which is never stepped."""
 
     def __init__(
         self,
@@ -219,33 +267,42 @@ class StateRing:
         self.depth, self.qos, self.layout = depth, qos, layout
         self.grid, self.slot_duration = grid, slot_duration
         self.snr = self.queue = None
-        self.lam = [0.0] * depth
+        self.lam: list[list[float]] = [[]] * depth
         self.slot = [-1] * depth
         self.memo: list[dict] = [{} for _ in range(depth)]
+
+    @property
+    def runs(self) -> int:
+        return self.snr.shape[1]
 
     def like(self, depth: int) -> "StateRing":
         """An empty ring of ``depth`` entries with this ring's constants."""
         return StateRing(depth, self.qos, self.layout, self.grid, self.slot_duration)
 
-    def put(self, t: int, snr, queue, lam: float, memo: Optional[dict] = None) -> None:
-        """Write slot t's state into its entry. ``memo`` shares the rate
-        matrices of the same state held in another ring."""
+    def put(
+        self, t: int, snr, queue, lam: list[float], memo: Optional[dict] = None
+    ) -> None:
+        """Write slot t's states of every run into its entry: ``snr`` is
+        (runs, users, blocks), ``queue`` (runs, URLLC users) and ``lam`` one
+        float per run. ``memo`` shares the rate matrices of the same states
+        held in another ring."""
         if self.snr is None:
             self.snr = np.empty((self.depth, *np.shape(snr)))
-            self.queue = np.empty((self.depth, len(queue)))
+            self.queue = np.empty((self.depth, *np.shape(queue)))
         i = t % self.depth
         self.snr[i], self.queue[i], self.lam[i], self.slot[i] = snr, queue, lam, t
         self.memo[i] = {} if memo is None else memo
 
 
 class PhysicalState:
-    """Everything the physical network knows at the start of slot ``t``: a
-    view of that slot's entry in a ``StateRing``. Every read checks that the
-    ring still holds the slot, and raises LookupError once the ring has
-    reused the entry; ``channel`` and ``traffic`` copy the slot's values on
-    their first read and keep them."""
+    """Everything the physical network knows at the start of slot ``t`` in
+    one run: a view of that slot's entry in a ``StateRing`` and of the run's
+    place on its run axis. Every read checks that the ring still holds the
+    slot, and raises LookupError once the ring has reused the entry;
+    ``channel`` and ``traffic`` copy the run's values on their first read
+    and keep them."""
 
-    __slots__ = ("ring", "t", "index", "_channel", "_traffic")
+    __slots__ = ("ring", "t", "index", "run", "_channel", "_traffic")
 
     def __init__(
         self,
@@ -256,21 +313,22 @@ class PhysicalState:
         users: tuple[UserTerminal, ...],
         grid: ResourceGrid,
     ):
-        """A hand-built state: a one-slot ring holding these values."""
+        """A hand-built state: a one-slot, one-run ring holding these values."""
         if channel.snr.shape != (len(users), grid.num_rbs):
             raise ValueError(
                 f"channel shape {channel.snr.shape} does not match "
                 f"{len(users)} users x {grid.num_rbs} RBs"
             )
-        ring = StateRing(1, qos, UserLayout(users), grid, clock.slot_duration)
+        ring = StateRing(1, qos, UserLayout.of(users), grid, clock.slot_duration)
         self._hold(clock.t, channel, traffic, ring)
 
     def _hold(
         self, t: int, channel: ChannelState, traffic: TrafficState, ring: StateRing
     ):
-        """Make this the view of slot t in ``ring``, put there from hand-built
-        states, which are also what ``channel`` and ``traffic`` read. Their
-        ids must be the ring's users and URLLC users, in ascending order."""
+        """Make this the view of slot t in the one-run ``ring``, put there
+        from hand-built states, which are also what ``channel`` and
+        ``traffic`` read. Their ids must be the ring's users and URLLC users,
+        in ascending order."""
         layout = ring.layout
         if channel.user_ids != layout.ids or traffic.urllc_user_ids != layout.urllc_ids:
             raise ValueError(
@@ -278,15 +336,14 @@ class PhysicalState:
                 f"{traffic.urllc_user_ids}) do not match the users {layout.ids} "
                 f"(URLLC {layout.urllc_ids})"
             )
-        q, lam = traffic.urllc_queue, traffic.urllc_rate
-        ring.put(t, channel.snr, q, lam, channel.rate_memo)
-        self.ring, self.t, self.index = ring, t, t % ring.depth
+        ring.put(t, channel.snr[None], traffic.urllc_queue[None], [traffic.urllc_rate])
+        self.ring, self.t, self.index, self.run = ring, t, t % ring.depth, 0
         self._channel, self._traffic = channel, traffic
 
     @classmethod
-    def view(cls, ring: StateRing, t: int) -> "PhysicalState":
+    def view(cls, ring: StateRing, t: int, run: int = 0) -> "PhysicalState":
         state = cls.__new__(cls)
-        state.ring, state.t, state.index = ring, t, t % ring.depth
+        state.ring, state.t, state.index, state.run = ring, t, t % ring.depth, run
         state._channel = state._traffic = None
         return state
 
@@ -298,22 +355,26 @@ class PhysicalState:
 
     @property
     def snr(self) -> np.ndarray:
-        return self.ring.snr[self.held()]
+        return self.ring.snr[self.held(), self.run]
 
     @property
     def queue(self) -> np.ndarray:
-        return self.ring.queue[self.held()]
+        return self.ring.queue[self.held(), self.run]
 
     @property
     def lam(self) -> float:
-        return self.ring.lam[self.held()]
+        return self.ring.lam[self.held()][self.run]
 
     @property
     def memo(self) -> dict:
+        """The entry's rate memo, shared by all of its runs."""
         return self.ring.memo[self.held()]
 
     def rates(self, bw: float, slot_duration: float) -> np.ndarray:
-        return memo_rates(self.memo, self.snr, bw, slot_duration)
+        """The run's ``block_rates``, read from the matrices of every run of
+        the entry, computed on the entry's first request."""
+        i, ring = self.held(), self.ring
+        return memo_rates(ring.memo[i], ring.snr[i], bw, slot_duration)[self.run]
 
     @property
     def channel(self) -> ChannelState:
@@ -365,53 +426,66 @@ class SlotOutcome(NamedTuple):
 def _step(
     ring: StateRing,
     t: int,
-    decision: AllocationMatrix,
-    rng: np.random.Generator,
+    decisions: Sequence[AllocationMatrix],
+    rngs: Sequence[np.random.Generator],
     draw: ChannelDraw,
-    lambda_schedule: Callable[[int], float],
-) -> SlotOutcome:
-    """The slot kernel: apply an allocation to slot t of ``ring`` and write
-    slot t + 1 into it.
+    lambda_schedules: Sequence[Callable[[int], float]],
+) -> list[SlotOutcome]:
+    """The slot kernel: apply one allocation per run to slot t of ``ring``,
+    write slot t + 1 of every run into it and return each run's outcome.
 
     Order of events within the slot: realise rates against the current
     channel, drain URLLC queues by served bits, add the slot's new
     arrivals (packet count times packet size), then tick the clock and
-    draw a fresh channel with the next slot's lambda.
+    draw a fresh channel with the next slot's lambda. Each run draws from
+    its own generator, its arrivals before its next channel.
     """
-    layout, grid = ring.layout, ring.grid
-    if len(decision.rows_in(layout.ids)) != grid.num_rbs:
-        raise ValueError(
-            f"invalid allocation: length {len(decision)} != num_rbs {grid.num_rbs}"
-        )
-    i = t % ring.depth
-    matrix = memo_rates(ring.memo[i], ring.snr[i], grid.rb_bandwidth, ring.slot_duration)
-    rates = user_rates(decision, layout.ids, matrix).tolist()
-    queue = ring.queue[i].tolist()
-    served = [min(q, rates[r]) for q, r in zip(queue, layout.urllc)]
-
-    lam = ring.lam[i]
-    n_urllc = len(layout.urllc)
-    # Independent per-user Poisson(lam/n) streams in one draw; the aggregate
-    # stays Poisson(lam). At lam = 0 nothing is drawn.
-    if n_urllc > 0 and lam > 0:
-        arrivals = rng.poisson(lam / n_urllc, size=n_urllc).tolist()
-    else:
-        arrivals = [0] * n_urllc
-    outcome = SlotOutcome(
-        t, dict(zip(layout.ids, rates)), class_sum(rates, layout.embb),
-        class_sum(rates, layout.urllc), dict(zip(layout.urllc_ids, served)),
-        sum(arrivals), lam,
+    layout, n_rbs = ring.layout, ring.grid.num_rbs
+    rows, idle = [], False
+    for decision in decisions:
+        own = decision.rows_in(layout.ids)
+        if len(own) != n_rbs:
+            raise ValueError(f"invalid allocation: length {len(own)} != num_rbs {n_rbs}")
+        rows.append(own)
+        idle = idle or decision.idle
+    i, j = t % ring.depth, (t + 1) % ring.depth
+    matrix = memo_rates(
+        ring.memo[i], ring.snr[i], ring.grid.rb_bandwidth, ring.slot_duration
     )
-    bits = ring.qos.urllc_packet_bits
-    queue = [q - s + a * bits for q, s, a in zip(queue, served, arrivals)]
-    ring.put(t + 1, draw(rng), queue, float(lambda_schedule(t + 1)))
-    return outcome
+    rates = _user_rates(rows, matrix, idle).tolist()
+
+    urllc, bits = layout.urllc, ring.qos.urllc_packet_bits
+    n_urllc = len(urllc)
+    outcomes, queues = [], []
+    for rng, lam, queue, own in zip(rngs, ring.lam[i], ring.queue[i].tolist(), rates):
+        served = [min(q, own[r]) for q, r in zip(queue, urllc)]
+        # Independent per-user Poisson(lam/n) streams in one draw; the
+        # aggregate stays Poisson(lam). At lam = 0 nothing is drawn.
+        if n_urllc > 0 and lam > 0:
+            arrivals = rng.poisson(lam / n_urllc, size=n_urllc).tolist()
+        else:
+            arrivals = [0] * n_urllc
+        outcomes.append(
+            SlotOutcome(
+                t, dict(zip(layout.ids, own)), class_sum(own, layout.embb),
+                class_sum(own, urllc), dict(zip(layout.urllc_ids, served)),
+                sum(arrivals), lam,
+            )
+        )
+        queues.append([q - s + a * bits for q, s, a in zip(queue, served, arrivals)])
+    ring.queue[j] = queues
+    ring.lam[j] = [float(schedule(t + 1)) for schedule in lambda_schedules]
+    ring.slot[j], ring.memo[j] = t + 1, {}
+    draw(rngs, ring.snr[j])
+    return outcomes
 
 
 class Environment:
-    """Owns one run's physical trajectory: a ``StateRing`` of its two latest
-    states (so that the state a step leaves stays readable), the rng stream
-    and the lambda plan."""
+    """Owns the physical trajectories of runs that share their users, grid,
+    QoS and slot length and step in lockstep: a ``StateRing`` of their two
+    latest states (so that the state a step leaves stays readable), and per
+    run a generator and a lambda plan. Built for one run, or for several
+    with ``lockstep``; each run's trajectory is the one it has alone."""
 
     def __init__(
         self,
@@ -422,26 +496,65 @@ class Environment:
         lambda_schedule: Callable[[int], float],
         seed,
     ):
-        layout = UserLayout(users)
-        self.lambda_schedule = lambda_schedule
-        self.rng = np.random.default_rng(seed)  # a Generator is used as it is
+        layout = UserLayout.of(users)
+        self._start(layout, grid, qos, slot_duration, [lambda_schedule], [seed])
+
+    @classmethod
+    def lockstep(
+        cls,
+        users: Iterable[UserTerminal],
+        grid: ResourceGrid,
+        qos: QoSRequirement,
+        slot_duration: float,
+        lambda_schedules: Sequence[Callable[[int], float]],
+        seeds: Sequence,
+    ) -> "Environment":
+        """Runs that step together: run r follows ``lambda_schedules[r]`` and
+        draws from a generator seeded with ``seeds[r]``."""
+        env = cls.__new__(cls)
+        env._start(UserLayout.of(users), grid, qos, slot_duration, lambda_schedules, seeds)
+        return env
+
+    def _start(self, layout, grid, qos, slot_duration, lambda_schedules, seeds):
+        self.lambda_schedules = list(lambda_schedules)
+        # a Generator is used as it is
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.draw = ChannelDraw(layout, grid)
         self.ring = StateRing(2, qos, layout, grid, slot_duration)
         self.now = 0
-        queue = [0.0] * len(layout.urllc)
-        self.ring.put(0, self.draw(self.rng), queue, float(lambda_schedule(0)))
+        snr = np.empty((len(self.rngs), len(layout.ids), grid.num_rbs))
+        self.draw(self.rngs, snr)
+        queue = np.zeros((len(self.rngs), len(layout.urllc)))
+        self.ring.put(0, snr, queue, [float(s(0)) for s in self.lambda_schedules])
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The first run's generator, the only one of a one-run environment."""
+        return self.rngs[0]
 
     @property
     def state(self) -> PhysicalState:
+        """The first run's current state; ``DigitalTwin.record`` of it
+        records every run."""
         return PhysicalState.view(self.ring, self.now)
 
     def step(self, decision: AllocationMatrix) -> SlotOutcome:
-        """Apply an allocation for the current slot and move to the next one
-        (``_step``)."""
-        ring, rng, t = self.ring, self.rng, self.now
-        outcome = _step(ring, t, decision, rng, self.draw, self.lambda_schedule)
-        self.now = t + 1
+        """Apply an allocation for the current slot of a one-run environment
+        and move to the next one (``step_runs``)."""
+        (outcome,) = self.step_runs([decision])
         return outcome
+
+    def step_runs(self, decisions: Sequence[AllocationMatrix]) -> list[SlotOutcome]:
+        """Apply one allocation per run for the current slot and move every
+        run to the next one (``_step``)."""
+        if len(decisions) != len(self.rngs):
+            raise ValueError(f"{len(decisions)} allocations for {len(self.rngs)} runs")
+        t = self.now
+        outcomes = _step(
+            self.ring, t, decisions, self.rngs, self.draw, self.lambda_schedules
+        )
+        self.now = t + 1
+        return outcomes
 
 
 def advance(
@@ -450,12 +563,14 @@ def advance(
     rng: np.random.Generator,
     next_lambda: Optional[float] = None,
 ) -> tuple[PhysicalState, SlotOutcome]:
-    """One slot (``_step``) from ``state``, in a ring of its own: the next
-    state and the slot's outcome. ``next_lambda`` sets the following slot's
-    arrival rate; omitted means unchanged."""
+    """One slot (``_step``) from ``state``, in a one-run ring of its own: the
+    next state and the slot's outcome. ``next_lambda`` sets the following
+    slot's arrival rate; omitted means unchanged."""
     lam = state.lam if next_lambda is None else float(next_lambda)
     ring = state.ring.like(2)
-    ring.put(state.t, state.snr, state.queue, state.lam, state.memo)
+    # A one-run entry's rate memo fits the new ring.
+    memo = state.memo if state.ring.runs == 1 else None
+    ring.put(state.t, state.snr[None], state.queue[None], [state.lam], memo)
     draw = ChannelDraw(ring.layout, ring.grid)
-    outcome = _step(ring, state.t, decision, rng, draw, lambda t: lam)
+    (outcome,) = _step(ring, state.t, [decision], [rng], draw, [lambda t: lam])
     return PhysicalState.view(ring, state.t + 1), outcome

@@ -241,15 +241,16 @@ def feature_encoder(
     rate_at = n_snr + 2 * layout.urllc_rows
     queue_at = rate_at + 1
     embb_entry = qos.embb_min_rate * scaling.slot_duration / ref_bits
+    dim, ref_snr = feature_dim(len(layout.ids), grid.num_rbs), scaling.reference_snr
 
     def encode(snapshot: TwinSnapshot) -> np.ndarray:
         lam = snapshot.lam
-        x = np.zeros(feature_dim(len(layout.ids), grid.num_rbs))
-        x[:n_snr] = (snapshot.snr / scaling.reference_snr).ravel()
+        x = np.zeros(dim)
+        x[:n_snr] = (snapshot.snr / ref_snr).ravel()
         x[rate_at] = (lam / n_urllc) / scaling.reference_lambda
         x[queue_at] = snapshot.queue / ref_bits
         x[-3:] = (embb_entry, (zeta * lam) / ref_bits, qos.urllc_outage_threshold)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("encoded features contain non-finite entries")
         return x
 

@@ -1,12 +1,16 @@
 """Experiment orchestration: the sync -> decide -> advance -> record loop.
 
 One simulated run holds a physical environment, a digital twin fed from it,
-and one policy deciding against twin snapshots. Training runs the same loop
-with the oracle in charge, harvesting (feature, label) pairs from the twin.
+and one policy deciding against twin snapshots. The runs of an experiment
+step in lockstep: one environment and one twin hold all of them on a
+leading run axis, each run with its own generator and policy. Training runs
+the same loop with the oracle in charge, harvesting (feature, label) pairs
+from the twin.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -63,21 +67,28 @@ def _make_policy(
 
 def _slots(
     scenario: Scenario,
-    decide: policy_mod.Policy,
-    seed: Optional[int] = None,
-    lam: Optional[float] = None,
-) -> Iterator[tuple[int, TwinSnapshot, policy_mod.PolicyDecision, SlotOutcome]]:
-    """The slot loop of every run: the twin records the physical state and is
-    asked for a snapshot before the decision is made, so the allocation
-    applied at slot t only ever depends on twin state delivered at or before
-    t; the environment then steps. Yields (t, snapshot, decision, outcome)."""
-    env = scenario.environment(seed=seed, lam_override=lam)
+    decides: Sequence[policy_mod.Policy],
+    seeds: Sequence[Optional[int]],
+    lams: Sequence[Optional[float]],
+) -> Iterator[
+    tuple[
+        int, list[TwinSnapshot], list[policy_mod.PolicyDecision], list[SlotOutcome]
+    ]
+]:
+    """The slot loop of every run, the runs of one scenario in lockstep: run
+    r decides with ``decides[r]`` on the environment of ``seeds[r]`` and
+    ``lams[r]``. The twin records the physical states and is asked for the
+    snapshots before the decisions are made, so the allocation applied at
+    slot t only ever depends on twin state delivered at or before t; the
+    environment then steps. Yields (t, snapshots, decisions, outcomes), one
+    of each per run."""
+    env = scenario.environments(seeds, lams)
     twin = scenario.make_twin()
     for t in range(scenario.horizon_slots):
         twin.record(env.state)
-        snap = twin.snapshot(now=t)
-        decision = decide(snap)
-        yield t, snap, decision, env.step(decision.allocation)
+        snaps = twin.snapshots(now=t)
+        decisions = [decide(snap) for decide, snap in zip(decides, snaps)]
+        yield t, snaps, decisions, env.step_runs([d.allocation for d in decisions])
 
 
 @dataclass
@@ -91,6 +102,76 @@ class RunResult:
     repair_exhausted_slots: int = 0
 
 
+def _simulate(
+    scenario: Scenario,
+    runs: Sequence[tuple[str, Optional[float], Optional[int]]],
+    net: Optional[MLP],
+) -> list[RunResult]:
+    """Simulate every (policy_id, lam, seed) run for the scenario horizon,
+    all in lockstep (``_slots``), and collect each run's per-slot metrics."""
+    decides = [_make_policy(policy_id, scenario, net) for policy_id, _, _ in runs]
+    seeds = [scenario.seed if seed is None else seed for _, _, seed in runs]
+    grid = scenario.grid
+    tau = scenario.slot_duration
+    qos = scenario.qos
+    slots: list[list[SlotMetrics]] = [[] for _ in runs]
+    repair_exhausted = [0] * len(runs)
+
+    # The runs share the twin, so they share its log.
+    twin_log: list[tuple[int, int, int, bool]] = []
+    for t, snaps, decisions, outcomes in _slots(
+        scenario, decides, seeds, [lam for _, lam, _ in runs]
+    ):
+        snap = snaps[0]
+        twin_log.append((t, snap.captured_at, snap.delivered_at, snap.stale_underflow))
+        for r, (decision, outcome) in enumerate(zip(decisions, outcomes)):
+            if decision.constraint_unmet:
+                repair_exhausted[r] += 1
+            # Spectral efficiency counts delivered bits: eMBB is fully
+            # buffered so its capacity is delivered; URLLC delivery is
+            # backlog-limited.
+            se = metrics.spectral_efficiency(
+                [outcome.embb_sum_rate, outcome.urllc_served_total], grid, tau
+            )
+            slots[r].append(
+                SlotMetrics(
+                    t=outcome.t,
+                    sum_rate_embb=outcome.embb_sum_rate,
+                    sum_rate_urllc=outcome.urllc_sum_rate,
+                    spectral_efficiency=se,
+                    outage=metrics.outage_event(
+                        outcome.urllc_sum_rate, qos.urllc_packet_bits, outcome.lambda_t
+                    ),
+                    lambda_t=outcome.lambda_t,
+                )
+            )
+
+    staleness_log = [t - captured for t, captured, _, _ in twin_log]
+    results = []
+    for (policy_id, lam, _), seed, run_slots, exhausted in zip(
+        runs, seeds, slots, repair_exhausted
+    ):
+        scn = scenario if lam is None else scenario.with_lambda(lam)
+        summary = metrics.summarize_run(
+            run_slots,
+            policy_id=policy_id,
+            seed=seed,
+            scenario_hash=scn.hash,
+            window=scenario.outage_window,
+            eps_max=qos.urllc_outage_threshold,
+        )
+        results.append(
+            RunResult(
+                summary=summary,
+                slots=run_slots,
+                staleness_log=list(staleness_log),
+                twin_log=list(twin_log),
+                repair_exhausted_slots=exhausted,
+            )
+        )
+    return results
+
+
 def simulate(
     scenario: Scenario,
     policy_id: str,
@@ -99,59 +180,8 @@ def simulate(
     seed: Optional[int] = None,
     net: Optional[MLP] = None,
 ) -> RunResult:
-    """Run one policy for the scenario horizon (``_slots``) and collect
-    per-slot metrics."""
-    decide = _make_policy(policy_id, scenario, net)
-    run_seed = scenario.seed if seed is None else seed
-
-    grid = scenario.grid
-    tau = scenario.slot_duration
-    qos = scenario.qos
-    slots: list[SlotMetrics] = []
-    staleness_log: list[int] = []
-    repair_exhausted = 0
-
-    twin_log: list[tuple[int, int, int, bool]] = []
-    for t, snap, decision, outcome in _slots(scenario, decide, seed, lam):
-        staleness_log.append(t - snap.captured_at)
-        twin_log.append((t, snap.captured_at, snap.delivered_at, snap.stale_underflow))
-        if decision.constraint_unmet:
-            repair_exhausted += 1
-
-        # Spectral efficiency counts delivered bits: eMBB is fully buffered
-        # so its capacity is delivered; URLLC delivery is backlog-limited.
-        se = metrics.spectral_efficiency(
-            [outcome.embb_sum_rate, outcome.urllc_served_total], grid, tau
-        )
-        slots.append(
-            SlotMetrics(
-                t=outcome.t,
-                sum_rate_embb=outcome.embb_sum_rate,
-                sum_rate_urllc=outcome.urllc_sum_rate,
-                spectral_efficiency=se,
-                outage=metrics.outage_event(
-                    outcome.urllc_sum_rate, qos.urllc_packet_bits, outcome.lambda_t
-                ),
-                lambda_t=outcome.lambda_t,
-            )
-        )
-
-    scn = scenario if lam is None else scenario.with_lambda(lam)
-    summary = metrics.summarize_run(
-        slots,
-        policy_id=policy_id,
-        seed=run_seed,
-        scenario_hash=scn.hash,
-        window=scenario.outage_window,
-        eps_max=qos.urllc_outage_threshold,
-    )
-    return RunResult(
-        summary=summary,
-        slots=slots,
-        staleness_log=staleness_log,
-        twin_log=twin_log,
-        repair_exhausted_slots=repair_exhausted,
-    )
+    """Run one policy for the scenario horizon: ``_simulate`` of one run."""
+    return _simulate(scenario, [(policy_id, lam, seed)], net)[0]
 
 
 def export_twin_log(run: RunResult, path) -> str:
@@ -170,7 +200,8 @@ def _lam_tag(lam: Optional[float]) -> str:
 
 
 def run_experiment(spec: ExperimentSpec) -> list[tuple[str, Optional[float], RunSummary]]:
-    """Simulate every (policy, lambda) pair and write CSVs plus a comparison table.
+    """Simulate every (policy, lambda) pair, all in lockstep, and write CSVs
+    plus a comparison table once every run has succeeded.
 
     Returns the summaries in run order. Each run gets a seed derived from
     the base seed and its position in the cartesian product, so adding runs
@@ -196,30 +227,27 @@ def run_experiment(spec: ExperimentSpec) -> list[tuple[str, Optional[float], Run
             scenario.num_rbs, scenario.n_urllc, scenario.n_embb
         )
 
-    os.makedirs(spec.out_dir, exist_ok=True)
     lambdas: Sequence[Optional[float]] = (
         spec.lambdas if spec.lambdas is not None else (None,)
     )
+    runs = [
+        (policy_id, lam, derive_seed(base_seed, run_index))
+        for run_index, (policy_id, lam) in enumerate(
+            itertools.product(spec.policies, lambdas)
+        )
+    ]
+    # Every run ends and is summarised before anything is written, so a
+    # failing run leaves no files behind.
+    simulated = _simulate(scenario, runs, net)
 
+    os.makedirs(spec.out_dir, exist_ok=True)
     results: list[tuple[str, Optional[float], RunSummary]] = []
-    run_index = 0
-    for policy_id in spec.policies:
-        for lam in lambdas:
-            run = simulate(
-                scenario,
-                policy_id,
-                lam=lam,
-                seed=derive_seed(base_seed, run_index),
-                net=net,
-            )
-            name = f"{policy_id.replace('+', '_')}_lam{_lam_tag(lam)}.csv"
-            metrics.export_csv(run.slots, run.summary, os.path.join(spec.out_dir, name))
-            if spec.dump_twin:
-                export_twin_log(
-                    run, os.path.join(spec.out_dir, name[:-4] + ".twin.csv")
-                )
-            results.append((policy_id, lam, run.summary))
-            run_index += 1
+    for (policy_id, lam, _), run in zip(runs, simulated):
+        name = f"{policy_id.replace('+', '_')}_lam{_lam_tag(lam)}.csv"
+        metrics.export_csv(run.slots, run.summary, os.path.join(spec.out_dir, name))
+        if spec.dump_twin:
+            export_twin_log(run, os.path.join(spec.out_dir, name[:-4] + ".twin.csv"))
+        results.append((policy_id, lam, run.summary))
 
     table = [",".join(COMPARISON_COLUMNS)]
     for policy_id, lam, summary in results:
@@ -262,7 +290,7 @@ def collect_training_data(
 
     X = np.empty((scenario.horizon_slots, nn.feature_dim(len(layout.ids), grid.num_rbs)))
     labels = np.empty((scenario.horizon_slots, grid.num_rbs), dtype=int)
-    for t, snap, decision, _ in _slots(scenario, decide, seed):
+    for t, (snap,), (decision,), _ in _slots(scenario, [decide], [seed], [None]):
         X[t] = encode(snap)
         # A user's label is its column, which is its row.
         labels[t] = decision.allocation.rows_in(layout.ids)

@@ -18,7 +18,7 @@ import enum
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from .domain import ConfigError, QoSRequirement, ResourceGrid, ServiceClass, UserTerminal
 from .envsim import Environment, FadingModel, FadingParams, LinkBudget, db_to_linear
@@ -224,16 +224,26 @@ class Scenario:
         seed: Optional[int] = None,
         lam_override: Optional[float] = None,
     ) -> Environment:
-        schedule = self.lambda_schedule
-        if lam_override is not None:
-            schedule = LambdaSchedule.constant(lam_override)
-        return Environment(
+        return self.environments([seed], [lam_override])
+
+    def environments(
+        self,
+        seeds: Sequence[Optional[int]],
+        lam_overrides: Sequence[Optional[float]],
+    ) -> Environment:
+        """Runs in lockstep, one per (seed, lambda override); a seed of None
+        is the scenario's, a lambda of None its schedule."""
+        schedules = [
+            self.lambda_schedule if lam is None else LambdaSchedule.constant(lam)
+            for lam in lam_overrides
+        ]
+        return Environment.lockstep(
             users=self.users(),
             grid=self.grid,
             qos=self.qos,
             slot_duration=self.slot_duration,
-            lambda_schedule=schedule.at,
-            seed=self.seed if seed is None else seed,
+            lambda_schedules=[schedule.at for schedule in schedules],
+            seeds=[self.seed if seed is None else seed for seed in seeds],
         )
 
     def make_twin(self) -> DigitalTwin:

@@ -1,10 +1,10 @@
 """Digital twin of the physical network state.
 
-The twin copies its run's physical states into a ``StateRing`` of arrays
-of its own, keeping the last ``history_depth`` slots, delivers possibly
-stale snapshots according to a configured delay class, and scores its own
-fidelity against the live physical state. A snapshot is a slot of that
-ring, read in place.
+The twin copies the physical states of the runs it follows into a
+``StateRing`` of arrays of its own, keeping the last ``history_depth``
+slots, delivers possibly stale snapshots according to a configured delay
+class, and scores its own fidelity against the live physical state. A
+snapshot is one run in a slot of that ring, read in place.
 """
 from __future__ import annotations
 
@@ -47,9 +47,10 @@ def delay_to_slots(
 
 
 class TwinSnapshot(PhysicalState):
-    """(channel, traffic, QoS) as of ``captured_at``, delivered at
-    ``delivered_at``: a view of the captured slot in a ``StateRing``, read in
-    place, with ``channel`` and ``traffic`` built on their first read."""
+    """One run's (channel, traffic, QoS) as of ``captured_at``, delivered at
+    ``delivered_at``: a view of the run in the captured slot of a
+    ``StateRing``, read in place, with ``channel`` and ``traffic`` built on
+    their first read."""
 
     __slots__ = ("delivered_at", "stale_underflow")
 
@@ -77,9 +78,14 @@ class TwinSnapshot(PhysicalState):
 
     @classmethod
     def of(
-        cls, ring: StateRing, captured_at: int, delivered_at: int, stale_underflow: bool
+        cls,
+        ring: StateRing,
+        captured_at: int,
+        delivered_at: int,
+        stale_underflow: bool,
+        run: int = 0,
     ) -> "TwinSnapshot":
-        snap = cls.view(ring, captured_at)
+        snap = cls.view(ring, captured_at, run)
         snap.delivered_at, snap.stale_underflow = delivered_at, stale_underflow
         return snap
 
@@ -115,7 +121,8 @@ def sync(
     """
     first = history[0].t
     captured, underflow = _capture(first, history[-1].t, delay_slots, now)
-    return TwinSnapshot.of(history[captured - first].ring, captured, now, underflow)
+    state = history[captured - first]
+    return TwinSnapshot.of(state.ring, captured, now, underflow, state.run)
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,11 @@ class DigitalTwin:
     twin keeps the last ``history_depth`` slots (delay + 1 by default). A
     snapshot is served for up to ``cadence`` slots, so ``record`` copies
     each state into the twin's own ring of ``ring_depth = history_depth +
-    cadence`` slots, sharing the state's rate memo.
+    cadence`` slots, sharing the state's rate memo. A state's ring entry
+    holds every run that steps in lockstep with it; ``record`` copies all
+    of them at once, and the runs share their delay and cadence, so one
+    capture slot serves them all: ``snapshots`` gives one view of it per
+    run, ``snapshot`` the view of the run recorded.
     """
 
     def __init__(
@@ -190,26 +201,37 @@ class DigitalTwin:
         self.ring_depth = depth + cadence
         self.ring: Optional[StateRing] = None
         self._first = self._last = 0
-        self._last_snapshot: Optional[TwinSnapshot] = None
+        self._run = 0
+        self._last_snapshots: list[TwinSnapshot] = []
         self._last_sync_slot: Optional[int] = None
 
     def record(self, physical: PhysicalState) -> None:
+        """Copy the state's slot, for every run of its ring entry."""
         t, i, src = physical.t, physical.held(), physical.ring
         if self.ring is None:
             self.ring, self._first = src.like(self.ring_depth), t
         elif t != self._last + 1:
             raise ValueError(f"slot {t} recorded after slot {self._last}, not next")
         self.ring.put(t, src.snr[i], src.queue[i], src.lam[i], src.memo[i])
-        self._last = t
+        self._last, self._run = t, physical.run
 
-    def snapshot(self, now: int) -> TwinSnapshot:
-        """Deliver the snapshot the application layer sees at slot ``now``."""
+    def snapshots(self, now: int) -> list[TwinSnapshot]:
+        """Deliver the snapshots the application layer sees at slot ``now``,
+        one per run."""
         if self.ring is None:
             raise ValueError("no physical state recorded yet")
         if self._last_sync_slot is None or now - self._last_sync_slot >= self.cadence:
             # history_depth covers the delay, so now - delay never predates
             # the kept slots except before the first one.
             captured, underflow = _capture(self._first, self._last, self.delay_slots, now)
-            self._last_snapshot = TwinSnapshot.of(self.ring, captured, now, underflow)
+            ring = self.ring
+            self._last_snapshots = [
+                TwinSnapshot.of(ring, captured, now, underflow, r) for r in range(ring.runs)
+            ]
             self._last_sync_slot = now
-        return self._last_snapshot
+        return self._last_snapshots
+
+    def snapshot(self, now: int) -> TwinSnapshot:
+        """Deliver the snapshot the application layer sees at slot ``now``,
+        of the run whose state was recorded."""
+        return self.snapshots(now)[self._run]

@@ -236,6 +236,29 @@ def test_run_with_non_finite_rates_fails_and_writes_no_csv(
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failing_experiment_writes_nothing(tmp_path, capsys):
+    """A run that fails leaves no output directory and no file of the runs
+    that succeeded; an output directory that existed is left as it was."""
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(_with_key("users", "embb_mean_snr_db", "3080"))
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine\n")
+    for out in (fresh, kept):
+        code = main(
+            [
+                "compare", "--scenario", str(cfg), "--out", str(out),
+                "--policy", "oracle,orthogonal",
+            ]
+        )
+        assert code == EXIT_RUNTIME
+        assert "runtime error" in capsys.readouterr().err
+    assert not fresh.exists()
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "mine\n"
+
+
 def test_short_history_depth_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_TEXT + "[twin]\ndelay = moderate\nhistory_depth = 2\n")

@@ -204,6 +204,25 @@ def test_block_rates_is_the_scalar_formula_bit_for_bit(snr, bw, tau):
         _assert_scalar_formula(snr, bw, tau)
 
 
+@given(
+    snr=st.tuples(st.integers(1, 6), st.integers(1, 10), st.integers(1, 20)).flatmap(
+        lambda shape: arrays(float, shape, elements=SNR_ENTRIES)
+    ),
+    bw=st.sampled_from([1.8e5, 1e6, sys.float_info.max]),
+    tau=st.sampled_from([1e-3, 0.37]),
+)
+@settings(phases=[Phase.explicit, Phase.generate])
+def test_block_rates_is_the_scalar_formula_on_run_stacks(snr, bw, tau):
+    """The lockstep engine's kernel call covers a (runs, users, blocks)
+    stack; each entry is still the scalar formula, so each run's slice is
+    its own matrix's ``block_rates``."""
+    with np.errstate(over="ignore"):
+        _assert_scalar_formula(snr, bw, tau)
+        stacked = block_rates(snr, bw, tau)
+        for run, own in zip(stacked, snr):
+            assert run.tobytes() == block_rates(own, bw, tau).tobytes()
+
+
 def test_block_rates_is_the_scalar_formula_on_log_uniform_values():
     exponents = np.random.default_rng(2024).uniform(-320.0, 308.25, 10**5)
     snr = (10.0 ** exponents).reshape(200, 500)

@@ -55,6 +55,16 @@ GOLDEN = {
     "overload/oracle_lam400.csv.summary": "41adc7592133f8cab30799bcb7fc0a9b0831c12bcff4868d6d921514c658f8ec",
     "overload/oracle_lam600.csv": "3543ca578a7db1111175cfa40a40767c812073276b12151e278c481548306755",
     "overload/oracle_lam600.csv.summary": "1ab27f7ea935f1fcb10982455f5d495ddda4f15b89d079f1c35500c2989eaf91",
+    "schedule/comparison.csv": "a4bb9f0c40acd0e48c2b01b79fddd6f5bc5846a2be6f6a7c7c1a25591577405e",
+    "schedule/dnn_lamschedule.csv": "2474b97e79a8a0b0002c36e50b61810110cca4713e53afffc19e9a605c117445",
+    "schedule/dnn_lamschedule.csv.summary": "b14d5ce01cb0036ac11c2399adf00f66cae47b823b23e4908e83d891da7d3b6f",
+    "schedule/dnn_lamschedule.twin.csv": "6fe58b1ed6c31c3ed87d35efd98af657046de71a96f628e34002a98a0dbb0953",
+    "schedule/oracle_lamschedule.csv": "7f52c337a26feb052729022374d987375ded061f1ec513017425d865fb2b351c",
+    "schedule/oracle_lamschedule.csv.summary": "12cd2d90565938286f000d3e181885856ae3571b24b1e82c6806c42bc5c25b94",
+    "schedule/oracle_lamschedule.twin.csv": "6fe58b1ed6c31c3ed87d35efd98af657046de71a96f628e34002a98a0dbb0953",
+    "schedule/orthogonal_lamschedule.csv": "97c1eda38acd3a090d2725c396d16d99778b2fbfb19b1330711a38bf5154af98",
+    "schedule/orthogonal_lamschedule.csv.summary": "f81bfeb5aa5851ff2ef03b363233d7bdc75bc7092b6648d3500a4ded97c8eca2",
+    "schedule/orthogonal_lamschedule.twin.csv": "6fe58b1ed6c31c3ed87d35efd98af657046de71a96f628e34002a98a0dbb0953",
     "tiny/comparison.csv": "85ecf7b5fcff7563ee6183b7547b415d3381d03519d548aca0a0dd57278474fe",
     "tiny/oracle_lam16.csv": "c607ccd224b6114e684c02427a0ac7fcf64a903fdd3976947e74f17177709316",
     "tiny/oracle_lam16.csv.summary": "ba86f4cffe6ef7faab524befb327e6b561737380bd3b437d1de46bf9e7f3cc8c",
@@ -76,8 +86,10 @@ def _digests(root: Path) -> dict[str, str]:
 
 
 def golden_run(root: Path) -> dict[str, str]:
-    """Train a tiny net on default.cfg, sweep three policies there, run the
-    greedy oracle there under heavy load, and run the exhaustive oracle on
+    """Train a tiny net on default.cfg, sweep three policies there, run three
+    on its lambda schedule behind a moderate delay delivered every second
+    slot, run the greedy oracle there under heavy load, and run the
+    exhaustive oracle on
     tiny.cfg behind a significant twin delay, then it and orthogonal behind
     a moderate delay delivered every third slot."""
     default = replace(
@@ -128,6 +140,24 @@ def golden_run(root: Path) -> dict[str, str]:
             policies=("orthogonal", "oracle"),
             out_dir=str(root / "cadence"),
             lambdas=(2.0, 8.0),
+            dump_twin=True,
+        )
+    )
+    # Plain dnn, the scenario's own lambda schedule and a snapshot served for
+    # two slots, all on default.cfg in one experiment.
+    runner.run_experiment(
+        ExperimentSpec(
+            scenario=replace(
+                default,
+                horizon_slots=60,
+                outage_window=20,
+                twin_delay=DelayClass.MODERATE,
+                twin_cadence=2,
+            ),
+            policies=("dnn", "orthogonal", "oracle"),
+            out_dir=str(root / "schedule"),
+            lambdas=None,
+            weights_path=artifacts.weights_path,
             dump_twin=True,
         )
     )

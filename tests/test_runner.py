@@ -252,6 +252,62 @@ def test_one_rate_matrix_per_physical_state(
     assert len({id(snr) for snr in computed}) == 100
 
 
+def test_lockstep_experiment_computes_one_rate_matrix_per_slot_for_all_runs(
+    repo_root_scenarios, tmp_path, monkeypatch
+):
+    """``run_experiment`` steps its 2 policies x 3 lambdas in lockstep: 100
+    slots compute 100 rate matrices, each over the states of all 6 runs."""
+    scen = replace(
+        load_scenario(repo_root_scenarios / "tiny.cfg"),
+        horizon_slots=100,
+        twin_delay=DelayClass.SIGNIFICANT,
+    )
+    computed = []
+    kernel = envsim.block_rates
+
+    def counted(snr, bw, tau):
+        computed.append(snr)
+        return kernel(snr, bw, tau)
+
+    monkeypatch.setattr(envsim, "block_rates", counted)
+    runner.run_experiment(
+        ExperimentSpec(
+            scenario=scen,
+            policies=("orthogonal", "oracle"),
+            out_dir=str(tmp_path),
+            lambdas=(1.0, 4.0, 16.0),
+        )
+    )
+    assert len(computed) == 100
+    assert {snr.shape for snr in computed} == {(6, 3, 4)}
+    assert len({id(snr) for snr in computed}) == 100
+
+
+def test_per_call_forms_sort_one_users_tuple_once(monkeypatch):
+    """``oracle_allocate`` and ``encode_features`` called slot after slot with
+    one users tuple derive its layout once; a list is sorted on every call."""
+    from conftest import make_snapshot
+
+    scen = tiny_scenario()
+    users, grid, qos, tau = scen.users(), scen.grid, scen.qos, scen.slot_duration
+    snap = make_snapshot(np.full((3, 4), 5.0), users, lam=2.0)
+    calls = []
+    sort = domain.canonical_users
+
+    def counted_sort(given):
+        calls.append(given)
+        return sort(given)
+
+    monkeypatch.setattr(domain, "canonical_users", counted_sort)
+    for _ in range(50):
+        policy.oracle_allocate(snap, grid, users, qos, tau)
+        nn.encode_features(snap, grid, users, qos, scen.scaling())
+    assert len(calls) == 1
+    for _ in range(2):
+        policy.oracle_allocate(snap, grid, list(users), qos, tau)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("policy_id", runner.POLICY_IDS + ("labels",))
 def test_no_per_slot_user_sorting_or_state_objects(policy_id, monkeypatch):
     """A run derives its user order once (``canonical_users`` runs a fixed
