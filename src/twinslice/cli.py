@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import runner
 from .domain import ConfigError
 from .runner import POLICY_IDS
-from .scenario import ExperimentSpec, Scenario, load_scenario
+from .scenario import ExperimentSpec, Scenario, lam_tag, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -185,9 +185,8 @@ def _cmd_train(args) -> int:
 def _print_results(results) -> None:
     print(f"{'policy':<12} {'lambda':>9} {'mean SE':>10} {'outage':>8} {'exceed':>8}")
     for policy_id, lam, summary in results:
-        lam_s = "schedule" if lam is None else f"{lam:g}"
         print(
-            f"{policy_id:<12} {lam_s:>9} "
+            f"{policy_id:<12} {lam_tag(lam):>9} "
             f"{summary.mean_spectral_efficiency:>10.4f} "
             f"{summary.outage_probability:>8.4f} "
             f"{summary.cdf.exceedance_mass:>8.4f}"

@@ -420,19 +420,42 @@ class SlotOutcome(NamedTuple):
 
     @property
     def urllc_served_total(self) -> float:
-        return float(sum(self.urllc_served_bits.values()))
+        served = list(self.urllc_served_bits.values())
+        return class_sum(served, range(len(served)))  # as SlotColumns.served
+
+
+class SlotColumns(NamedTuple):
+    """One slot of the runs that step in lockstep, run r's values at index r:
+    its arrival rate, its eMBB, URLLC and URLLC-served bit sums, each added
+    in ascending id order (``class_sum``), and the per-user values behind
+    them, in ascending id: every user's rate, the URLLC users' served bits
+    and arrived packets."""
+
+    t: int
+    lam: list[float]
+    embb: list[float]
+    urllc: list[float]
+    served: list[float]
+    rates: list[list[float]]
+    served_bits: list[list[float]]
+    arrivals: list[list[int]]
+
+    def outcome(self, layout: UserLayout, run: int = 0) -> SlotOutcome:
+        """The run's slot as a ``SlotOutcome``, its values by user id."""
+        return SlotOutcome(
+            self.t, dict(zip(layout.ids, self.rates[run])), self.embb[run],
+            self.urllc[run], dict(zip(layout.urllc_ids, self.served_bits[run])),
+            sum(self.arrivals[run]), self.lam[run],
+        )
 
 
 def _step(
-    ring: StateRing,
-    t: int,
-    decisions: Sequence[AllocationMatrix],
-    rngs: Sequence[np.random.Generator],
-    draw: ChannelDraw,
+    ring: StateRing, t: int, decisions: Sequence[AllocationMatrix],
+    rngs: Sequence[np.random.Generator], draw: ChannelDraw,
     lambda_schedules: Sequence[Callable[[int], float]],
-) -> list[SlotOutcome]:
+) -> SlotColumns:
     """The slot kernel: apply one allocation per run to slot t of ``ring``,
-    write slot t + 1 of every run into it and return each run's outcome.
+    write slot t + 1 of every run into it and return the slot's columns.
 
     Order of events within the slot: realise rates against the current
     channel, drain URLLC queues by served bits, add the slot's new
@@ -454,30 +477,30 @@ def _step(
     )
     rates = _user_rates(rows, matrix, idle).tolist()
 
-    urllc, bits = layout.urllc, ring.qos.urllc_packet_bits
+    urllc, bits, lams = layout.urllc, ring.qos.urllc_packet_bits, ring.lam[i]
     n_urllc = len(urllc)
-    outcomes, queues = [], []
-    for rng, lam, queue, own in zip(rngs, ring.lam[i], ring.queue[i].tolist(), rates):
+    served_bits, arrivals, queues = [], [], []
+    for rng, lam, queue, own in zip(rngs, lams, ring.queue[i].tolist(), rates):
         served = [min(q, own[r]) for q, r in zip(queue, urllc)]
         # Independent per-user Poisson(lam/n) streams in one draw; the
         # aggregate stays Poisson(lam). At lam = 0 nothing is drawn.
         if n_urllc > 0 and lam > 0:
-            arrivals = rng.poisson(lam / n_urllc, size=n_urllc).tolist()
+            drawn = rng.poisson(lam / n_urllc, size=n_urllc).tolist()
         else:
-            arrivals = [0] * n_urllc
-        outcomes.append(
-            SlotOutcome(
-                t, dict(zip(layout.ids, own)), class_sum(own, layout.embb),
-                class_sum(own, urllc), dict(zip(layout.urllc_ids, served)),
-                sum(arrivals), lam,
-            )
-        )
-        queues.append([q - s + a * bits for q, s, a in zip(queue, served, arrivals)])
+            drawn = [0] * n_urllc
+        served_bits.append(served)
+        arrivals.append(drawn)
+        queues.append([q - s + a * bits for q, s, a in zip(queue, served, drawn)])
     ring.queue[j] = queues
     ring.lam[j] = [float(schedule(t + 1)) for schedule in lambda_schedules]
     ring.slot[j], ring.memo[j] = t + 1, {}
     draw(rngs, ring.snr[j])
-    return outcomes
+    embb, every = layout.embb, range(n_urllc)
+    return SlotColumns(
+        t, lams, [class_sum(own, embb) for own in rates],
+        [class_sum(own, urllc) for own in rates],
+        [class_sum(served, every) for served in served_bits], rates, served_bits, arrivals,
+    )
 
 
 class Environment:
@@ -541,20 +564,18 @@ class Environment:
     def step(self, decision: AllocationMatrix) -> SlotOutcome:
         """Apply an allocation for the current slot of a one-run environment
         and move to the next one (``step_runs``)."""
-        (outcome,) = self.step_runs([decision])
-        return outcome
+        return self.step_runs([decision]).outcome(self.ring.layout)
 
-    def step_runs(self, decisions: Sequence[AllocationMatrix]) -> list[SlotOutcome]:
+    def step_runs(self, decisions: Sequence[AllocationMatrix]) -> SlotColumns:
         """Apply one allocation per run for the current slot and move every
         run to the next one (``_step``)."""
         if len(decisions) != len(self.rngs):
             raise ValueError(f"{len(decisions)} allocations for {len(self.rngs)} runs")
-        t = self.now
-        outcomes = _step(
-            self.ring, t, decisions, self.rngs, self.draw, self.lambda_schedules
+        slot = _step(
+            self.ring, self.now, decisions, self.rngs, self.draw, self.lambda_schedules
         )
-        self.now = t + 1
-        return outcomes
+        self.now += 1
+        return slot
 
 
 def advance(
@@ -572,5 +593,5 @@ def advance(
     memo = state.memo if state.ring.runs == 1 else None
     ring.put(state.t, state.snr[None], state.queue[None], [state.lam], memo)
     draw = ChannelDraw(ring.layout, ring.grid)
-    (outcome,) = _step(ring, state.t, [decision], [rng], draw, [lambda t: lam])
-    return PhysicalState.view(ring, state.t + 1), outcome
+    columns = _step(ring, state.t, [decision], [rng], draw, [lambda t: lam])
+    return PhysicalState.view(ring, state.t + 1), columns.outcome(ring.layout)

@@ -10,28 +10,24 @@ from the twin.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import metrics, nn, policy as policy_mod
 from .domain import ConfigError, UserLayout
-from .envsim import SlotOutcome
-from .metrics import RunSummary, SlotMetrics
+from .envsim import SlotColumns
+from .metrics import RunRecords, RunSummary, SlotMetrics
 from .nn import MLP, TrainConfig, TrainResult
-from .scenario import ExperimentSpec, Scenario
+from .scenario import ExperimentSpec, Scenario, lam_tag
 from .twin import TwinSnapshot
 
 POLICY_IDS = ("orthogonal", "oracle", "dnn", "dnn+repair")
 
 COMPARISON_COLUMNS = (
-    "policy_id",
-    "lambda",
-    "mean_spectral_efficiency",
-    "outage_probability",
+    "policy_id", "lambda", "mean_spectral_efficiency", "outage_probability",
     "exceedance_mass",
 )
 
@@ -66,22 +62,16 @@ def _make_policy(
 
 
 def _slots(
-    scenario: Scenario,
-    decides: Sequence[policy_mod.Policy],
-    seeds: Sequence[Optional[int]],
-    lams: Sequence[Optional[float]],
-) -> Iterator[
-    tuple[
-        int, list[TwinSnapshot], list[policy_mod.PolicyDecision], list[SlotOutcome]
-    ]
-]:
+    scenario: Scenario, decides: Sequence[policy_mod.Policy],
+    seeds: Sequence[Optional[int]], lams: Sequence[Optional[float]],
+) -> Iterator[tuple[int, list[TwinSnapshot], list[policy_mod.PolicyDecision], SlotColumns]]:
     """The slot loop of every run, the runs of one scenario in lockstep: run
     r decides with ``decides[r]`` on the environment of ``seeds[r]`` and
     ``lams[r]``. The twin records the physical states and is asked for the
     snapshots before the decisions are made, so the allocation applied at
     slot t only ever depends on twin state delivered at or before t; the
-    environment then steps. Yields (t, snapshots, decisions, outcomes), one
-    of each per run."""
+    environment then steps. Yields (t, snapshots, decisions, columns), one
+    snapshot and one decision per run and the slot's per-run columns."""
     env = scenario.environments(seeds, lams)
     twin = scenario.make_twin()
     for t in range(scenario.horizon_slots):
@@ -94,109 +84,85 @@ def _slots(
 @dataclass
 class RunResult:
     summary: RunSummary
-    slots: list[SlotMetrics]
-    # staleness of the snapshot used at each slot, for loop-order checks
-    staleness_log: list[int] = field(default_factory=list)
-    # (t, captured_at, delivered_at, underflow) per slot, for the twin dump
-    twin_log: list[tuple[int, int, int, bool]] = field(default_factory=list)
+    # the run's rows of the experiment's [R, T] record columns
+    records: RunRecords
+    # the twin's [T, 3] (captured_at, delivered_at, stale_underflow), shared
+    twin_log: np.ndarray
     repair_exhausted_slots: int = 0
+
+    @property
+    def slots(self) -> list[SlotMetrics]:
+        """The run's per-slot records, built on each read."""
+        return self.records.slots()
+
+    @property
+    def staleness_log(self) -> np.ndarray:
+        """Staleness of the snapshot used at each slot, for loop-order checks."""
+        return self.records.t - self.twin_log[:, 0]
 
 
 def _simulate(
-    scenario: Scenario,
-    runs: Sequence[tuple[str, Optional[float], Optional[int]]],
+    scenario: Scenario, runs: Sequence[tuple[str, Optional[float], Optional[int]]],
     net: Optional[MLP],
 ) -> list[RunResult]:
     """Simulate every (policy_id, lam, seed) run for the scenario horizon,
-    all in lockstep (``_slots``), and collect each run's per-slot metrics."""
+    all in lockstep (``_slots``). Each slot's columns go into ``[R, T]``
+    arrays, a contiguous row per run, from which each run's records are
+    derived at the end, elementwise."""
     decides = [_make_policy(policy_id, scenario, net) for policy_id, _, _ in runs]
     seeds = [scenario.seed if seed is None else seed for _, _, seed in runs]
-    grid = scenario.grid
-    tau = scenario.slot_duration
-    qos = scenario.qos
-    slots: list[list[SlotMetrics]] = [[] for _ in runs]
+    horizon, qos = scenario.horizon_slots, scenario.qos
+    # lambda, eMBB sum, URLLC sum and served bits of run r at slot t
+    columns = np.empty((4, len(runs), horizon))
+    twin_log = np.empty((horizon, 3), dtype=np.int64)
     repair_exhausted = [0] * len(runs)
-
-    # The runs share the twin, so they share its log.
-    twin_log: list[tuple[int, int, int, bool]] = []
-    for t, snaps, decisions, outcomes in _slots(
+    for t, snaps, decisions, slot in _slots(
         scenario, decides, seeds, [lam for _, lam, _ in runs]
     ):
-        snap = snaps[0]
-        twin_log.append((t, snap.captured_at, snap.delivered_at, snap.stale_underflow))
-        for r, (decision, outcome) in enumerate(zip(decisions, outcomes)):
+        snap = snaps[0]  # the runs share the twin, so they share its log
+        twin_log[t] = snap.captured_at, snap.delivered_at, snap.stale_underflow
+        columns[:, :, t].flat = slot.lam + slot.embb + slot.urllc + slot.served
+        for r, decision in enumerate(decisions):
             if decision.constraint_unmet:
                 repair_exhausted[r] += 1
-            # Spectral efficiency counts delivered bits: eMBB is fully
-            # buffered so its capacity is delivered; URLLC delivery is
-            # backlog-limited.
-            se = metrics.spectral_efficiency(
-                [outcome.embb_sum_rate, outcome.urllc_served_total], grid, tau
-            )
-            slots[r].append(
-                SlotMetrics(
-                    t=outcome.t,
-                    sum_rate_embb=outcome.embb_sum_rate,
-                    sum_rate_urllc=outcome.urllc_sum_rate,
-                    spectral_efficiency=se,
-                    outage=metrics.outage_event(
-                        outcome.urllc_sum_rate, qos.urllc_packet_bits, outcome.lambda_t
-                    ),
-                    lambda_t=outcome.lambda_t,
-                )
-            )
 
-    staleness_log = [t - captured for t, captured, _, _ in twin_log]
+    lam, embb, urllc, served = columns
+    # Spectral efficiency counts delivered bits: eMBB is fully buffered so
+    # its capacity is delivered; URLLC delivery is backlog-limited.
+    se = metrics.spectral_efficiency([embb, served], scenario.grid, scenario.slot_duration)
+    outage = metrics.outage_event(urllc, qos.urllc_packet_bits, lam)
+    t_col = np.arange(horizon)
     results = []
-    for (policy_id, lam, _), seed, run_slots, exhausted in zip(
-        runs, seeds, slots, repair_exhausted
-    ):
-        scn = scenario if lam is None else scenario.with_lambda(lam)
+    for r, ((policy_id, lam_r, _), seed) in enumerate(zip(runs, seeds)):
+        records = RunRecords(t_col, embb[r], urllc[r], se[r], outage[r], lam[r])
+        scn = scenario if lam_r is None else scenario.with_lambda(lam_r)
         summary = metrics.summarize_run(
-            run_slots,
-            policy_id=policy_id,
-            seed=seed,
-            scenario_hash=scn.hash,
-            window=scenario.outage_window,
-            eps_max=qos.urllc_outage_threshold,
+            records, policy_id, seed, scn.hash, scenario.outage_window,
+            qos.urllc_outage_threshold,
         )
-        results.append(
-            RunResult(
-                summary=summary,
-                slots=run_slots,
-                staleness_log=list(staleness_log),
-                twin_log=list(twin_log),
-                repair_exhausted_slots=exhausted,
-            )
-        )
+        results.append(RunResult(summary, records, twin_log, repair_exhausted[r]))
     return results
 
 
 def simulate(
-    scenario: Scenario,
-    policy_id: str,
-    *,
-    lam: Optional[float] = None,
-    seed: Optional[int] = None,
-    net: Optional[MLP] = None,
+    scenario: Scenario, policy_id: str, *, lam: Optional[float] = None,
+    seed: Optional[int] = None, net: Optional[MLP] = None,
 ) -> RunResult:
     """Run one policy for the scenario horizon: ``_simulate`` of one run."""
     return _simulate(scenario, [(policy_id, lam, seed)], net)[0]
 
 
-def export_twin_log(run: RunResult, path) -> str:
-    """Optional per-slot twin dump beside the run CSV: what the application
-    layer saw at each slot and how stale it was."""
+def _twin_log_csv(twin_log: np.ndarray) -> str:
+    """The per-slot twin dump beside each run CSV: what the application
+    layer saw at each slot and how stale it was. The runs of an experiment
+    share the log, so one text serves them all."""
+    captured, delivered, underflow = twin_log.T.tolist()
     lines = ["t,captured_at,delivered_at,staleness,stale_underflow"]
-    for t, captured, delivered, underflow in run.twin_log:
-        lines.append(f"{t},{captured},{delivered},{t - captured},{int(underflow)}")
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
-    return str(path)
-
-
-def _lam_tag(lam: Optional[float]) -> str:
-    return "schedule" if lam is None else f"{lam:g}"
+    lines += (
+        f"{t},{c},{d},{t - c},{u}"
+        for t, (c, d, u) in enumerate(zip(captured, delivered, underflow))
+    )
+    return "\n".join(lines) + "\n"
 
 
 def run_experiment(spec: ExperimentSpec) -> list[tuple[str, Optional[float], RunSummary]]:
@@ -227,41 +193,32 @@ def run_experiment(spec: ExperimentSpec) -> list[tuple[str, Optional[float], Run
             scenario.num_rbs, scenario.n_urllc, scenario.n_embb
         )
 
-    lambdas: Sequence[Optional[float]] = (
-        spec.lambdas if spec.lambdas is not None else (None,)
-    )
+    named = spec.runs()
     runs = [
         (policy_id, lam, derive_seed(base_seed, run_index))
-        for run_index, (policy_id, lam) in enumerate(
-            itertools.product(spec.policies, lambdas)
-        )
+        for run_index, (policy_id, lam, _) in enumerate(named)
     ]
     # Every run ends and is summarised before anything is written, so a
     # failing run leaves no files behind.
     simulated = _simulate(scenario, runs, net)
 
     os.makedirs(spec.out_dir, exist_ok=True)
+    twin_csv = _twin_log_csv(simulated[0].twin_log) if spec.dump_twin else None
     results: list[tuple[str, Optional[float], RunSummary]] = []
-    for (policy_id, lam, _), run in zip(runs, simulated):
-        name = f"{policy_id.replace('+', '_')}_lam{_lam_tag(lam)}.csv"
-        metrics.export_csv(run.slots, run.summary, os.path.join(spec.out_dir, name))
-        if spec.dump_twin:
-            export_twin_log(run, os.path.join(spec.out_dir, name[:-4] + ".twin.csv"))
+    for (policy_id, lam, stem), run in zip(named, simulated):
+        base = os.path.join(spec.out_dir, stem)
+        metrics.export_csv(run.records, run.summary, base + ".csv")
+        if twin_csv is not None:
+            with open(base + ".twin.csv", "w", newline="\n") as f:
+                f.write(twin_csv)
         results.append((policy_id, lam, run.summary))
 
     table = [",".join(COMPARISON_COLUMNS)]
-    for policy_id, lam, summary in results:
-        table.append(
-            ",".join(
-                (
-                    policy_id,
-                    _lam_tag(lam),
-                    f"{summary.mean_spectral_efficiency:.9f}",
-                    f"{summary.outage_probability:.9f}",
-                    f"{summary.cdf.exceedance_mass:.9f}",
-                )
-            )
-        )
+    table += (
+        f"{policy_id},{lam_tag(lam)},{s.mean_spectral_efficiency:.9f},"
+        f"{s.outage_probability:.9f},{s.cdf.exceedance_mass:.9f}"
+        for policy_id, lam, s in results
+    )
     with open(os.path.join(spec.out_dir, "comparison.csv"), "w", newline="\n") as f:
         f.write("\n".join(table) + "\n")
     return results

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
@@ -302,6 +303,11 @@ class Scenario:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
+def lam_tag(lam: Optional[float]) -> str:
+    """A run's lambda as its file names and the comparison table give it."""
+    return "schedule" if lam is None else f"{lam:g}"
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     scenario: Scenario
@@ -318,6 +324,22 @@ class ExperimentSpec:
         lambdas = self.lambdas or ()
         if not all(0 <= v < math.inf for v in lambdas):
             raise ConfigError(f"sweep values must be finite and >= 0, got {lambdas}")
+        stems = [stem for _, _, stem in self.runs()]
+        clash = sorted({stem for stem in stems if stems.count(stem) > 1})
+        if clash:
+            raise ConfigError(
+                f"runs would overwrite each other's {', '.join(c + '.csv' for c in clash)}:"
+                " a policy is named twice, or two lambdas print the same with :g"
+            )
+
+    def runs(self) -> list[tuple[str, Optional[float], str]]:
+        """Every (policy_id, lambda, file stem) run, in run order: each
+        policy with each lambda, or with the scenario schedule (None)."""
+        lambdas = self.lambdas if self.lambdas is not None else (None,)
+        return [
+            (policy_id, lam, f"{policy_id.replace('+', '_')}_lam{lam_tag(lam)}")
+            for policy_id, lam in itertools.product(self.policies, lambdas)
+        ]
 
 
 # -- parsing -----------------------------------------------------------------

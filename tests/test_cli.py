@@ -128,6 +128,25 @@ def test_compare_and_sweep_shapes(tiny_cfg, tmp_path):
     assert len(table) == 3
 
 
+@pytest.mark.parametrize(
+    "policy,lambdas",
+    [("orthogonal", "1,1.0,2"), ("orthogonal,orthogonal", "1"), ("orthogonal", "1,1.0000001")],
+)
+def test_runs_that_would_share_a_file_are_a_config_error(
+    tiny_cfg, tmp_path, capsys, policy, lambdas
+):
+    out = tmp_path / "o"
+    code = main(
+        [
+            "sweep", "--scenario", tiny_cfg, "--out", str(out),
+            "--policy", policy, "--lambdas", lambdas,
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert "orthogonal_lam1.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dump_twin_flag_writes_the_side_log(tiny_cfg, tmp_path):
     out = tmp_path / "o"
     code = main(

@@ -2,10 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from twinslice.domain import ResourceGrid
 from twinslice.metrics import (
     CSV_COLUMNS,
+    OutageCdf,
+    RunSummary,
     SlotMetrics,
     export_csv,
     outage_cdf,
@@ -112,7 +115,7 @@ def test_summary_mean_se_matches_per_slot_mean():
 @pytest.mark.parametrize(
     "column,value",
     [
-        # NaN passes SlotMetrics' sign check: inf / inf bits per Hz
+        # NaN passes the sign check: inf / inf bits per Hz
         ("spectral_efficiency", float("nan")),
         ("sum_rate_embb", float("inf")),
         ("sum_rate_urllc", float("inf")),
@@ -159,9 +162,11 @@ def test_export_csv_is_byte_deterministic(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_slot_metrics_rejects_negative_se():
-    with pytest.raises(ValueError):
-        SlotMetrics(0, 0.0, 0.0, -1.0, False, 0.0)
+def test_summary_rejects_a_negative_spectral_efficiency():
+    slots = _slots(10)
+    slots[4] = replace(slots[4], spectral_efficiency=-1.0)
+    with pytest.raises(ValueError, match="spectral_efficiency must be >= 0"):
+        summarize_run(slots, "orthogonal", 1, "abc", window=5, eps_max=0.07)
 
 
 def test_spectral_efficiency_rejects_zero_bandwidth():
@@ -170,3 +175,41 @@ def test_spectral_efficiency_rejects_zero_bandwidth():
     object.__setattr__(grid, "rb_bandwidth", 0.0)
     with pytest.raises(ValueError):
         spectral_efficiency([1.0], grid, 1.0)
+
+
+# Subnormals, the largest floats and values on a 9-decimal rounding tie.
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
+    5e-10, 0.0000000015, 2.5e-9, 1.0000000005, 123.4567890125,
+    float("inf"), float("-inf"), float("nan"),
+)
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 10**6), FLOATS, FLOATS, FLOATS, st.booleans(), FLOATS),
+        min_size=1,
+        max_size=5,
+    ),
+    policy_id=st.sampled_from(("orthogonal", "dnn+repair", "50%", "%d%%")),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_export_csv_rows_are_the_per_cell_format(tmp_path, rows, policy_id, seed):
+    """Each row's one ``%`` format gives the bytes of the per-cell join
+    (``f"{x:.9f}"`` per float) it replaced."""
+    slots = [SlotMetrics(*row) for row in rows]
+    cdf = OutageCdf((0.0,), (1.0,), 0.0)
+    summary = RunSummary(policy_id, seed, "abc", len(slots), 1, 0.0, 0.0, cdf, 0.0)
+    csv_path, _ = export_csv(slots, summary, tmp_path / "run.csv")
+    want = [",".join(CSV_COLUMNS)]
+    for s in slots:
+        cells = (s.lambda_t, s.sum_rate_embb, s.sum_rate_urllc, s.spectral_efficiency)
+        want.append(
+            ",".join(
+                (str(s.t), policy_id, str(seed), *(f"{x:.9f}" for x in cells),
+                 "1" if s.outage else "0")
+            )
+        )
+    assert open(csv_path, "rb").read() == ("\n".join(want) + "\n").encode()

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -348,3 +349,22 @@ def test_no_per_slot_user_sorting_or_state_objects(policy_id, monkeypatch):
     assert short == long
     assert short["ChannelState"] == short["TrafficState"] == 0
     assert 0 < short["canonical_users"] <= 4
+
+
+def test_run_records_hold_no_per_slot_objects(repo_root_scenarios):
+    """A sweep's results are columns: 5 runs x 2000 tiny.cfg slots keep at
+    most 64 B per run-slot. Per-slot record objects, with their own fields
+    and a per-run copy of the twin log, kept 256 B."""
+    scen = load_scenario(repo_root_scenarios / "tiny.cfg")
+    runs = [("orthogonal", lam, seed) for seed, lam in enumerate((1.0, 2.0, 4.0, 8.0, 16.0))]
+    runner._simulate(replace(scen, horizon_slots=20), runs, None)  # fill caches
+    scen = replace(scen, horizon_slots=2000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = runner._simulate(scen, runs, None)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 5
+    assert held <= 64 * 5 * 2000, f"{held / (5 * 2000):.0f} B per run-slot"
