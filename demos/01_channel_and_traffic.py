@@ -16,8 +16,7 @@ from twinslice.envsim import (
     FadingParams,
     db_to_linear,
     fading_gains,
-    rate_sums,
-    step_channel,
+    user_rates,
 )
 from twinslice.scenario import Scenario
 
@@ -41,11 +40,11 @@ print("2. One slot's SNR matrix for the default 20-user scenario")
 print("=" * 64)
 scen = Scenario()
 users = scen.users()
-ch = step_channel(rng, users, scen.grid)
-print(f"  shape {ch.snr.shape} (users x resource blocks)")
-print(f"  eMBB user 0   mean snr: {ch.snr[0].mean():8.2f} "
+snr = scen.environment().state.snr
+print(f"  shape {snr.shape} (users x resource blocks)")
+print(f"  eMBB user 0   mean snr: {snr[0].mean():8.2f} "
       f"(budget {db_to_linear(users[0].link.mean_snr_db):.2f} linear)")
-print(f"  URLLC user 10 mean snr: {ch.snr[10].mean():8.2f} "
+print(f"  URLLC user 10 mean snr: {snr[10].mean():8.2f} "
       f"(budget {db_to_linear(users[10].link.mean_snr_db):.2f} linear)")
 
 print()
@@ -64,9 +63,17 @@ two = (
     users[0],
     users[10],
 )
-small = step_channel(rng, two, grid)
+env = Environment(
+    users=two,
+    grid=grid,
+    qos=QoSRequirement(),
+    slot_duration=scen.slot_duration,
+    lambda_schedules=[lambda t: 3.0],
+    seeds=[7],
+)
 m = AllocationMatrix((0, 0, 10, 10))
-for uid, bits in rate_sums(m, small, grid, scen.slot_duration).items():
+rates = env.state.rates(grid.rb_bandwidth, scen.slot_duration)
+for uid, bits in zip((0, 10), user_rates(m, (0, 10), rates).tolist()):
     blocks = tuple(b for b, holder in enumerate(m.assignment) if holder == uid)
     print(f"  user {uid:>2} holds blocks {blocks} -> {bits:8.1f} bits/slot")
 
@@ -74,14 +81,6 @@ print()
 print("=" * 64)
 print("5. Stepping the environment drains and refills URLLC queues")
 print("=" * 64)
-env = Environment(
-    users=two,
-    grid=grid,
-    qos=QoSRequirement(),
-    slot_duration=scen.slot_duration,
-    lambda_schedule=lambda t: 3.0,
-    seed=7,
-)
 for _ in range(5):
     out = env.step(m)
     queue = env.state.traffic.urllc_queue[0]

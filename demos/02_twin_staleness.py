@@ -1,4 +1,4 @@
-"""Digital twin lifecycle: sync, staleness and calibration.
+"""Digital twin lifecycle: record, delayed snapshots, staleness and calibration.
 
 Runs the same physical trajectory against twins configured with the three
 delay classes and shows how data freshness degrades twin fidelity.
@@ -12,7 +12,6 @@ from twinslice.twin import (
     DelayClass,
     DigitalTwin,
     calibrate,
-    staleness,
 )
 
 scen = Scenario(n_embb=2, n_urllc=1, num_rbs=4, horizon_slots=40)
@@ -32,7 +31,7 @@ for delay, slots in (
     for t in range(scen.horizon_slots):
         twin.record(env.state)
         snap = twin.snapshot(now=t)
-        ages.append(staleness(snap, t))
+        ages.append(t - snap.captured_at)  # the snapshot's staleness
         report = calibrate(snap, env.state, CalibrationTolerances())
         errors.append(report.mean_abs_snr_error)
         env.step(decision)

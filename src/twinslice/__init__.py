@@ -13,7 +13,6 @@ from .domain import (
     QoSRequirement,
     ResourceGrid,
     ServiceClass,
-    SlotClock,
     TrafficState,
     UserTerminal,
     validate_allocation,
@@ -26,7 +25,6 @@ __all__ = [
     "QoSRequirement",
     "ResourceGrid",
     "ServiceClass",
-    "SlotClock",
     "TrafficState",
     "UserTerminal",
     "validate_allocation",

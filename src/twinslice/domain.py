@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -32,23 +32,6 @@ class ConfigError(ValueError):
 class ServiceClass(enum.Enum):
     EMBB = "embb"
     URLLC = "urllc"
-
-
-@dataclass(frozen=True)
-class SlotClock:
-    """Discrete simulation time: slot index plus the physical slot length."""
-
-    t: int
-    slot_duration: float  # seconds per slot
-
-    def __post_init__(self):
-        if self.t < 0 or int(self.t) != self.t:
-            raise ValueError(f"slot index must be a nonnegative integer, got {self.t}")
-        if not self.slot_duration > 0:
-            raise ValueError(f"slot_duration must be > 0, got {self.slot_duration}")
-
-    def tick(self) -> "SlotClock":
-        return SlotClock(self.t + 1, self.slot_duration)
 
 
 @dataclass(frozen=True)
@@ -220,13 +203,11 @@ class ChannelState:
     """Linear-scale SNR per user per resource block for one slot.
 
     Rows follow ascending user id order; ``user_ids`` records that order
-    explicitly so callers never guess the mapping. ``rate_memo`` keeps the
-    state's rate matrices, filled by ``envsim.rate_matrix``.
+    explicitly so callers never guess the mapping.
     """
 
     snr: np.ndarray  # [num_users, num_rbs]
     user_ids: tuple[int, ...]
-    rate_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         snr = _readonly(self.snr, ndmin=2)
@@ -262,9 +243,6 @@ class TrafficState:
             raise ValueError("urllc_queue length must match urllc_user_ids")
         if (q < 0).any():
             raise ValueError("queues must be >= 0")
-
-    def queue_of(self, user_id: int) -> float:
-        return float(self.urllc_queue[self.urllc_user_ids.index(user_id)])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .domain import (
     ChannelState,
     QoSRequirement,
     ResourceGrid,
-    SlotClock,
     TrafficState,
     UserLayout,
     UserTerminal,
@@ -128,16 +127,6 @@ class ChannelDraw:
         out *= self.means
 
 
-def step_channel(
-    rng: np.random.Generator, users: Iterable[UserTerminal], grid: ResourceGrid
-) -> ChannelState:
-    """Draw one slot's SNR matrix; a one-shot ``ChannelDraw``."""
-    layout = UserLayout.of(users)
-    snr = np.empty((1, len(layout.ids), grid.num_rbs))
-    ChannelDraw(layout, grid)([rng], snr)
-    return ChannelState(snr=snr[0], user_ids=layout.ids)
-
-
 def block_rates(snr: np.ndarray, bw: float, slot_duration: float) -> np.ndarray:
     """The rate kernel: ``bw * log2(1 + snr) * tau`` for every entry.
 
@@ -170,14 +159,6 @@ def memo_rates(
         rates = memo[key] = block_rates(snr, bw, slot_duration)
         rates.setflags(write=False)
     return rates
-
-
-def rate_matrix(
-    ch: ChannelState, grid: ResourceGrid, slot_duration: float
-) -> np.ndarray:
-    """Shannon bits/slot each user would get from each block alone, read-only,
-    computed once per channel state (``memo_rates``)."""
-    return memo_rates(ch.rate_memo, ch.snr, grid.rb_bandwidth, slot_duration)
 
 
 @functools.lru_cache
@@ -233,15 +214,6 @@ def class_sum(values: list[float], rows: Iterable[int]) -> float:
     for r in rows:
         total += values[r]
     return total
-
-
-def rate_sums(
-    m: AllocationMatrix, ch: ChannelState, grid: ResourceGrid, slot_duration: float
-) -> dict[int, float]:
-    """Bits/slot delivered capacity of every user of ``ch`` under an allocation,
-    by id: ``user_rates`` of its ``rate_matrix``."""
-    rates = user_rates(m, ch.user_ids, rate_matrix(ch, grid, slot_duration))
-    return dict(zip(ch.user_ids, rates.tolist()))
 
 
 class StateRing:
@@ -304,42 +276,6 @@ class PhysicalState:
 
     __slots__ = ("ring", "t", "index", "run", "_channel", "_traffic")
 
-    def __init__(
-        self,
-        clock: SlotClock,
-        channel: ChannelState,
-        traffic: TrafficState,
-        qos: QoSRequirement,
-        users: tuple[UserTerminal, ...],
-        grid: ResourceGrid,
-    ):
-        """A hand-built state: a one-slot, one-run ring holding these values."""
-        if channel.snr.shape != (len(users), grid.num_rbs):
-            raise ValueError(
-                f"channel shape {channel.snr.shape} does not match "
-                f"{len(users)} users x {grid.num_rbs} RBs"
-            )
-        ring = StateRing(1, qos, UserLayout.of(users), grid, clock.slot_duration)
-        self._hold(clock.t, channel, traffic, ring)
-
-    def _hold(
-        self, t: int, channel: ChannelState, traffic: TrafficState, ring: StateRing
-    ):
-        """Make this the view of slot t in the one-run ``ring``, put there
-        from hand-built states, which are also what ``channel`` and
-        ``traffic`` read. Their ids must be the ring's users and URLLC users,
-        in ascending order."""
-        layout = ring.layout
-        if channel.user_ids != layout.ids or traffic.urllc_user_ids != layout.urllc_ids:
-            raise ValueError(
-                f"state ids (channel {channel.user_ids}, URLLC "
-                f"{traffic.urllc_user_ids}) do not match the users {layout.ids} "
-                f"(URLLC {layout.urllc_ids})"
-            )
-        ring.put(t, channel.snr[None], traffic.urllc_queue[None], [traffic.urllc_rate])
-        self.ring, self.t, self.index, self.run = ring, t, t % ring.depth, 0
-        self._channel, self._traffic = channel, traffic
-
     @classmethod
     def view(cls, ring: StateRing, t: int, run: int = 0) -> "PhysicalState":
         state = cls.__new__(cls)
@@ -365,11 +301,6 @@ class PhysicalState:
     def lam(self) -> float:
         return self.ring.lam[self.held()][self.run]
 
-    @property
-    def memo(self) -> dict:
-        """The entry's rate memo, shared by all of its runs."""
-        return self.ring.memo[self.held()]
-
     def rates(self, bw: float, slot_duration: float) -> np.ndarray:
         """The run's ``block_rates``, read from the matrices of every run of
         the entry, computed on the entry's first request."""
@@ -391,10 +322,6 @@ class PhysicalState:
                 urllc_user_ids=self.ring.layout.urllc_ids,
             )
         return self._traffic
-
-    @property
-    def clock(self) -> SlotClock:
-        return SlotClock(self.t, self.ring.slot_duration)
 
     @property
     def qos(self) -> QoSRequirement:
@@ -449,66 +376,14 @@ class SlotColumns(NamedTuple):
         )
 
 
-def _step(
-    ring: StateRing, t: int, decisions: Sequence[AllocationMatrix],
-    rngs: Sequence[np.random.Generator], draw: ChannelDraw,
-    lambda_schedules: Sequence[Callable[[int], float]],
-) -> SlotColumns:
-    """The slot kernel: apply one allocation per run to slot t of ``ring``,
-    write slot t + 1 of every run into it and return the slot's columns.
-
-    Order of events within the slot: realise rates against the current
-    channel, drain URLLC queues by served bits, add the slot's new
-    arrivals (packet count times packet size), then tick the clock and
-    draw a fresh channel with the next slot's lambda. Each run draws from
-    its own generator, its arrivals before its next channel.
-    """
-    layout, n_rbs = ring.layout, ring.grid.num_rbs
-    rows, idle = [], False
-    for decision in decisions:
-        own = decision.rows_in(layout.ids)
-        if len(own) != n_rbs:
-            raise ValueError(f"invalid allocation: length {len(own)} != num_rbs {n_rbs}")
-        rows.append(own)
-        idle = idle or decision.idle
-    i, j = t % ring.depth, (t + 1) % ring.depth
-    matrix = memo_rates(
-        ring.memo[i], ring.snr[i], ring.grid.rb_bandwidth, ring.slot_duration
-    )
-    rates = _user_rates(rows, matrix, idle).tolist()
-
-    urllc, bits, lams = layout.urllc, ring.qos.urllc_packet_bits, ring.lam[i]
-    n_urllc = len(urllc)
-    served_bits, arrivals, queues = [], [], []
-    for rng, lam, queue, own in zip(rngs, lams, ring.queue[i].tolist(), rates):
-        served = [min(q, own[r]) for q, r in zip(queue, urllc)]
-        # Independent per-user Poisson(lam/n) streams in one draw; the
-        # aggregate stays Poisson(lam). At lam = 0 nothing is drawn.
-        if n_urllc > 0 and lam > 0:
-            drawn = rng.poisson(lam / n_urllc, size=n_urllc).tolist()
-        else:
-            drawn = [0] * n_urllc
-        served_bits.append(served)
-        arrivals.append(drawn)
-        queues.append([q - s + a * bits for q, s, a in zip(queue, served, drawn)])
-    ring.queue[j] = queues
-    ring.lam[j] = [float(schedule(t + 1)) for schedule in lambda_schedules]
-    ring.slot[j], ring.memo[j] = t + 1, {}
-    draw(rngs, ring.snr[j])
-    embb, every = layout.embb, range(n_urllc)
-    return SlotColumns(
-        t, lams, [class_sum(own, embb) for own in rates],
-        [class_sum(own, urllc) for own in rates],
-        [class_sum(served, every) for served in served_bits], rates, served_bits, arrivals,
-    )
-
-
 class Environment:
     """Owns the physical trajectories of runs that share their users, grid,
     QoS and slot length and step in lockstep: a ``StateRing`` of their two
     latest states (so that the state a step leaves stays readable), and per
-    run a generator and a lambda plan. Built for one run, or for several
-    with ``lockstep``; each run's trajectory is the one it has alone."""
+    run a generator and a lambda plan. Run r follows
+    ``lambda_schedules[r]`` and draws from a generator seeded with
+    ``seeds[r]`` (a Generator is used as it is); its trajectory is the one
+    it has alone."""
 
     def __init__(
         self,
@@ -516,31 +391,11 @@ class Environment:
         grid: ResourceGrid,
         qos: QoSRequirement,
         slot_duration: float,
-        lambda_schedule: Callable[[int], float],
-        seed,
-    ):
-        layout = UserLayout.of(users)
-        self._start(layout, grid, qos, slot_duration, [lambda_schedule], [seed])
-
-    @classmethod
-    def lockstep(
-        cls,
-        users: Iterable[UserTerminal],
-        grid: ResourceGrid,
-        qos: QoSRequirement,
-        slot_duration: float,
         lambda_schedules: Sequence[Callable[[int], float]],
         seeds: Sequence,
-    ) -> "Environment":
-        """Runs that step together: run r follows ``lambda_schedules[r]`` and
-        draws from a generator seeded with ``seeds[r]``."""
-        env = cls.__new__(cls)
-        env._start(UserLayout.of(users), grid, qos, slot_duration, lambda_schedules, seeds)
-        return env
-
-    def _start(self, layout, grid, qos, slot_duration, lambda_schedules, seeds):
+    ):
+        layout = UserLayout.of(users)
         self.lambda_schedules = list(lambda_schedules)
-        # a Generator is used as it is
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.draw = ChannelDraw(layout, grid)
         self.ring = StateRing(2, qos, layout, grid, slot_duration)
@@ -551,11 +406,6 @@ class Environment:
         self.ring.put(0, snr, queue, [float(s(0)) for s in self.lambda_schedules])
 
     @property
-    def rng(self) -> np.random.Generator:
-        """The first run's generator, the only one of a one-run environment."""
-        return self.rngs[0]
-
-    @property
     def state(self) -> PhysicalState:
         """The first run's current state; ``DigitalTwin.record`` of it
         records every run."""
@@ -563,35 +413,62 @@ class Environment:
 
     def step(self, decision: AllocationMatrix) -> SlotOutcome:
         """Apply an allocation for the current slot of a one-run environment
-        and move to the next one (``step_runs``)."""
+        and move to the next one (``step_runs``), as a ``SlotOutcome``."""
         return self.step_runs([decision]).outcome(self.ring.layout)
 
     def step_runs(self, decisions: Sequence[AllocationMatrix]) -> SlotColumns:
-        """Apply one allocation per run for the current slot and move every
-        run to the next one (``_step``)."""
-        if len(decisions) != len(self.rngs):
-            raise ValueError(f"{len(decisions)} allocations for {len(self.rngs)} runs")
-        slot = _step(
-            self.ring, self.now, decisions, self.rngs, self.draw, self.lambda_schedules
+        """The slot kernel: apply one allocation per run to the current slot,
+        write the next slot of every run into the ring, move to it and
+        return the slot's columns.
+
+        Order of events within the slot: realise rates against the current
+        channel, drain URLLC queues by served bits, add the slot's new
+        arrivals (packet count times packet size), then tick the clock and
+        draw a fresh channel with the next slot's lambda. Each run draws from
+        its own generator, its arrivals before its next channel.
+        """
+        ring, t, rngs = self.ring, self.now, self.rngs
+        if len(decisions) != len(rngs):
+            raise ValueError(f"{len(decisions)} allocations for {len(rngs)} runs")
+        layout, n_rbs = ring.layout, ring.grid.num_rbs
+        rows, idle = [], False
+        for decision in decisions:
+            own = decision.rows_in(layout.ids)
+            if len(own) != n_rbs:
+                raise ValueError(
+                    f"invalid allocation: length {len(own)} != num_rbs {n_rbs}"
+                )
+            rows.append(own)
+            idle = idle or decision.idle
+        i, j = t % ring.depth, (t + 1) % ring.depth
+        matrix = memo_rates(
+            ring.memo[i], ring.snr[i], ring.grid.rb_bandwidth, ring.slot_duration
         )
-        self.now += 1
-        return slot
+        rates = _user_rates(rows, matrix, idle).tolist()
 
-
-def advance(
-    state: PhysicalState,
-    decision: AllocationMatrix,
-    rng: np.random.Generator,
-    next_lambda: Optional[float] = None,
-) -> tuple[PhysicalState, SlotOutcome]:
-    """One slot (``_step``) from ``state``, in a one-run ring of its own: the
-    next state and the slot's outcome. ``next_lambda`` sets the following
-    slot's arrival rate; omitted means unchanged."""
-    lam = state.lam if next_lambda is None else float(next_lambda)
-    ring = state.ring.like(2)
-    # A one-run entry's rate memo fits the new ring.
-    memo = state.memo if state.ring.runs == 1 else None
-    ring.put(state.t, state.snr[None], state.queue[None], [state.lam], memo)
-    draw = ChannelDraw(ring.layout, ring.grid)
-    columns = _step(ring, state.t, [decision], [rng], draw, [lambda t: lam])
-    return PhysicalState.view(ring, state.t + 1), columns.outcome(ring.layout)
+        urllc, bits, lams = layout.urllc, ring.qos.urllc_packet_bits, ring.lam[i]
+        n_urllc = len(urllc)
+        served_bits, arrivals, queues = [], [], []
+        for rng, lam, queue, own in zip(rngs, lams, ring.queue[i].tolist(), rates):
+            served = [min(q, own[r]) for q, r in zip(queue, urllc)]
+            # Independent per-user Poisson(lam/n) streams in one draw; the
+            # aggregate stays Poisson(lam). At lam = 0 nothing is drawn.
+            if n_urllc > 0 and lam > 0:
+                drawn = rng.poisson(lam / n_urllc, size=n_urllc).tolist()
+            else:
+                drawn = [0] * n_urllc
+            served_bits.append(served)
+            arrivals.append(drawn)
+            queues.append([q - s + a * bits for q, s, a in zip(queue, served, drawn)])
+        ring.queue[j] = queues
+        ring.lam[j] = [float(schedule(t + 1)) for schedule in self.lambda_schedules]
+        ring.slot[j], ring.memo[j] = t + 1, {}
+        self.draw(rngs, ring.snr[j])
+        self.now = t + 1
+        embb, every = layout.embb, range(n_urllc)
+        return SlotColumns(
+            t, lams, [class_sum(own, embb) for own in rates],
+            [class_sum(own, urllc) for own in rates],
+            [class_sum(served, every) for served in served_bits], rates, served_bits,
+            arrivals,
+        )

@@ -313,7 +313,6 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 32
     seed: int = 0
-    init: str = "glorot"  # "glorot" | "zeros"
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -322,8 +321,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.init not in ("glorot", "zeros"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass
@@ -428,8 +425,9 @@ def save_weights(net: MLP, path, seed: int) -> None:
 
 def load_weights(path) -> tuple[MLP, int]:
     """Inverse of save_weights; the net comes back in the stored dtype. A
-    file that is not a whole weights file of this format version, or that
-    names another dtype, raises ConfigError naming the file and the key."""
+    file that cannot be read, that is not a whole weights file of this
+    format version, or that names another dtype, raises ConfigError naming
+    the file and the key."""
     try:
         with open(path, "rb") as f:
             header = json.loads(f.readline().decode("ascii"))
@@ -453,5 +451,5 @@ def load_weights(path) -> tuple[MLP, int]:
             raise ValueError(f"{len(trailing)} unexpected trailing bytes")
         net = MLP(layer_sizes, output_shape, weights, biases)  # type: ignore[arg-type]
         return net, int(header["seed"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"weights file {path}: {exc}") from exc

@@ -267,14 +267,13 @@ def oracle_policy(
     qos: QoSRequirement,
     slot_duration: float,
     mode: str = "auto",
-    cap: int = EXHAUSTIVE_CAP,
     penalty_weight: Optional[float] = None,
 ) -> Policy:
     """QoS-penalised sum-rate optimiser; training target and test oracle.
 
-    Exhaustive mode (only when num_users ** num_rbs <= cap) scores every
-    assignment at once, in ``itertools.product`` order, with the floats of
-    ``allocation_objective``, and keeps the first best one.
+    Exhaustive mode (only when num_users ** num_rbs <= EXHAUSTIVE_CAP)
+    scores every assignment at once, in ``itertools.product`` order, with
+    the floats of ``allocation_objective``, and keeps the first best one.
 
     Greedy mode, which exhaustive search dominates, assigns blocks one at a
     time to the best (block, user) marginal gain: the rate plus the penalty
@@ -291,11 +290,13 @@ def oracle_policy(
         raise ValueError("need at least one user")
     size = n_users**grid.num_rbs
     if mode == "auto":
-        mode = "exhaustive" if size <= cap else "greedy"
+        mode = "exhaustive" if size <= EXHAUSTIVE_CAP else "greedy"
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown oracle mode {mode!r}")
-    if mode == "exhaustive" and size > cap:
-        raise ValueError(f"exhaustive search of {size} assignments exceeds cap {cap}")
+    if mode == "exhaustive" and size > EXHAUSTIVE_CAP:
+        raise ValueError(
+            f"exhaustive search of {size} assignments exceeds cap {EXHAUSTIVE_CAP}"
+        )
     if mode == "exhaustive":
         every = np.arange(size)
         holders = np.unravel_index(every, (n_users,) * grid.num_rbs)
@@ -332,10 +333,9 @@ def oracle_allocate(
     qos: QoSRequirement,
     slot_duration: float,
     mode: str = "auto",
-    cap: int = EXHAUSTIVE_CAP,
     penalty_weight: Optional[float] = None,
 ) -> PolicyDecision:
-    policy = oracle_policy(grid, users, qos, slot_duration, mode, cap, penalty_weight)
+    policy = oracle_policy(grid, users, qos, slot_duration, mode, penalty_weight)
     return policy(snapshot)
 
 

@@ -1,4 +1,4 @@
-"""Experiment orchestration: the sync -> decide -> advance -> record loop.
+"""Experiment orchestration: the record -> snapshot -> decide -> step loop.
 
 One simulated run holds a physical environment, a digital twin fed from it,
 and one policy deciding against twin snapshots. The runs of an experiment
@@ -255,18 +255,14 @@ def collect_training_data(
 
 
 def build_net(scenario: Scenario, cfg: TrainConfig) -> MLP:
-    """The scenario's net, initialised as ``cfg.init`` says in float64 and
+    """The scenario's net, Glorot-initialised in float64 from ``cfg.seed`` and
     rounded to float32, the precision it trains and serves in."""
     users = scenario.users()
     input_dim = nn.feature_dim(len(users), scenario.num_rbs)
     output_dim = scenario.num_rbs * len(users)
     layer_sizes = [input_dim, *scenario.train.hidden_sizes, output_dim]
     shape = (scenario.num_rbs, len(users))
-    if cfg.init == "zeros":
-        net = MLP.zeros(layer_sizes, shape)
-    else:
-        net = MLP.glorot(layer_sizes, shape, seed=cfg.seed)
-    return net.astype(np.float32)
+    return MLP.glorot(layer_sizes, shape, seed=cfg.seed).astype(np.float32)
 
 
 def train_command(

@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional, Sequence
 from .domain import ConfigError, QoSRequirement, ResourceGrid, ServiceClass, UserTerminal
 from .envsim import Environment, FadingModel, FadingParams, LinkBudget, db_to_linear
 from .nn import FeatureScaling
-from .twin import DelayClass, DigitalTwin, delay_to_slots
+from .twin import DelayClass, DigitalTwin
 
 
 class ScenarioError(ConfigError):
@@ -154,18 +154,7 @@ class Scenario:
             raise ValueError("outage_window must be >= 1")
         if not 0.0 <= self.urllc_fraction <= 1.0:
             raise ValueError("urllc_fraction must be in [0, 1]")
-        if self.twin_cadence < 1:
-            raise ValueError("twin cadence must be >= 1")
-        if self.moderate_slots < 0 or self.significant_slots < self.moderate_slots:
-            raise ValueError("need 0 <= moderate_slots <= significant_slots")
-        depth = delay_to_slots(
-            self.twin_delay, self.moderate_slots, self.significant_slots
-        ) + 1
-        if self.history_depth and self.history_depth < depth:
-            raise ValueError(
-                f"history_depth must be 0 (auto) or >= {depth} to cover the "
-                f"twin delay, got {self.history_depth}"
-            )
+        self.make_twin()  # checks the [twin] keys
         if not self.reference_lambda > 0:
             raise ValueError("reference_lambda must be > 0")
         # Exercise the constituent type invariants now, not at first use.
@@ -238,7 +227,7 @@ class Scenario:
             self.lambda_schedule if lam is None else LambdaSchedule.constant(lam)
             for lam in lam_overrides
         ]
-        return Environment.lockstep(
+        return Environment(
             users=self.users(),
             grid=self.grid,
             qos=self.qos,
@@ -321,6 +310,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.policies:
             raise ConfigError("need at least one policy")
+        if self.lambdas is not None and not self.lambdas:
+            raise ConfigError(
+                "lambdas is empty: give at least one sweep value, or None for "
+                "the scenario schedule"
+            )
         lambdas = self.lambdas or ()
         if not all(0 <= v < math.inf for v in lambdas):
             raise ConfigError(f"sweep values must be finite and >= 0, got {lambdas}")
@@ -504,6 +498,11 @@ def _build_scenario(values: dict[tuple[str, str], object]) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read, parse and validate a scenario file. Pure: no side effects."""
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_scenario_text(f.read())
+    """Read, parse and validate a scenario file. Pure: no side effects. A
+    file that cannot be read as UTF-8 text raises ScenarioError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"scenario file {path}: {exc}") from exc
+    return parse_scenario_text(text)

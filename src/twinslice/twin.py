@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -63,9 +63,10 @@ class TwinSnapshot(PhysicalState):
         qos: QoSRequirement,
         stale_underflow: bool = False,
     ):
-        """A hand-built snapshot: a one-slot ring holding these values. Its
-        users are the channel's ids, the traffic's ids being the URLLC ones;
-        a snapshot knows no link budgets."""
+        """A hand-built snapshot: a one-slot, one-run ring holding these
+        values, which are also what ``channel`` and ``traffic`` read. Its
+        users are the channel's ids; the traffic's ids must be its URLLC
+        users, in ascending order. A snapshot knows no link budgets."""
         if delivered_at < captured_at:
             raise ValueError("delivered_at must be >= captured_at")
         urllc = set(traffic.urllc_user_ids)
@@ -73,7 +74,16 @@ class TwinSnapshot(PhysicalState):
             UserTerminal(i, ServiceClass.URLLC if i in urllc else ServiceClass.EMBB, None)
             for i in channel.user_ids
         )
-        self._hold(captured_at, channel, traffic, StateRing(1, qos, layout))
+        if traffic.urllc_user_ids != layout.urllc_ids:
+            raise ValueError(
+                f"traffic ids {traffic.urllc_user_ids} are not the channel's "
+                f"URLLC users {layout.urllc_ids} in ascending order"
+            )
+        ring = StateRing(1, qos, layout)
+        snr, queue = channel.snr[None], traffic.urllc_queue[None]
+        ring.put(captured_at, snr, queue, [traffic.urllc_rate])
+        self.ring, self.t, self.index, self.run = ring, captured_at, 0, 0
+        self._channel, self._traffic = channel, traffic
         self.delivered_at, self.stale_underflow = delivered_at, stale_underflow
 
     @classmethod
@@ -94,13 +104,6 @@ class TwinSnapshot(PhysicalState):
         return self.t
 
 
-def staleness(s: TwinSnapshot, now: int) -> int:
-    """Age of the snapshot's content relative to the physical clock."""
-    if now < s.captured_at:
-        raise ValueError(f"now={now} precedes captured_at={s.captured_at}")
-    return now - s.captured_at
-
-
 def _capture(first: int, last: int, delay_slots: int, now: int) -> tuple[int, bool]:
     """The slot a snapshot delivered at ``now`` captures from the consecutive
     slots ``first..last``, and whether ``now - delay_slots`` predates them."""
@@ -108,21 +111,6 @@ def _capture(first: int, last: int, delay_slots: int, now: int) -> tuple[int, bo
     if target < first:
         return first, True
     return min(target, last), False
-
-
-def sync(
-    history: Sequence[PhysicalState], delay_slots: int, now: int
-) -> TwinSnapshot:
-    """Deliver the physical state as of ``now - delay_slots``.
-
-    ``history`` holds consecutive slots, oldest first. When the requested
-    slot predates the oldest one, the oldest is delivered with
-    ``stale_underflow`` set rather than failing the loop.
-    """
-    first = history[0].t
-    captured, underflow = _capture(first, history[-1].t, delay_slots, now)
-    state = history[captured - first]
-    return TwinSnapshot.of(state.ring, captured, now, underflow, state.run)
 
 
 @dataclass(frozen=True)
@@ -191,13 +179,16 @@ class DigitalTwin:
         history_depth: Optional[int] = None,
     ):
         if cadence < 1:
-            raise ValueError("cadence must be >= 1")
+            raise ValueError(f"twin cadence must be >= 1, got {cadence}")
         self.delay = delay
         self.delay_slots = delay_to_slots(delay, moderate_slots, significant_slots)
         self.cadence = cadence
         depth = history_depth if history_depth is not None else self.delay_slots + 1
         if depth < self.delay_slots + 1:
-            raise ValueError("history_depth must cover the configured delay")
+            raise ValueError(
+                f"history_depth must be >= {self.delay_slots + 1} to cover "
+                f"the twin delay of {self.delay_slots} slots, got {depth}"
+            )
         self.ring_depth = depth + cadence
         self.ring: Optional[StateRing] = None
         self._first = self._last = 0

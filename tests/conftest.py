@@ -12,7 +12,7 @@ from twinslice.domain import (
     TrafficState,
     UserTerminal,
 )
-from twinslice.envsim import FadingModel, FadingParams, LinkBudget
+from twinslice.envsim import Environment, FadingModel, FadingParams, LinkBudget
 from twinslice.scenario import LambdaSchedule, Scenario
 from twinslice.twin import TwinSnapshot
 
@@ -59,6 +59,20 @@ def make_snapshot(snr, users, lam=0.0, queue=None, qos=None, captured_at=0):
         ),
         qos=qos or QoSRequirement(),
     )
+
+
+def make_env(users, grid, lam=0.0, seed=0, qos=None, slot_duration=1e-3):
+    """A one-run environment whose arrival rate is ``lam`` in every slot."""
+    qos = qos or QoSRequirement()
+    return Environment(users, grid, qos, slot_duration, [lambda t: lam], [seed])
+
+
+def put_state(env, snr, queue, lam):
+    """Write a hand-built state into slot 0 of a fresh one-run environment,
+    in place of its first draw: the next ``env.step`` starts from it."""
+    assert env.now == 0
+    snr, queue = np.asarray(snr, dtype=float), np.asarray(queue, dtype=float)
+    env.ring.put(0, snr[None], queue[None], [lam])
 
 
 def tiny_scenario(horizon=2500, seed=3):

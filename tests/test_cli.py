@@ -73,6 +73,30 @@ def test_missing_scenario_file_is_a_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_scenario_directory_is_a_config_error(tmp_path, capsys):
+    code = main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert f"scenario file {tmp_path}" in capsys.readouterr().err
+
+
+def test_non_utf8_scenario_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(TINY_TEXT.replace("[run]", "# caf\xe9\n[run]").encode("latin-1"))
+    code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert f"scenario file {bad}" in capsys.readouterr().err
+
+
+def test_weights_directory_is_a_config_error(tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(
+        ["eval", "--scenario", tiny_cfg, "--weights", str(tmp_path), "--out", str(out)]
+    )
+    assert code == EXIT_CONFIG
+    assert f"weights file {tmp_path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_policy_flag_is_a_config_error(tiny_cfg, tmp_path):
     code = main(
         ["run", "--scenario", tiny_cfg, "--policy", "genie", "--out", str(tmp_path)]

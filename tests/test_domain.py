@@ -8,7 +8,6 @@ from twinslice.domain import (
     QoSRequirement,
     ResourceGrid,
     ServiceClass,
-    SlotClock,
     TrafficState,
     canonical_users,
     validate_allocation,
@@ -73,15 +72,6 @@ def test_resource_grid_rejects_bad_dims(kwargs):
         ResourceGrid(**kwargs)
 
 
-def test_slot_clock_validation_and_tick():
-    clock = SlotClock(0, 1e-3)
-    assert clock.tick().t == 1
-    with pytest.raises(ValueError):
-        SlotClock(-1, 1e-3)
-    with pytest.raises(ValueError):
-        SlotClock(0, 0.0)
-
-
 def test_qos_defaults_and_ranges():
     qos = QoSRequirement()
     assert qos.urllc_packet_bits == 256  # 32 bytes
@@ -112,7 +102,7 @@ def test_traffic_state_validation():
     with pytest.raises(ValueError):
         TrafficState(urllc_rate=1.0, urllc_queue=[-5.0], urllc_user_ids=(1,))
     tr = TrafficState(urllc_rate=1.0, urllc_queue=[10.0], urllc_user_ids=(7,))
-    assert tr.queue_of(7) == 10.0
+    assert tr.urllc_queue.tolist() == [10.0] and tr.urllc_user_ids == (7,)
 
 
 def test_canonical_users_sorts_and_rejects_duplicates():

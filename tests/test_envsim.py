@@ -14,30 +14,23 @@ import twinslice
 from twinslice.domain import (
     UNASSIGNED,
     AllocationMatrix,
-    ChannelState,
     QoSRequirement,
     ResourceGrid,
     ServiceClass,
-    SlotClock,
-    TrafficState,
 )
 from twinslice.envsim import (
-    Environment,
     FadingModel,
     FadingParams,
     LinkBudget,
-    PhysicalState,
-    advance,
     block_rates,
     db_to_linear,
     fading_gains,
-    rate_matrix,
-    rate_sums,
-    step_channel,
+    user_rates,
 )
 from twinslice.scenario import load_scenario
+from twinslice.twin import DigitalTwin
 
-from conftest import RAYLEIGH, make_users
+from conftest import RAYLEIGH, make_env, make_users, put_state
 
 RICIAN = FadingParams(FadingModel.RICIAN, k_factor=5.0)
 NO_FADING = FadingParams(FadingModel.RICIAN, k_factor=math.inf)
@@ -47,9 +40,8 @@ def test_rician_infinite_k_is_the_no_fading_limit():
     users = make_users(
         1, 0, fading=FadingParams(FadingModel.RICIAN, k_factor=math.inf)
     )
-    grid = ResourceGrid(4, 1e5)
-    ch = step_channel(np.random.default_rng(0), users, grid)
-    assert np.allclose(ch.snr, db_to_linear(10.0))
+    env = make_env(users, ResourceGrid(4, 1e5))
+    assert np.allclose(env.state.snr, db_to_linear(10.0))
 
 
 def test_rayleigh_preserves_mean_snr():
@@ -69,17 +61,13 @@ def test_rician_unit_mean_power():
 def test_step_channel_same_seed_is_bit_identical():
     users = make_users(2, 2)
     grid = ResourceGrid(6, 1e5)
-    a = step_channel(np.random.default_rng(99), users, grid)
-    b = step_channel(np.random.default_rng(99), users, grid)
-    assert np.array_equal(a.snr, b.snr)
+    a, b = make_env(users, grid, seed=99), make_env(users, grid, seed=99)
+    assert np.array_equal(a.state.snr, b.state.snr)
 
 
 def _arrivals(lam, slots, seed):
     """Packets per slot of an environment whose one URLLC user holds no block."""
-    env = Environment(
-        make_users(0, 1), ResourceGrid(2, 1e5), QoSRequirement(), 1e-3,
-        lambda t: lam, seed=seed,
-    )
+    env = make_env(make_users(0, 1), ResourceGrid(2, 1e5), lam=lam, seed=seed)
     idle = AllocationMatrix((UNASSIGNED, UNASSIGNED))
     return np.array([env.step(idle).urllc_arrival_packets for _ in range(slots)])
 
@@ -99,43 +87,38 @@ def test_arrivals_poisson_dispersion():
     assert 0.9 <= ratio <= 1.1
 
 
-def _channel(snr_rows, ids):
-    return ChannelState(snr=np.asarray(snr_rows, dtype=float), user_ids=ids)
-
-
 def test_rate_sums_zero_when_unassigned():
-    ch = _channel([[3.0, 7.0]], (0,))
+    rates = block_rates(np.array([[3.0, 7.0]]), 10.0, 1.0)
     m = AllocationMatrix((UNASSIGNED, UNASSIGNED))
-    assert rate_sums(m, ch, ResourceGrid(2, 10.0), 1.0) == {0: 0.0}
+    assert user_rates(m, (0,), rates).tolist() == [0.0]
 
 
 def test_rate_sums_single_block_closed_form():
     # 1 Hz x 1 s x log2(1 + 1) = 1 bit
-    ch = _channel([[1.0]], (0,))
-    grid = ResourceGrid(1, 1.0)
-    assert rate_matrix(ch, grid, 1.0).tolist() == [[1.0]]
-    assert rate_sums(AllocationMatrix((0,)), ch, grid, 1.0) == {0: 1.0}
+    rates = block_rates(np.array([[1.0]]), 1.0, 1.0)
+    assert rates.tolist() == [[1.0]]
+    assert user_rates(AllocationMatrix((0,)), (0,), rates).tolist() == [1.0]
 
 
 def test_rate_sums_two_blocks_closed_form():
     # 10 Hz x (log2 4 + log2 8) = 50 bits
-    ch = _channel([[3.0, 7.0]], (0,))
-    grid = ResourceGrid(2, 10.0)
-    assert rate_matrix(ch, grid, 1.0).tolist() == [[20.0, 30.0]]
-    assert rate_sums(AllocationMatrix((0, 0)), ch, grid, 1.0) == {0: 50.0}
+    rates = block_rates(np.array([[3.0, 7.0]]), 10.0, 1.0)
+    assert rates.tolist() == [[20.0, 30.0]]
+    assert user_rates(AllocationMatrix((0, 0)), (0,), rates).tolist() == [50.0]
 
 
 def test_rate_matrix_is_the_scalar_term_memoised_read_only():
     users = make_users(3, 2)
     grid = ResourceGrid(9, 1.8e5)
-    ch = step_channel(np.random.default_rng(2), users, grid)
-    rates = rate_matrix(ch, grid, 1e-3)
+    state = make_env(users, grid, seed=2).state
+    rates = state.rates(grid.rb_bandwidth, 1e-3)
     assert rates.tolist() == [
         [grid.rb_bandwidth * math.log2(1.0 + s) * 1e-3 for s in row]
-        for row in ch.snr.tolist()
+        for row in state.snr.tolist()
     ]
-    assert rate_matrix(ch, grid, 1e-3) is rates
-    assert rate_matrix(ch, grid, 2e-3) is not rates
+    # Each read is a view of the state's one memoised matrix per (bw, tau).
+    assert state.rates(grid.rb_bandwidth, 1e-3).base is rates.base
+    assert state.rates(grid.rb_bandwidth, 2e-3).base is not rates.base
     with pytest.raises(ValueError):
         rates[0, 0] = 1.0
 
@@ -268,59 +251,33 @@ def test_log2_is_used_only_by_the_rate_kernel_and_the_penalty_scale():
     ]
 
 
-def _state(users, grid, lam=0.0, queue=None, seed=0):
-    urllc_ids = tuple(u.id for u in users if u.service.value == "urllc")
-    if queue is None:
-        queue = np.zeros(len(urllc_ids))
-    return PhysicalState(
-        clock=SlotClock(0, 1.0),
-        channel=step_channel(np.random.default_rng(seed), users, grid),
-        traffic=TrafficState(
-            urllc_rate=lam, urllc_queue=queue, urllc_user_ids=urllc_ids
-        ),
-        qos=QoSRequirement(),
-        users=users,
-        grid=grid,
-    )
-
-
 def test_advance_null_step_changes_nothing_but_the_clock():
     users = make_users(1, 1)
-    grid = ResourceGrid(3, 1e5)
-    state = _state(users, grid, lam=0.0, queue=np.array([40.0]))
-    nxt, outcome = advance(
-        state, AllocationMatrix((UNASSIGNED,) * 3), np.random.default_rng(1)
-    )
+    env = make_env(users, ResourceGrid(3, 1e5))
+    put_state(env, np.ones((2, 3)), [40.0], 0.0)
+    outcome = env.step(AllocationMatrix((UNASSIGNED,) * 3))
     assert all(r == 0.0 for r in outcome.rates.values())
-    assert nxt.clock.t == 1
-    assert nxt.traffic.urllc_queue[0] == 40.0
+    assert env.state.t == 1
+    assert env.state.traffic.urllc_queue[0] == 40.0
 
 
 def test_advance_queue_bookkeeping():
     # queue 500, capacity makes the user serve 300, no arrivals -> 200 left
     users = make_users(0, 1, urllc_snr=0.0)
-    grid = ResourceGrid(1, 300.0)
-    state = _state(users, grid, lam=0.0, queue=np.array([500.0]))
-    # force snr = 1 so the rate is exactly 300 bits
-    state = PhysicalState(
-        clock=state.clock,
-        channel=_channel([[1.0]], (0,)),
-        traffic=state.traffic,
-        qos=state.qos,
-        users=users,
-        grid=grid,
-    )
-    nxt, outcome = advance(state, AllocationMatrix((0,)), np.random.default_rng(1))
+    env = make_env(users, ResourceGrid(1, 300.0), slot_duration=1.0)
+    # snr = 1, so the rate is exactly 300 bits
+    put_state(env, [[1.0]], [500.0], 0.0)
+    outcome = env.step(AllocationMatrix((0,)))
     assert outcome.rates[0] == pytest.approx(300.0)
     assert outcome.urllc_served_bits[0] == pytest.approx(300.0)
-    assert nxt.traffic.urllc_queue[0] == pytest.approx(200.0)
+    assert env.state.traffic.urllc_queue[0] == pytest.approx(200.0)
 
 
 def test_three_slot_run_is_deterministic():
     def run():
         users = make_users(2, 1)
         grid = ResourceGrid(4, 1e5)
-        env = Environment(users, grid, QoSRequirement(), 1e-3, lambda t: 50.0, seed=5)
+        env = make_env(users, grid, lam=50.0, seed=5)
         m = AllocationMatrix((0, 1, 2, 2))
         return [env.step(m) for _ in range(3)]
 
@@ -334,7 +291,7 @@ def test_three_slot_run_is_deterministic():
 def test_queue_never_negative_and_drain_bounded_by_rate():
     users = make_users(1, 2, urllc_snr=0.0)
     grid = ResourceGrid(4, 1e5)
-    env = Environment(users, grid, QoSRequirement(), 1e-3, lambda t: 30.0, seed=9)
+    env = make_env(users, grid, lam=30.0, seed=9)
     rng = np.random.default_rng(2)
     ids = [u.id for u in users]
     for _ in range(200):
@@ -348,7 +305,7 @@ def test_queue_never_negative_and_drain_bounded_by_rate():
 def test_rate_monotonicity_adding_a_block_never_hurts():
     users = make_users(1, 0)
     grid = ResourceGrid(5, 1e5)
-    ch = step_channel(np.random.default_rng(3), users, grid)
+    rates = make_env(users, grid, seed=3).state.rates(grid.rb_bandwidth, 1e-3)
     rng = np.random.default_rng(4)
     for _ in range(100):
         base = tuple(rng.choice([0, UNASSIGNED], size=5))
@@ -357,46 +314,31 @@ def test_rate_monotonicity_adding_a_block_never_hurts():
         idle = [b for b, v in enumerate(base) if v == UNASSIGNED]
         grown = list(base)
         grown[idle[0]] = 0
-        r0 = rate_sums(AllocationMatrix(base), ch, grid, 1e-3)[0]
-        r1 = rate_sums(AllocationMatrix(tuple(grown)), ch, grid, 1e-3)[0]
+        r0 = user_rates(AllocationMatrix(base), (0,), rates)[0]
+        r1 = user_rates(AllocationMatrix(tuple(grown)), (0,), rates)[0]
         assert r1 >= r0
 
 
 def test_advance_rejects_invalid_allocation():
-    users = make_users(1, 0)
-    grid = ResourceGrid(2, 1e5)
-    state = _state(users, grid)
+    env = make_env(make_users(1, 0), ResourceGrid(2, 1e5))
     with pytest.raises(ValueError, match="invalid allocation"):
-        advance(state, AllocationMatrix((0, 99)), np.random.default_rng(0))
-
-
-def test_hand_built_state_ids_must_be_the_users_in_order():
-    users = make_users(1, 2)  # id 0 eMBB, ids 1 and 2 URLLC
-    grid = ResourceGrid(2, 1e5)
-    state = _state(users, grid)
-    for channel, traffic in (
-        (_channel(np.ones((3, 2)), (0, 1, 5)), state.traffic),
-        (state.channel, TrafficState(0.0, np.zeros(2), (2, 1))),
-        (state.channel, TrafficState(0.0, np.zeros(1), (1,))),
-    ):
-        with pytest.raises(ValueError, match="do not match the users"):
-            PhysicalState(state.clock, channel, traffic, state.qos, users, grid)
+        env.step(AllocationMatrix((0, 99)))
 
 
 def test_a_view_raises_once_its_ring_entry_is_reused():
     users = make_users(1, 1)
-    env = Environment(users, ResourceGrid(2, 1e5), QoSRequirement(), 1e-3, lambda t: 5.0, 3)
+    env = make_env(users, ResourceGrid(2, 1e5), lam=5.0, seed=3)
     state = env.state
     env.step(AllocationMatrix((0, 1)))
     assert state.snr.shape == (2, 2) and state.lam == 5.0  # the step left it
     env.step(AllocationMatrix((0, 1)))  # slot 2 takes slot 0's entry
-    for read in ("snr", "queue", "lam", "memo", "channel", "traffic"):
+    for read in ("snr", "queue", "lam", "channel", "traffic"):
         with pytest.raises(LookupError, match="slot 0 has left"):
             getattr(state, read)
     with pytest.raises(LookupError):
         state.rates(1e5, 1e-3)
     with pytest.raises(LookupError):
-        advance(state, AllocationMatrix((0, 1)), np.random.default_rng(0))
+        DigitalTwin().record(state)
 
 
 def test_link_budget_validation():
@@ -437,11 +379,13 @@ def _mixed_users():
 )
 def test_batched_channel_draw_equals_per_user_draws(users):
     grid = ResourceGrid(7, 1e5)
-    batched, ref = np.random.default_rng(21), np.random.default_rng(21)
-    for _ in range(3):
-        ch = step_channel(batched, users, grid)
-        assert np.array_equal(ch.snr, _per_user_channel(ref, users, grid))
-    assert batched.bit_generator.state == ref.bit_generator.state
+    env, ref = make_env(users, grid, seed=21), np.random.default_rng(21)
+    idle = AllocationMatrix((UNASSIGNED,) * grid.num_rbs)
+    for t in range(3):
+        if t:
+            env.step(idle)  # at lambda 0 a step draws only the next channel
+        assert np.array_equal(env.state.snr, _per_user_channel(ref, users, grid))
+    assert env.rngs[0].bit_generator.state == ref.bit_generator.state
 
 
 def test_rician_gains_draw_real_parts_then_imaginary_parts():
@@ -465,7 +409,7 @@ def test_environment_channel_draws_equal_per_user_draws(source, repo_root_scenar
     else:
         users, grid, lam = _mixed_users(), ResourceGrid(7, 1e5), 30.0
     n_urllc = sum(u.service is ServiceClass.URLLC for u in users)
-    env = Environment(users, grid, QoSRequirement(), 1e-3, lambda t: lam, seed=17)
+    env = make_env(users, grid, lam=lam, seed=17)
     ref = np.random.default_rng(17)
     idle = AllocationMatrix((UNASSIGNED,) * grid.num_rbs)
     for _ in range(200):
@@ -473,7 +417,7 @@ def test_environment_channel_draws_equal_per_user_draws(source, repo_root_scenar
         env.step(idle)
         ref.poisson(lam / n_urllc, size=n_urllc)
     assert (env.state.channel.snr == _per_user_channel(ref, users, grid)).all()
-    assert env.rng.bit_generator.state == ref.bit_generator.state
+    assert env.rngs[0].bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, 30.0])
@@ -481,18 +425,18 @@ def test_single_arrivals_draw_equals_per_user_draws(lam):
     users = make_users(2, 4)
     grid = ResourceGrid(3, 1e5)
     queue = np.array([0.0, 5.0, 17.0, 256.0])
-    state = _state(users, grid, lam=lam, queue=queue)
-    idle = AllocationMatrix((UNASSIGNED,) * 3)
-    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    nxt, outcome = advance(state, idle, rng)
+    env, ref = make_env(users, grid, lam=lam, seed=4), np.random.default_rng(4)
+    _per_user_channel(ref, users, grid)  # slot 0's channel
+    put_state(env, env.state.snr.copy(), queue, lam)
+    outcome = env.step(AllocationMatrix((UNASSIGNED,) * 3))
 
     # Reference: four single-user Poisson(lam / 4) draws; nothing at lam = 0.
     packets = [int(ref.poisson(lam / 4)) if lam else 0 for _ in range(4)]
-    expected_queue = queue + np.array(packets) * state.qos.urllc_packet_bits
+    expected_queue = queue + np.array(packets) * QoSRequirement().urllc_packet_bits
     assert outcome.urllc_arrival_packets == sum(packets)
-    assert np.array_equal(nxt.traffic.urllc_queue, expected_queue)
-    assert np.array_equal(nxt.channel.snr, step_channel(ref, users, grid).snr)
-    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(env.state.traffic.urllc_queue, expected_queue)
+    assert np.array_equal(env.state.snr, _per_user_channel(ref, users, grid))
+    assert env.rngs[0].bit_generator.state == ref.bit_generator.state
 
 
 def _plain_rate(assignment, ch, user_id, bw, tau):
@@ -508,12 +452,12 @@ def _plain_rate(assignment, ch, user_id, bw, tau):
 def test_rate_accumulator_equals_plain_user_block_loop():
     users = make_users(3, 2)
     grid = ResourceGrid(9, 1.8e5)
-    rng = np.random.default_rng(6)
+    env, rng = make_env(users, grid, seed=6), np.random.default_rng(7)
     choices = [u.id for u in users] + [UNASSIGNED]
     for _ in range(200):
-        ch = step_channel(rng, users, grid)
+        ch = env.state.channel
         m = AllocationMatrix(tuple(rng.choice(choices, size=9)))
-        rates = rate_sums(m, ch, grid, 1e-3)
+        rates = env.step(m).rates
         assert list(rates) == [u.id for u in users]
         for u in users:
             expected = _plain_rate(m.assignment, ch, u.id, grid.rb_bandwidth, 1e-3)

@@ -119,12 +119,12 @@ def test_lockstep_runs_equal_each_run_alone(case):
     schedules = [LambdaSchedule(tuple(values), dwell).at for _, values, dwell, _ in runs]
     seeds = [seed for *_, seed in runs]
 
-    env = Environment.lockstep(users, grid, qos, TAU, schedules, seeds)
+    env = Environment(users, grid, qos, TAU, schedules, seeds)
     twin = DigitalTwin(**twin_args)
     decides = [_policy(p, users, grid, qos, fraction, net) for p, *_ in runs]
     alone = [
         (
-            Environment(users, grid, qos, TAU, schedule, seed),
+            Environment(users, grid, qos, TAU, [schedule], [seed]),
             DigitalTwin(**twin_args),
             _policy(p, users, grid, qos, fraction, net),
         )
@@ -145,4 +145,4 @@ def test_lockstep_runs_equal_each_run_alone(case):
             outcome = own_env.step(decision.allocation)
             _same_outcome(columns, r, outcome)
     for rng, (own_env, _, _) in zip(env.rngs, alone):
-        assert rng.bit_generator.state == own_env.rng.bit_generator.state
+        assert rng.bit_generator.state == own_env.rngs[0].bit_generator.state

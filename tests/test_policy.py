@@ -12,7 +12,7 @@ from twinslice.domain import (
     ServiceClass,
     validate_allocation,
 )
-from twinslice.envsim import rate_matrix
+from twinslice.envsim import block_rates
 from twinslice.nn import MLP, FeatureScaling, feature_dim
 from twinslice.policy import (
     EXHAUSTIVE_CAP,
@@ -229,7 +229,7 @@ def _reference_greedy(snap, grid, users, qos, tau, penalty_weight):
     """The greedy oracle as a full rebuild: every step recomputes the whole
     marginal matrix from the current deficits and takes its first maximum
     in (block, user) order."""
-    rates = rate_matrix(snap.channel, grid, tau)
+    rates = block_rates(snap.channel.snr, grid.rb_bandwidth, tau)
     if penalty_weight is None:
         penalty_weight = default_penalty_weight(snap.channel, grid, tau)
     n_users, n_rbs = rates.shape
@@ -457,7 +457,7 @@ def _stepwise_repair(decision, snap, qos, grid, users, tau):
     block, URLLC user) rate is searched afresh and the prediction
     re-evaluated. Returns the assignment, the unmet flag and the prediction
     after each move."""
-    rates = rate_matrix(snap.channel, grid, tau)
+    rates = block_rates(snap.channel.snr, grid.rb_bandwidth, tau)
     service = {u.id: u.service for u in users}
     urllc = [i for i, u in enumerate(users) if u.service is ServiceClass.URLLC]
     target = qos.urllc_packet_bits * snap.traffic.urllc_rate

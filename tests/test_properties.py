@@ -1,10 +1,10 @@
 """Slot invariants on generated scenarios.
 
 Every example builds a small scenario, runs a few slots of the runner's
-sync -> decide -> advance loop under one policy and checks what each slot
-promises: queue bits are conserved, served bits stay within capacity and
-backlog, decisions validate, and at zero twin delay the twin's predicted
-URLLC rate is the realised one, bit for bit. The examples are drawn from a
+record -> snapshot -> decide -> step loop under one policy and checks what
+each slot promises: queue bits are conserved, served bits stay within
+capacity and backlog, decisions validate, and at zero twin delay the twin's
+predicted URLLC rate is the realised one, bit for bit. The examples are drawn from a
 fixed seed (the profile in ``conftest.py``), so every run sees the same ones.
 """
 import math

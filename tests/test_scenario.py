@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from twinslice.domain import ConfigError
 from twinslice.scenario import (
+    ExperimentSpec,
     LambdaSchedule,
     Scenario,
     ScenarioParseError,
@@ -136,6 +138,26 @@ def test_semantic_errors_from_run_section():
         parse_scenario_text("[run]\nhorizon_slots = 0\n")
     with pytest.raises(ScenarioSemanticError, match="urllc_fraction"):
         parse_scenario_text("[run]\nurllc_fraction = 1.5\n")
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("cadence = 0\n", "cadence"),
+        ("moderate_slots = 5\nsignificant_slots = 2\n", "moderate_slots"),
+        ("moderate_slots = -1\n", "moderate_slots"),
+        ("delay = moderate\nhistory_depth = 2\n", "history_depth"),
+        ("history_depth = -1\n", "history_depth"),
+    ],
+)
+def test_twin_section_errors_name_the_key(text, key):
+    with pytest.raises(ScenarioSemanticError, match=key):
+        parse_scenario_text("[twin]\n" + text)
+
+
+def test_an_empty_sweep_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="lambdas is empty"):
+        ExperimentSpec(Scenario(), ("orthogonal",), str(tmp_path), lambdas=())
 
 
 def test_bad_enum_values_report_choices():

@@ -1,28 +1,29 @@
 import numpy as np
 import pytest
 
-from twinslice.domain import AllocationMatrix, QoSRequirement, ResourceGrid
-from twinslice.envsim import Environment
+from twinslice.domain import (
+    AllocationMatrix,
+    ChannelState,
+    QoSRequirement,
+    ResourceGrid,
+    TrafficState,
+)
 from twinslice.nn import FeatureScaling, encode_features
 from twinslice.policy import OrthogonalConfig, oracle_allocate, orthogonal_allocate
 from twinslice.twin import (
     CalibrationTolerances,
     DelayClass,
     DigitalTwin,
+    TwinSnapshot,
     calibrate,
     delay_to_slots,
-    staleness,
-    sync,
 )
 
-from conftest import make_users
+from conftest import make_env, make_users
 
 
 def _env(seed=0, lam=20.0):
-    users = make_users(2, 1)
-    return Environment(
-        users, ResourceGrid(4, 1e5), QoSRequirement(), 1e-3, lambda t: lam, seed=seed
-    )
+    return make_env(make_users(2, 1), ResourceGrid(4, 1e5), lam=lam, seed=seed)
 
 
 def _roll(env, twin, n, assignment=(0, 1, 2, 2)):
@@ -66,22 +67,11 @@ def test_significant_delay_steady_state_staleness():
     for t in range(30):
         twin.record(env.state)
         snap = twin.snapshot(now=t)
-        stalenesses.append(staleness(snap, t))
+        stalenesses.append(t - snap.captured_at)
         env.step(AllocationMatrix((0, 1, 2, 2)))
     assert all(s == 5 for s in stalenesses[5:])
     # warm-up underflow is flagged, not fatal
     assert stalenesses[0] == 0
-
-
-def test_staleness_arithmetic():
-    env = _env()
-    twin = DigitalTwin()
-    _roll(env, twin, 6)
-    snap = twin.snapshot(now=5)
-    assert staleness(snap, 5) == 0
-    assert staleness(snap, 9) == 4
-    with pytest.raises(ValueError):
-        staleness(snap, 4)
 
 
 def test_staleness_monotone_between_syncs():
@@ -91,15 +81,16 @@ def test_staleness_monotone_between_syncs():
     for t in range(9):
         twin.record(env.state)
         snap = twin.snapshot(now=t)
-        ages.append(staleness(snap, t))
+        ages.append(t - snap.captured_at)
         env.step(AllocationMatrix((0, 1, 2, 2)))
     assert ages == [0, 1, 2, 3, 0, 1, 2, 3, 0]
 
 
 def test_sync_underflow_returns_oldest_and_flags():
     env = _env()
-    history = [env.state]
-    snap = sync(history, delay_slots=10, now=0)
+    twin = DigitalTwin(delay=DelayClass.SIGNIFICANT, significant_slots=10)
+    twin.record(env.state)
+    snap = twin.snapshot(now=0)
     assert snap.stale_underflow
     assert snap.captured_at == 0
 
@@ -168,6 +159,15 @@ def test_record_takes_every_slot_in_order():
         twin.record(env.state)
 
 
+def test_hand_built_snapshot_traffic_ids_must_be_the_channel_urllc_users():
+    channel = ChannelState(snr=np.ones((3, 2)), user_ids=(0, 1, 2))
+    TwinSnapshot(0, 0, channel, TrafficState(0.0, np.zeros(2), (1, 2)), QoSRequirement())
+    for ids in ((2, 1), (1, 5), (5,)):
+        traffic = TrafficState(0.0, np.zeros(len(ids)), ids)
+        with pytest.raises(ValueError, match="are not the channel's URLLC users"):
+            TwinSnapshot(0, 0, channel, traffic, QoSRequirement())
+
+
 def test_calibrate_identity_is_exactly_zero():
     env = _env()
     twin = DigitalTwin()
@@ -183,9 +183,6 @@ def test_calibrate_constant_offset_is_measured_exactly():
     twin = DigitalTwin()
     twin.record(env.state)
     snap = twin.snapshot(now=0)
-    from twinslice.domain import ChannelState
-    from twinslice.twin import TwinSnapshot
-
     shifted = TwinSnapshot(
         captured_at=0,
         delivered_at=0,
@@ -215,9 +212,7 @@ def test_calibrate_detects_staleness_on_a_fading_channel():
 
 def test_calibrate_rejects_dimension_mismatch():
     env = _env()
-    other = Environment(
-        make_users(1, 1), ResourceGrid(4, 1e5), QoSRequirement(), 1e-3, lambda t: 0.0, 0
-    )
+    other = make_env(make_users(1, 1), ResourceGrid(4, 1e5))
     twin = DigitalTwin()
     twin.record(env.state)
     with pytest.raises(ValueError, match="dims"):
