@@ -19,12 +19,7 @@ print(f"collected {X.shape[0]} snapshots ({X.shape[1]} features each) "
       f"in {time.time()-t0:.1f}s")
 
 split = 2000
-cfg = nn.TrainConfig(
-    learning_rate=scen.train.learning_rate,
-    epochs=scen.train.epochs,
-    batch_size=scen.train.batch_size,
-    seed=scen.train.seed,
-)
+cfg = scen.train
 net = runner.build_net(scen, cfg)
 uniform = scen.num_rbs * math.log(scen.n_embb + scen.n_urllc)
 print(f"uniform-softmax loss would be {uniform:.3f}")

@@ -16,12 +16,7 @@ from twinslice.scenario import load_scenario
 
 root = Path(__file__).resolve().parent.parent
 scen = replace(load_scenario(root / "scenarios" / "default.cfg"), horizon_slots=1500)
-cfg = nn.TrainConfig(
-    learning_rate=scen.train.learning_rate,
-    epochs=30,
-    batch_size=scen.train.batch_size,
-    seed=scen.train.seed,
-)
+cfg = replace(scen.train, epochs=30)
 
 print("training the allocator against the twin (demo scale)...")
 t0 = time.time()

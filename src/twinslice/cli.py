@@ -112,7 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario) if args.scenario else Scenario()
     if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
+        try:
+            scenario = scenario.with_seed(args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed {args.seed}: {exc}") from exc
     return scenario
 
 

@@ -307,20 +307,24 @@ def loss_and_grads(
     return loss, grads_w, grads_b
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-3
-    epochs: int = 1
-    batch_size: int = 32
+    """The training run: the scenario's ``[train]`` keys, net shape aside."""
+
+    epochs: int = 30
+    learning_rate: float = 0.05
+    batch_size: int = 64
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"[train] seed must be >= 0, got {self.seed}")
 
 
 @dataclass

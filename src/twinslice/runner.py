@@ -170,11 +170,10 @@ def run_experiment(spec: ExperimentSpec) -> list[tuple[str, Optional[float], Run
     plus a comparison table once every run has succeeded.
 
     Returns the summaries in run order. Each run gets a seed derived from
-    the base seed and its position in the cartesian product, so adding runs
-    never perturbs earlier ones.
+    the scenario seed and its position in the cartesian product, so adding
+    runs never perturbs earlier ones.
     """
     scenario = spec.scenario
-    base_seed = scenario.seed if spec.base_seed is None else spec.base_seed
     net: Optional[MLP] = None
     if any(p.startswith("dnn") for p in spec.policies):
         if spec.weights_path is None:
@@ -188,14 +187,9 @@ def run_experiment(spec: ExperimentSpec) -> list[tuple[str, Optional[float], Run
                 f"to {net.output_shape}; the scenario needs {want[0]} to {want[1]}"
             )
 
-    if "orthogonal" in spec.policies:
-        policy_mod.OrthogonalConfig(scenario.urllc_fraction).split(
-            scenario.num_rbs, scenario.n_urllc, scenario.n_embb
-        )
-
     named = spec.runs()
     runs = [
-        (policy_id, lam, derive_seed(base_seed, run_index))
+        (policy_id, lam, derive_seed(scenario.seed, run_index))
         for run_index, (policy_id, lam, _) in enumerate(named)
     ]
     # Every run ends and is summarised before anything is written, so a
@@ -260,7 +254,7 @@ def build_net(scenario: Scenario, cfg: TrainConfig) -> MLP:
     users = scenario.users()
     input_dim = nn.feature_dim(len(users), scenario.num_rbs)
     output_dim = scenario.num_rbs * len(users)
-    layer_sizes = [input_dim, *scenario.train.hidden_sizes, output_dim]
+    layer_sizes = [input_dim, *scenario.hidden_sizes, output_dim]
     shape = (scenario.num_rbs, len(users))
     return MLP.glorot(layer_sizes, shape, seed=cfg.seed).astype(np.float32)
 
@@ -270,19 +264,13 @@ def train_command(
     cfg: Optional[TrainConfig] = None,
     out_dir: str = ".",
 ) -> TrainArtifacts:
-    """Generate oracle-labelled twin data, fit the net, write artifacts.
+    """Generate oracle-labelled twin data, fit the net with ``cfg`` (by
+    default the scenario's ``train``), write artifacts.
 
     Writes ``weights.bin`` (versioned flat binary) and ``loss_curve.csv``
     (one row per optimisation step) into ``out_dir``.
     """
-    if cfg is None:
-        t = scenario.train
-        cfg = TrainConfig(
-            learning_rate=t.learning_rate,
-            epochs=t.epochs,
-            batch_size=t.batch_size,
-            seed=t.seed,
-        )
+    cfg = cfg or scenario.train
     X, labels = collect_training_data(scenario)
     net = build_net(scenario, cfg)
     result = nn.train(net, X, labels, cfg)

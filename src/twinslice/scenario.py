@@ -19,11 +19,12 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Any, Callable, Optional, Sequence
 
 from .domain import ConfigError, QoSRequirement, ResourceGrid, ServiceClass, UserTerminal
 from .envsim import Environment, FadingModel, FadingParams, LinkBudget, db_to_linear
-from .nn import FeatureScaling
+from .nn import FeatureScaling, TrainConfig
 from .twin import DelayClass, DigitalTwin
 
 
@@ -63,25 +64,6 @@ class LambdaSchedule:
 
     def at(self, t: int) -> float:
         return self.values[(t // self.dwell) % len(self.values)]
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    epochs: int = 30
-    learning_rate: float = 0.05
-    batch_size: int = 64
-    hidden_sizes: tuple[int, ...] = (600, 300, 250)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden sizes must be >= 1")
 
 
 #: Default per-class link budget spans; users get evenly staggered means so
@@ -134,7 +116,8 @@ class Scenario:
     urllc_fraction: float = 0.5
     reference_snr_db: float = 10.0
     reference_lambda: float = 100.0
-    train: TrainSettings = field(default_factory=TrainSettings)
+    hidden_sizes: tuple[int, ...] = (600, 300, 250)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.n_embb < 0 or self.n_urllc < 0 or self.n_embb + self.n_urllc < 1:
@@ -148,6 +131,8 @@ class Scenario:
                     f"{name} must be a scalar or one value per user "
                     f"({count}), got {len(snrs)}"
                 )
+        if self.seed < 0:
+            raise ValueError(f"[run] seed must be >= 0, got {self.seed}")
         if self.horizon_slots < 1:
             raise ValueError("horizon_slots must be >= 1")
         if self.outage_window < 1:
@@ -157,6 +142,8 @@ class Scenario:
         self.make_twin()  # checks the [twin] keys
         if not self.reference_lambda > 0:
             raise ValueError("reference_lambda must be > 0")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError("hidden sizes must be >= 1")
         # Exercise the constituent type invariants now, not at first use.
         ResourceGrid(self.num_rbs, self.rb_bandwidth)
         if not math.isfinite(self.num_rbs * self.rb_bandwidth):
@@ -176,6 +163,10 @@ class Scenario:
                     raise ValueError(
                         f"{name} = {snr_db:g} dB has no finite linear value"
                     ) from None
+        if db_to_linear(self.reference_snr_db) == 0.0:  # the encoder divides by it
+            raise ValueError(
+                f"reference_snr_db = {self.reference_snr_db:g} dB has a linear value of 0"
+            )
         if not (math.isfinite(self.slot_duration) and self.slot_duration > 0):
             raise ValueError(
                 f"slot_duration_s must be finite and > 0, got {self.slot_duration}"
@@ -242,7 +233,7 @@ class Scenario:
             moderate_slots=self.moderate_slots,
             significant_slots=self.significant_slots,
             cadence=self.twin_cadence,
-            history_depth=self.history_depth or None,
+            history_depth=self.history_depth,
         )
 
     def with_lambda(self, lam: float) -> "Scenario":
@@ -252,40 +243,16 @@ class Scenario:
         return replace(self, seed=seed)
 
     def canonical_text(self) -> str:
-        """Fully-resolved key=value dump; the basis of the scenario hash."""
-        items = [
-            ("users.embb", self.n_embb),
-            ("users.urllc", self.n_urllc),
-            ("users.embb_mean_snr_db", ",".join(f"{v:g}" for v in self.embb_snrs())),
-            ("users.urllc_mean_snr_db", ",".join(f"{v:g}" for v in self.urllc_snrs())),
-            ("channel.fading", self.fading.model.value),
-            ("channel.rician_k", f"{self.fading.k_factor:g}"),
-            ("grid.num_rbs", self.num_rbs),
-            ("grid.rb_bandwidth_hz", f"{self.rb_bandwidth:g}"),
-            ("grid.slot_duration_s", f"{self.slot_duration:g}"),
-            ("traffic.lambda_values", ",".join(f"{v:g}" for v in self.lambda_schedule.values)),
-            ("traffic.lambda_dwell", self.lambda_schedule.dwell),
-            ("qos.embb_min_rate_bps", f"{self.qos.embb_min_rate:g}"),
-            ("qos.urllc_packet_bits", self.qos.urllc_packet_bits),
-            ("qos.urllc_outage_threshold", f"{self.qos.urllc_outage_threshold:g}"),
-            ("twin.delay", self.twin_delay.value),
-            ("twin.moderate_slots", self.moderate_slots),
-            ("twin.significant_slots", self.significant_slots),
-            ("twin.cadence", self.twin_cadence),
-            ("twin.history_depth", self.history_depth),
-            ("run.seed", self.seed),
-            ("run.horizon_slots", self.horizon_slots),
-            ("run.outage_window", self.outage_window),
-            ("run.urllc_fraction", f"{self.urllc_fraction:g}"),
-            ("features.reference_snr_db", f"{self.reference_snr_db:g}"),
-            ("features.reference_lambda", f"{self.reference_lambda:g}"),
-            ("train.epochs", self.train.epochs),
-            ("train.learning_rate", f"{self.train.learning_rate:g}"),
-            ("train.batch_size", self.train.batch_size),
-            ("train.hidden_sizes", ",".join(str(h) for h in self.train.hidden_sizes)),
-            ("train.seed", self.train.seed),
-        ]
-        return "\n".join(f"{k}={v}" for k, v in items) + "\n"
+        """Fully-resolved key=value dump, one line per key of ``_KEYS`` with
+        the SNRs resolved per user; the schedule's lines hold a constant
+        ``urllc_lambda``. The basis of the scenario hash."""
+        resolved = {"embb_mean_snr_db": self.embb_snrs(), "urllc_mean_snr_db": self.urllc_snrs()}
+        lines = []
+        for (section, key), (kind, name) in _KEYS.items():
+            if key != "urllc_lambda":
+                value = resolved[name] if name in resolved else attrgetter(name)(self)
+                lines.append(f"{section}.{_DUMP_NAMES.get(key, key)}={_format(kind, value)}")
+        return "\n".join(lines) + "\n"
 
     @property
     def hash(self) -> str:
@@ -304,7 +271,6 @@ class ExperimentSpec:
     out_dir: str
     lambdas: Optional[tuple[float, ...]] = None  # None = scenario schedule
     weights_path: Optional[str] = None
-    base_seed: Optional[int] = None  # None = scenario seed
     dump_twin: bool = False  # also write per-slot twin snapshot logs
 
     def __post_init__(self):
@@ -365,17 +331,17 @@ def _ints(raw: str) -> tuple[int, ...]:
 #: (section, key) -> (value kind, the Scenario field it sets). A kind is the
 #: converter whose name parse errors quote; a dotted field sets one attribute
 #: of a nested object. Keys a file leaves out keep their dataclass defaults,
-#: which are the only defaults there are.
+#: which are the only defaults there are. The order is the canonical dump's.
 _KEYS: dict[tuple[str, str], tuple[Callable, str]] = {
     ("users", "embb"): (int, "n_embb"),
     ("users", "urllc"): (int, "n_urllc"),
     ("users", "embb_mean_snr_db"): (_finite_floats, "embb_mean_snr_db"),
     ("users", "urllc_mean_snr_db"): (_finite_floats, "urllc_mean_snr_db"),
+    ("channel", "fading"): (FadingModel, "fading.model"),
+    ("channel", "rician_k"): (_float_or_inf, "fading.k_factor"),
     ("grid", "num_rbs"): (int, "num_rbs"),
     ("grid", "rb_bandwidth_hz"): (_finite_float, "rb_bandwidth"),
     ("grid", "slot_duration_s"): (_finite_float, "slot_duration"),
-    ("channel", "fading"): (FadingModel, "fading.model"),
-    ("channel", "rician_k"): (_float_or_inf, "fading.k_factor"),
     # a constant rate; the builder wraps it in LambdaSchedule.constant
     ("traffic", "urllc_lambda"): (_finite_float, "lambda_schedule"),
     ("traffic", "urllc_lambda_values"): (_finite_floats, "lambda_schedule.values"),
@@ -397,10 +363,26 @@ _KEYS: dict[tuple[str, str], tuple[Callable, str]] = {
     ("train", "epochs"): (int, "train.epochs"),
     ("train", "learning_rate"): (_finite_float, "train.learning_rate"),
     ("train", "batch_size"): (int, "train.batch_size"),
-    ("train", "hidden_sizes"): (_ints, "train.hidden_sizes"),
+    ("train", "hidden_sizes"): (_ints, "hidden_sizes"),
     ("train", "seed"): (int, "train.seed"),
 }
 _SECTIONS = {section for section, _ in _KEYS}
+#: The canonical dump's names of the keys it does not name as the file does.
+_DUMP_NAMES = {"urllc_lambda_values": "lambda_values", "urllc_lambda_dwell": "lambda_dwell"}
+
+
+def _format(kind: Callable, value) -> str:
+    """A value as the canonical dump writes it, by its key's kind, so a
+    float field given an int still prints as a float."""
+    if isinstance(kind, enum.EnumMeta):
+        return value.value
+    if kind is int:
+        return str(value)
+    if kind is _ints:
+        return ",".join(map(str, value))
+    if kind is _finite_floats:
+        return ",".join(f"{v:g}" for v in value)
+    return f"{value:g}"
 
 
 def _parse_value(key: str, kind: Callable, raw: str, line: int, col: int):

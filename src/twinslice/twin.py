@@ -160,7 +160,7 @@ class DigitalTwin:
 
     ``cadence`` throttles deliveries: between due slots the previously
     delivered snapshot is returned unchanged, so its staleness grows. The
-    twin keeps the last ``history_depth`` slots (delay + 1 by default). A
+    twin keeps the last ``history_depth`` slots (0 means delay + 1). A
     snapshot is served for up to ``cadence`` slots, so ``record`` copies
     each state into the twin's own ring of ``ring_depth = history_depth +
     cadence`` slots, sharing the state's rate memo. A state's ring entry
@@ -176,14 +176,14 @@ class DigitalTwin:
         moderate_slots: int = 2,
         significant_slots: int = 20,
         cadence: int = 1,
-        history_depth: Optional[int] = None,
+        history_depth: int = 0,
     ):
         if cadence < 1:
             raise ValueError(f"twin cadence must be >= 1, got {cadence}")
         self.delay = delay
         self.delay_slots = delay_to_slots(delay, moderate_slots, significant_slots)
         self.cadence = cadence
-        depth = history_depth if history_depth is not None else self.delay_slots + 1
+        depth = history_depth or self.delay_slots + 1
         if depth < self.delay_slots + 1:
             raise ValueError(
                 f"history_depth must be >= {self.delay_slots + 1} to cover "

@@ -236,6 +236,7 @@ NON_FINITE = [
     ("users", "embb_mean_snr_db", "4000"),
     ("users", "urllc_mean_snr_db", "4000"),
     ("features", "reference_snr_db", "4000"),
+    ("features", "reference_snr_db", "-4000"),  # the encoder divides by 0.0
 ]
 
 
@@ -254,6 +255,24 @@ def test_non_finite_slot_duration_is_a_config_error(
     code = main([command, "--scenario", str(cfg), "--out", str(out)])
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,argv,named",
+    [
+        (("run", "seed"), ["run"], "[run] seed"),
+        (("train", "seed"), ["train"], "[train] seed"),
+        (None, ["train", "--seed", "-1"], "--seed"),
+    ],
+    ids=["run-seed", "train-seed", "seed-flag"],
+)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, key, argv, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with_key(*key, "-1") if key else TINY_TEXT)
+    out = tmp_path / "o"
+    assert main([*argv, "--scenario", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

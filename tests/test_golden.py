@@ -12,7 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from twinslice import runner
-from twinslice.scenario import ExperimentSpec, TrainSettings, load_scenario
+from twinslice.nn import TrainConfig
+from twinslice.scenario import ExperimentSpec, load_scenario
 from twinslice.twin import DelayClass
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -96,9 +97,8 @@ def golden_run(root: Path) -> dict[str, str]:
         load_scenario(SCENARIOS / "default.cfg"),
         horizon_slots=100,
         outage_window=40,
-        train=TrainSettings(
-            epochs=2, learning_rate=0.02, batch_size=16, hidden_sizes=(16,), seed=0
-        ),
+        hidden_sizes=(16,),
+        train=TrainConfig(epochs=2, learning_rate=0.02, batch_size=16, seed=0),
     )
     artifacts = runner.train_command(default, out_dir=str(root / "train"))
     runner.run_experiment(

@@ -202,6 +202,12 @@ def test_training_aborts_on_divergence():
         train(net, X, labels, TrainConfig(learning_rate=1e9, epochs=50, batch_size=4))
 
 
+@pytest.mark.parametrize("field,value", [("learning_rate", math.inf), ("seed", -1)])
+def test_train_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_tiny_scenario_heldout_accuracy(tiny_trained):
     acc = accuracy(
         tiny_trained["net"], tiny_trained["X_test"], tiny_trained["labels_test"]

@@ -1,9 +1,13 @@
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from twinslice.domain import ConfigError
 from twinslice.scenario import (
+    _KEYS,
     ExperimentSpec,
     LambdaSchedule,
     Scenario,
@@ -181,3 +185,100 @@ def test_scenario_hashes_are_pinned(repo_root_scenarios):
     assert Scenario().hash == "2595e16a582b2909"
     assert load_scenario(repo_root_scenarios / "default.cfg").hash == "b70ba1880bf7290c"
     assert load_scenario(repo_root_scenarios / "tiny.cfg").hash == "30e9a397674938a2"
+
+
+#: Every key set away from its default.
+FULL_TEXT = """\
+[users]
+embb = 3
+urllc = 2
+embb_mean_snr_db = 9.5,11,12.25
+urllc_mean_snr_db = 1.5
+[channel]
+fading = rayleigh
+rician_k = 3.5
+[grid]
+num_rbs = 12
+rb_bandwidth_hz = 180000
+slot_duration_s = 0.0005
+[traffic]
+urllc_lambda_values = 80,140.5
+urllc_lambda_dwell = 50
+[qos]
+embb_min_rate_bps = 2e6
+urllc_packet_bits = 512
+urllc_outage_threshold = 0.05
+[twin]
+delay = moderate
+moderate_slots = 3
+significant_slots = 25
+cadence = 2
+history_depth = 6
+[run]
+seed = 7
+horizon_slots = 300
+outage_window = 50
+urllc_fraction = 0.25
+[features]
+reference_snr_db = 12
+reference_lambda = 150
+[train]
+epochs = 4
+learning_rate = 0.1
+batch_size = 16
+hidden_sizes = 32,16
+seed = 3
+"""
+
+
+def test_canonical_text_dumps_every_key():
+    # Changing any line re-keys every run of a scenario that sets the key.
+    assert parse_scenario_text(FULL_TEXT).canonical_text() == """\
+users.embb=3
+users.urllc=2
+users.embb_mean_snr_db=9.5,11,12.25
+users.urllc_mean_snr_db=1.5,1.5
+channel.fading=rayleigh
+channel.rician_k=3.5
+grid.num_rbs=12
+grid.rb_bandwidth_hz=180000
+grid.slot_duration_s=0.0005
+traffic.lambda_values=80,140.5
+traffic.lambda_dwell=50
+qos.embb_min_rate_bps=2e+06
+qos.urllc_packet_bits=512
+qos.urllc_outage_threshold=0.05
+twin.delay=moderate
+twin.moderate_slots=3
+twin.significant_slots=25
+twin.cadence=2
+twin.history_depth=6
+run.seed=7
+run.horizon_slots=300
+run.outage_window=50
+run.urllc_fraction=0.25
+features.reference_snr_db=12
+features.reference_lambda=150
+train.epochs=4
+train.learning_rate=0.1
+train.batch_size=16
+train.hidden_sizes=32,16
+train.seed=3
+"""
+    constant = parse_scenario_text("[traffic]\nurllc_lambda = 130\n").canonical_text()
+    assert "traffic.lambda_values=130\ntraffic.lambda_dwell=1\n" in constant
+    # a float field prints by its kind, whatever type it was given
+    assert "grid.rb_bandwidth_hz=1e+06\n" in replace(Scenario(), rb_bandwidth=1000000).canonical_text()
+
+
+def test_readme_key_table_names_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("Sections and keys", 1)[1].split("```")[1]
+    named: dict[str, set[str]] = {}
+    section = None
+    for line in table.splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        if header:
+            section = header.group(1)
+        named.setdefault(section, set()).update(re.findall(r"\w+", line))
+    assert [key for key in _KEYS if key[1] not in named.get(key[0], ())] == []

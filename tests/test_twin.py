@@ -41,6 +41,12 @@ def test_delay_class_mapping_is_ordered():
         delay_to_slots(DelayClass.MODERATE, 5, 2)
 
 
+@pytest.mark.parametrize("delay", list(DelayClass))
+def test_a_history_depth_of_0_covers_the_delay(delay):
+    auto = DigitalTwin(delay, history_depth=0)
+    assert auto.ring_depth == DigitalTwin(delay).ring_depth == auto.delay_slots + 2
+
+
 def test_minimal_delay_snapshot_equals_physical():
     env = _env()
     twin = DigitalTwin(delay=DelayClass.MINIMAL)
