@@ -224,20 +224,10 @@ class StateRing:
     ``layout`` order), its URLLC queues ``queue[i, r]`` (ascending id) and
     its arrival rate ``lam[i][r]``, and the entry's rate memo ``memo[i]``,
     where ``block_rates`` of all its runs' SNRs is kept once computed. The
-    arrays take their shape from the first state put in. ``grid`` and
-    ``slot_duration`` are None only in the ring of a hand-built snapshot,
-    which is never stepped."""
+    arrays take their shape from the first state put in."""
 
-    def __init__(
-        self,
-        depth: int,
-        qos: QoSRequirement,
-        layout: UserLayout,
-        grid: Optional[ResourceGrid] = None,
-        slot_duration: Optional[float] = None,
-    ):
+    def __init__(self, depth: int, qos: QoSRequirement, layout: UserLayout):
         self.depth, self.qos, self.layout = depth, qos, layout
-        self.grid, self.slot_duration = grid, slot_duration
         self.snr = self.queue = None
         self.lam: list[list[float]] = [[]] * depth
         self.slot = [-1] * depth
@@ -246,10 +236,6 @@ class StateRing:
     @property
     def runs(self) -> int:
         return self.snr.shape[1]
-
-    def like(self, depth: int) -> "StateRing":
-        """An empty ring of ``depth`` entries with this ring's constants."""
-        return StateRing(depth, self.qos, self.layout, self.grid, self.slot_duration)
 
     def put(
         self, t: int, snr, queue, lam: list[float], memo: Optional[dict] = None
@@ -334,7 +320,8 @@ class SlotOutcome(NamedTuple):
     ``rates`` are Shannon capacities of the allocation (bits/slot);
     ``urllc_sum_rate`` is their sum over URLLC users, the quantity the
     outage contract is written against. ``urllc_served_bits`` is what the
-    backlog actually allowed to be drained, so it never exceeds the rate.
+    backlog actually allowed to be drained, so it never exceeds the rate;
+    ``urllc_served_total`` is their sum, as ``SlotColumns.served``.
     """
 
     t: int
@@ -344,11 +331,7 @@ class SlotOutcome(NamedTuple):
     urllc_served_bits: dict[int, float]
     urllc_arrival_packets: int
     lambda_t: float
-
-    @property
-    def urllc_served_total(self) -> float:
-        served = list(self.urllc_served_bits.values())
-        return class_sum(served, range(len(served)))  # as SlotColumns.served
+    urllc_served_total: float
 
 
 class SlotColumns(NamedTuple):
@@ -372,7 +355,7 @@ class SlotColumns(NamedTuple):
         return SlotOutcome(
             self.t, dict(zip(layout.ids, self.rates[run])), self.embb[run],
             self.urllc[run], dict(zip(layout.urllc_ids, self.served_bits[run])),
-            sum(self.arrivals[run]), self.lam[run],
+            sum(self.arrivals[run]), self.lam[run], self.served[run],
         )
 
 
@@ -398,7 +381,8 @@ class Environment:
         self.lambda_schedules = list(lambda_schedules)
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.draw = ChannelDraw(layout, grid)
-        self.ring = StateRing(2, qos, layout, grid, slot_duration)
+        self.grid, self.slot_duration = grid, slot_duration
+        self.ring = StateRing(2, qos, layout)
         self.now = 0
         snr = np.empty((len(self.rngs), len(layout.ids), grid.num_rbs))
         self.draw(self.rngs, snr)
@@ -430,7 +414,7 @@ class Environment:
         ring, t, rngs = self.ring, self.now, self.rngs
         if len(decisions) != len(rngs):
             raise ValueError(f"{len(decisions)} allocations for {len(rngs)} runs")
-        layout, n_rbs = ring.layout, ring.grid.num_rbs
+        layout, n_rbs = ring.layout, self.grid.num_rbs
         rows, idle = [], False
         for decision in decisions:
             own = decision.rows_in(layout.ids)
@@ -442,7 +426,7 @@ class Environment:
             idle = idle or decision.idle
         i, j = t % ring.depth, (t + 1) % ring.depth
         matrix = memo_rates(
-            ring.memo[i], ring.snr[i], ring.grid.rb_bandwidth, ring.slot_duration
+            ring.memo[i], ring.snr[i], self.grid.rb_bandwidth, self.slot_duration
         )
         rates = _user_rates(rows, matrix, idle).tolist()
 

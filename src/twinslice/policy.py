@@ -28,7 +28,7 @@ from .domain import (
     UserLayout,
     UserTerminal,
 )
-from .envsim import class_sum, user_rates
+from .envsim import _user_rates, class_sum, user_rates
 from .nn import MLP, FeatureScaling, decode_output, feature_encoder, forward
 from .twin import TwinSnapshot
 
@@ -70,7 +70,8 @@ class OrthogonalConfig:
 @dataclass(frozen=True)
 class PolicyDecision:
     """``objective`` is the decision's objective value, or a zero-argument
-    callable that computes it on the first read of ``objective_estimate``."""
+    callable that computes it from the snapshot on the first read of
+    ``objective_estimate``, which raises LookupError once that slot is reused."""
 
     allocation: AllocationMatrix
     objective: Union[float, Callable[[], float]]
@@ -114,9 +115,7 @@ def allocation_objective(
 
     rates = snapshot.rates(grid.rb_bandwidth, slot_duration)
     rates = user_rates(m, layout.ids, rates).tolist()
-    total = embb_deficit = 0.0
-    for r in rates:
-        total += r
+    total, embb_deficit = class_sum(rates, range(len(rates))), 0.0
     for i in layout.embb:
         embb_deficit += max(0.0, min_rate_bits - rates[i])
     urllc_deficit = max(0.0, load - class_sum(rates, layout.urllc))
@@ -335,8 +334,7 @@ def oracle_allocate(
     mode: str = "auto",
     penalty_weight: Optional[float] = None,
 ) -> PolicyDecision:
-    policy = oracle_policy(grid, users, qos, slot_duration, mode, penalty_weight)
-    return policy(snapshot)
+    return oracle_policy(grid, users, qos, slot_duration, mode, penalty_weight)(snapshot)
 
 
 def dynamic_policy(
@@ -379,6 +377,11 @@ def dynamic_allocate(
     return dynamic_policy(net, grid, users, qos, scaling, slot_duration)(snapshot)
 
 
+def _urllc_sum(rows: np.ndarray, idle: bool, rates: np.ndarray, urllc: list) -> float:
+    """Sum URLLC rate of user rows ``rows``, added as the slot kernel adds it."""
+    return class_sum(_user_rates([rows], rates[None], idle)[0].tolist(), urllc)
+
+
 def predicted_urllc_rate(
     m: AllocationMatrix,
     snapshot: TwinSnapshot,
@@ -386,12 +389,11 @@ def predicted_urllc_rate(
     users: Iterable[UserTerminal],
     slot_duration: float,
 ) -> float:
-    """Sum URLLC capacity that a (possibly stale) snapshot predicts for ``m``.
-    It is summed as ``Environment.step`` sums the realised rate, so at zero
-    twin delay the two are equal bit for bit."""
+    """Sum URLLC capacity that a (possibly stale) snapshot predicts for ``m``;
+    at zero twin delay it equals the realised rate bit for bit."""
     layout = UserLayout.of(users)
     rates = snapshot.rates(grid.rb_bandwidth, slot_duration)
-    return class_sum(user_rates(m, layout.ids, rates).tolist(), layout.urllc)
+    return _urllc_sum(m.rows_in(layout.ids), m.idle, rates, layout.urllc)
 
 
 def repair_policy(
@@ -410,39 +412,37 @@ def repair_policy(
     in operation.
     """
     layout = UserLayout.of(users)
-    urllc = layout.urllc
+    urllc, is_urllc = layout.urllc, layout.is_urllc.tolist()
 
     def repair(decision: PolicyDecision, snapshot: TwinSnapshot) -> PolicyDecision:
         rows = decision.allocation.rows_in(layout.ids).tolist()
+        idle = decision.allocation.idle  # a move never frees or fills a block
+        rates = snapshot.rates(grid.rb_bandwidth, slot_duration)
         target = qos.urllc_packet_bits * snapshot.lam
         moves: list[tuple[int, int]] = []  # (block, new holder) in the order made
         if urllc:
-            gain = snapshot.rates(grid.rb_bandwidth, slot_duration)[urllc]
+            gain = rates[urllc]
             top, best = gain.max(axis=0).tolist(), gain.argmax(axis=0).tolist()
-            held = [b for b, r in enumerate(rows) if r != UNASSIGNED]
-            embb_blocks = [b for b in held if not layout.is_urllc[rows[b]]]
-            # A move leaves the other blocks' rates as they are, so the order
-            # is fixed: highest rate first, then the lowest block, then the
-            # lowest id.
-            order = sorted(embb_blocks, key=lambda b: -top[b])
-            moves = [(b, urllc[best[b]]) for b in order]
+            embb = [b for b, r in enumerate(rows) if r != UNASSIGNED and not is_urllc[r]]
+            # A move leaves the other blocks' rates as they are, so the order is
+            # fixed: highest rate first, then the lowest block, then the lowest id.
+            moves = [(b, urllc[best[b]]) for b in sorted(embb, key=lambda b: -top[b])]
 
-        def after(k: int) -> AllocationMatrix:
+        def after(k: int) -> list[int]:
             moved = rows.copy()
             for b, r in moves[:k]:
                 moved[b] = r
-            return AllocationMatrix.of_rows(moved, layout)
-
-        def covered(k: int) -> bool:
-            m = after(k)
-            return predicted_urllc_rate(m, snapshot, grid, layout, slot_duration) > target
+            return moved
 
         # R <= load is an outage (metrics.outage_event), so an exact hit is
         # repaired too: at zero load, URLLC still gets a block. A move adds a
         # rate >= 0 to one user's sum, which never lowers the prediction, so
         # bisection finds the first move count that clears the load.
-        k = bisect_left(range(len(moves) + 1), True, key=covered)
-        m = after(k)
+        k = bisect_left(
+            range(len(moves) + 1), True,
+            key=lambda k: _urllc_sum(np.array(after(k)), idle, rates, urllc) > target,
+        )
+        m = AllocationMatrix.of_rows(after(k), layout)
         objective = partial(
             allocation_objective, m, snapshot, grid, layout, qos, slot_duration
         )

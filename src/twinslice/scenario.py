@@ -163,9 +163,14 @@ class Scenario:
                     raise ValueError(
                         f"{name} = {snr_db:g} dB has no finite linear value"
                     ) from None
-        if db_to_linear(self.reference_snr_db) == 0.0:  # the encoder divides by it
+        # The encoder divides SNRs by the reference: 1 / ref and the largest
+        # mean SNR / ref must be finite.
+        ref = db_to_linear(self.reference_snr_db)
+        peak = max(1.0, *map(db_to_linear, self.embb_snrs() + self.urllc_snrs()))
+        if ref == 0.0 or not math.isfinite(peak / ref):
             raise ValueError(
-                f"reference_snr_db = {self.reference_snr_db:g} dB has a linear value of 0"
+                f"reference_snr_db = {self.reference_snr_db:g} dB is too small: "
+                f"the feature encoder divides SNRs up to {peak:g} by it"
             )
         if not (math.isfinite(self.slot_duration) and self.slot_duration > 0):
             raise ValueError(

@@ -135,17 +135,16 @@ def calibrate(
     physical: PhysicalState,
     tolerances: CalibrationTolerances = CalibrationTolerances(),
 ) -> CalibrationReport:
-    """Score twin-vs-physical divergence field by field."""
-    if twin.channel.snr.shape != physical.channel.snr.shape:
+    """Score twin-vs-physical divergence field by field, on the arrays."""
+    snr_t, snr_p = twin.snr, physical.snr
+    if snr_t.shape != snr_p.shape:
         raise ValueError(
-            f"channel dims differ: twin {twin.channel.snr.shape} vs "
-            f"physical {physical.channel.snr.shape}"
+            f"channel dims differ: twin {snr_t.shape} vs physical {snr_p.shape}"
         )
-    if twin.traffic.urllc_user_ids != physical.traffic.urllc_user_ids:
+    if twin.ring.layout.urllc_ids != physical.ring.layout.urllc_ids:
         raise ValueError("URLLC user sets differ between twin and physical")
-    snr_err = float(np.mean(np.abs(twin.channel.snr - physical.channel.snr)))
-    queues_t = twin.traffic.urllc_queue
-    queues_p = physical.traffic.urllc_queue
+    snr_err = float(np.mean(np.abs(snr_t - snr_p)))
+    queues_t, queues_p = twin.queue, physical.queue
     queue_err = float(np.mean(np.abs(queues_t - queues_p))) if queues_t.size else 0.0
     passed = (
         snr_err <= tolerances.mean_abs_snr_error
@@ -200,7 +199,7 @@ class DigitalTwin:
         """Copy the state's slot, for every run of its ring entry."""
         t, i, src = physical.t, physical.held(), physical.ring
         if self.ring is None:
-            self.ring, self._first = src.like(self.ring_depth), t
+            self.ring, self._first = StateRing(self.ring_depth, src.qos, src.layout), t
         elif t != self._last + 1:
             raise ValueError(f"slot {t} recorded after slot {self._last}, not next")
         self.ring.put(t, src.snr[i], src.queue[i], src.lam[i], src.memo[i])

@@ -237,6 +237,7 @@ NON_FINITE = [
     ("users", "urllc_mean_snr_db", "4000"),
     ("features", "reference_snr_db", "4000"),
     ("features", "reference_snr_db", "-4000"),  # the encoder divides by 0.0
+    ("features", "reference_snr_db", "-3200"),  # SNR / reference overflows
 ]
 
 

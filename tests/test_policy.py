@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from twinslice import policy
 from twinslice.domain import (
     UNASSIGNED,
     AllocationMatrix,
@@ -25,6 +26,7 @@ from twinslice.policy import (
     orthogonal_allocate,
     predicted_urllc_rate,
     priority_repair,
+    repair_policy,
 )
 
 from conftest import make_snapshot, make_users
@@ -509,6 +511,41 @@ def test_repair_equals_stepwise_reference():
             assert got.constraint_unmet == unmet
             cases += want != m.assignment
     assert cases > 100
+
+
+def test_repair_probes_rows_and_builds_one_matrix(monkeypatch):
+    # The bisection scores user rows on the one rate matrix it read; only
+    # the repaired allocation becomes an AllocationMatrix.
+    users = make_users(3, 2)
+    grid = ResourceGrid(8, 1e5)
+    snr = np.random.default_rng(5).exponential(1.0, (5, 8))
+    snap = make_snapshot(snr, users, lam=1.0)
+    base = PolicyDecision(AllocationMatrix((0, 1, 2, 0, 1, 2, 0, 1)), 0.0, "dnn")
+    repair = repair_policy(QoSRequirement(), grid, users, 1e-3)
+    want = repair(base, snap)
+    calls = {"of_rows": 0, "rates": 0}
+    of_rows, rates = AllocationMatrix.of_rows.__func__, type(snap).rates
+
+    def counted_of_rows(cls, rows, layout):
+        calls["of_rows"] += 1
+        return of_rows(cls, rows, layout)
+
+    def counted_rates(self, bw, tau):
+        calls["rates"] += 1
+        return rates(self, bw, tau)
+
+    def no_prediction(*args):
+        raise AssertionError("the repair called predicted_urllc_rate")
+
+    monkeypatch.setattr(AllocationMatrix, "of_rows", classmethod(counted_of_rows))
+    monkeypatch.setattr(type(snap), "rates", counted_rates)
+    monkeypatch.setattr(policy, "predicted_urllc_rate", no_prediction)
+    got = repair(base, snap)
+    assert calls == {"of_rows": 1, "rates": 1}
+    assert got.allocation.assignment == want.allocation.assignment
+    pairs = zip(got.allocation.assignment, base.allocation.assignment)
+    assert sum(a != b for a, b in pairs) >= 2  # the bisection probed
+    assert not got.constraint_unmet
 
 
 def test_policy_outputs_always_validate_fuzz():

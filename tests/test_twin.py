@@ -9,7 +9,13 @@ from twinslice.domain import (
     TrafficState,
 )
 from twinslice.nn import FeatureScaling, encode_features
-from twinslice.policy import OrthogonalConfig, oracle_allocate, orthogonal_allocate
+from twinslice.policy import (
+    OrthogonalConfig,
+    oracle_allocate,
+    oracle_policy,
+    orthogonal_allocate,
+)
+from twinslice.scenario import load_scenario
 from twinslice.twin import (
     CalibrationTolerances,
     DelayClass,
@@ -234,3 +240,24 @@ def test_zero_delay_fidelity_over_a_run():
         assert report.mean_abs_snr_error == 0.0
         assert report.passed
         env.step(AllocationMatrix((0, 1, 2, 2)))
+
+
+def test_a_kept_decision_objective_raises_once_its_slot_left_the_ring(
+    repo_root_scenarios,
+):
+    # A lazy objective reads its snapshot when first read: after the twin
+    # has reused the snapshot's slot, that read raises instead of scoring
+    # the allocation on a later slot's channel.
+    scen = load_scenario(repo_root_scenarios / "tiny.cfg")
+    env, twin = scen.environment(), scen.make_twin()
+    decide = oracle_policy(
+        scen.grid, scen.users(), scen.qos, scen.slot_duration, mode="greedy"
+    )
+    decisions = []
+    for t in range(4):
+        twin.record(env.state)
+        decisions.append(decide(twin.snapshot(now=t)))
+        env.step(decisions[-1].allocation)
+    assert isinstance(decisions[-1].objective_estimate, float)
+    with pytest.raises(LookupError, match="slot 0 has left the state ring"):
+        decisions[0].objective_estimate
