@@ -1,20 +1,20 @@
 """Allocation strategies.
 
-Four entry points share one contract: take a twin snapshot, return a
-``PolicyDecision`` whose allocation always validates. Each is one call of a
-per-run policy (``orthogonal_policy``, ``oracle_policy``, ``dynamic_policy``,
-``repair_policy``), which derives a run's constants once (the user layout,
-the orthogonal split, the oracle's search space, the encoder's positions)
-and then decides slot after slot; ``users`` may be a ``UserLayout``.
-Tie-breaking is lowest block index then lowest user id everywhere, so
-decisions are reproducible bit for bit.
+A ``Policy`` derives a user set's constants once (the user layout, the
+orthogonal split, the oracle's search space, the encoder's positions); each
+call takes one slot's snapshots of a block of runs, which share one ring
+entry, and returns one ``PolicyDecision`` per run, bit for bit the one of
+that snapshot alone, whose allocation always validates. ``repair_policy``
+takes a slot's decisions too; ``*_allocate`` and ``priority_repair`` are one
+call on one snapshot, and ``users`` may be a ``UserLayout``. Tie-breaking is
+lowest block index then lowest user id everywhere.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .domain import (
     UserLayout,
     UserTerminal,
 )
-from .envsim import _user_rates, class_sum, user_rates
+from .envsim import StateRing, _user_rates, class_sum, memo_rates, user_rates
 from .nn import MLP, FeatureScaling, decode_output, feature_encoder, forward
 from .twin import TwinSnapshot
 
@@ -37,7 +37,7 @@ PENALTY_SCALE = 10.0
 #: Exhaustive search cap: enumerate only when num_users ** num_rbs fits.
 EXHAUSTIVE_CAP = 4 ** 6
 
-Policy = Callable[[TwinSnapshot], "PolicyDecision"]
+Policy = Callable[[Sequence[TwinSnapshot]], list["PolicyDecision"]]
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,23 @@ def allocation_objective(
     return total - penalty_weight * urllc_deficit - penalty_weight * embb_deficit
 
 
+def _entry(snapshots: Sequence[TwinSnapshot]) -> tuple[StateRing, int, list[int]]:
+    """The ring and entry one slot's snapshots share, and their runs."""
+    ring, t = snapshots[0].ring, snapshots[0].t
+    if any(s.ring is not ring or s.t != t for s in snapshots):
+        raise ValueError("a policy call takes snapshots that share one ring entry")
+    return ring, snapshots[0].held(), [s.run for s in snapshots]
+
+
+def _each(decide: Callable[..., PolicyDecision]) -> Callable[..., list[PolicyDecision]]:
+    """The slot form of ``decide(snapshot)`` or ``decide(decision, snapshot)``."""
+    def slot(*args: Sequence) -> list[PolicyDecision]:
+        _entry(args[-1])
+        return [decide(*per_run) for per_run in zip(*args)]
+
+    return slot
+
+
 def orthogonal_policy(
     cfg: OrthogonalConfig,
     grid: ResourceGrid,
@@ -136,58 +153,66 @@ def orthogonal_policy(
     """
     layout = UserLayout.of(users)
     split = cfg.split(grid.num_rbs, len(layout.urllc), len(layout.embb))
-    partitions = ((layout.urllc, range(split)), (layout.embb, range(split, grid.num_rbs)))
+    partitions = [  # (member rows, blocks, the first block of each round)
+        (np.array(rows, dtype=np.intp), range(lo, hi), set(range(lo, hi, len(rows) or 1)))
+        for rows, lo, hi in ((layout.urllc, 0, split), (layout.embb, split, grid.num_rbs))
+    ]
 
-    def decide(snapshot: TwinSnapshot) -> PolicyDecision:
-        # columns[b][r]: SNR of the user in row r on block b.
-        columns = snapshot.snr.T.tolist()
-        rows = [UNASSIGNED] * grid.num_rbs
-        for members, blocks in partitions:
-            waiting: list[int] = []
-            for b in blocks:
-                # Every member gets one block per round, so the least-loaded
-                # members are exactly those still waiting in this round.
-                if not waiting:
-                    waiting = list(members)
-                # max keeps the first of equal SNRs: the lowest id wins ties.
-                best = max(waiting, key=columns[b].__getitem__)
-                waiting.remove(best)
-                rows[b] = best
-        m = AllocationMatrix.of_rows(rows, layout)
-        objective = partial(
-            allocation_objective, m, snapshot, grid, layout, snapshot.qos, slot_duration
-        )
-        return PolicyDecision(m, objective, "orthogonal")
+    def decide(snapshots: Sequence[TwinSnapshot]) -> list[PolicyDecision]:
+        ring, i, runs = _entry(snapshots)
+        neg, rows = -ring.snr[i, runs], [[UNASSIGNED] * grid.num_rbs for _ in runs]
+        for members, blocks, rounds in partitions:
+            # prefs[r][k]: run r's members on the partition's k-th block, best
+            # SNR first. The stable sort keeps the lower row first among
+            # equal SNRs, as max keeps the first: the lowest id wins ties.
+            order = neg[:, members, blocks.start : blocks.stop].argsort(1, kind="stable")
+            for own, prefs in zip(rows, members[order].transpose(0, 2, 1).tolist()):
+                for b, pref in zip(blocks, prefs):
+                    # Every member gets one block per round, so the least-
+                    # loaded members are exactly those not yet served in it.
+                    if b in rounds:
+                        served = set()
+                    for best in pref:
+                        if best not in served:
+                            break
+                    served.add(best)
+                    own[b] = best
+        decisions = []
+        for own, snapshot in zip(rows, snapshots):
+            m = AllocationMatrix.of_rows(own, layout)
+            objective = partial(
+                allocation_objective, m, snapshot, grid, layout, snapshot.qos, slot_duration
+            )
+            decisions.append(PolicyDecision(m, objective, "orthogonal"))
+        return decisions
 
     return decide
 
 
 def orthogonal_allocate(
-    snapshot: TwinSnapshot,
-    cfg: OrthogonalConfig,
-    grid: ResourceGrid,
-    users: Iterable[UserTerminal],
-    slot_duration: float,
+    snapshot: TwinSnapshot, cfg: OrthogonalConfig, grid: ResourceGrid,
+    users: Iterable[UserTerminal], slot_duration: float,
 ) -> PolicyDecision:
-    return orthogonal_policy(cfg, grid, users, slot_duration)(snapshot)
+    return orthogonal_policy(cfg, grid, users, slot_duration)([snapshot])[0]
 
 
 def _exhaustive_oracle(
     rates: np.ndarray,
-    load: float,
+    load: np.ndarray,
     min_rate_bits: float,
     is_urllc: np.ndarray,
-    every: np.ndarray,
-    holders: tuple[np.ndarray, ...],
-    penalty_weight: float,
-) -> tuple[list[int], float]:
-    n_users = rates.shape[0]
-    # holders[b][n]: user row holding block b in the n-th assignment. C order
-    # is itertools.product's order: the last block varies fastest. Each
-    # user's sum adds its entries in block order, as user_rates does.
-    sums = np.zeros((every.size, n_users))
-    for b, holder in enumerate(holders):
-        sums[every, holder] += rates[holder, b]
+    holders: np.ndarray,
+    holds: np.ndarray,
+    penalty_weight: np.ndarray,
+) -> tuple[list[list[int]], list[float]]:
+    """Each run's best rows and objective; load and penalty_weight are (runs, 1)."""
+    n_runs, n_users = rates.shape[:2]
+    # holders[b][n]: user row holding block b in the n-th assignment, in
+    # itertools.product's order; holds[b, u, n]: whether it is u. A user's sum
+    # adds its entries in block order, as user_rates does: + 0.0 is exact.
+    sums = 0.0
+    for b, held in enumerate(holds):
+        sums = sums + np.where(held, rates[:, :, b, None], 0.0)
 
     # allocation_objective's terms, accumulated in user order.
     total = urllc_rate = embb_deficit = 0.0
@@ -202,8 +227,8 @@ def _exhaustive_oracle(
     obj = total - penalty_weight * urllc_deficit - penalty_weight * embb_deficit
     # The first maximum is the lexicographically first optimal assignment:
     # lowest block index, then lowest user id.
-    best = int(np.argmax(obj))
-    return [h[best] for h in holders], float(obj[best])
+    best = obj.argmax(axis=1)
+    return holders[:, best].T.tolist(), obj[np.arange(n_runs), best].tolist()
 
 
 def _greedy_oracle(
@@ -297,44 +322,49 @@ def oracle_policy(
             f"exhaustive search of {size} assignments exceeds cap {EXHAUSTIVE_CAP}"
         )
     if mode == "exhaustive":
-        every = np.arange(size)
-        holders = np.unravel_index(every, (n_users,) * grid.num_rbs)
+        holders = np.array(np.unravel_index(np.arange(size), (n_users,) * grid.num_rbs))
+        holds = holders[:, None, :] == np.arange(n_users)[:, None]
     bw = grid.rb_bandwidth
     min_rate_bits = qos.embb_min_rate * slot_duration
 
-    def decide(snapshot: TwinSnapshot) -> PolicyDecision:
-        rates = snapshot.rates(bw, slot_duration)
-        pw = penalty_weight
-        if pw is None:
-            pw = default_penalty_weight(snapshot, grid, slot_duration)
-        load = qos.urllc_packet_bits * snapshot.lam
+    def decide(snapshots: Sequence[TwinSnapshot]) -> list[PolicyDecision]:
+        ring, i, runs = _entry(snapshots)
+        loads = [qos.urllc_packet_bits * s.lam for s in snapshots]
+        pws = [default_penalty_weight(s, grid, slot_duration) if penalty_weight is None
+               else penalty_weight for s in snapshots]
         if mode == "exhaustive":
-            rows, obj = _exhaustive_oracle(
-                rates, load, min_rate_bits, layout.is_urllc, every, holders, pw
+            rows, objs = _exhaustive_oracle(
+                memo_rates(ring.memo[i], ring.snr[i], bw, slot_duration)[runs],
+                np.array(loads)[:, None], min_rate_bits, layout.is_urllc, holders, holds,
+                np.array(pws)[:, None],
             )
-            return PolicyDecision(AllocationMatrix.of_rows(rows, layout), obj, "oracle")
-        rows = _greedy_oracle(
-            rates, load, min_rate_bits, layout.is_urllc, layout.urllc_rows, pw
-        )
-        m = AllocationMatrix.of_rows(rows, layout)
-        objective = partial(
-            allocation_objective, m, snapshot, grid, layout, qos, slot_duration, pw
-        )
-        return PolicyDecision(m, objective, "oracle")
+            return [
+                PolicyDecision(AllocationMatrix.of_rows(own, layout), obj, "oracle")
+                for own, obj in zip(rows, objs)
+            ]
+        decisions = []
+        for snap, load, pw in zip(snapshots, loads, pws):
+            rows = _greedy_oracle(
+                snap.rates(bw, slot_duration), load, min_rate_bits, layout.is_urllc,
+                layout.urllc_rows, pw,
+            )
+            m = AllocationMatrix.of_rows(rows, layout)
+            objective = partial(
+                allocation_objective, m, snap, grid, layout, qos, slot_duration, pw
+            )
+            decisions.append(PolicyDecision(m, objective, "oracle"))
+        return decisions
 
     return decide
 
 
 def oracle_allocate(
-    snapshot: TwinSnapshot,
-    grid: ResourceGrid,
-    users: Iterable[UserTerminal],
-    qos: QoSRequirement,
-    slot_duration: float,
-    mode: str = "auto",
+    snapshot: TwinSnapshot, grid: ResourceGrid, users: Iterable[UserTerminal],
+    qos: QoSRequirement, slot_duration: float, mode: str = "auto",
     penalty_weight: Optional[float] = None,
 ) -> PolicyDecision:
-    return oracle_policy(grid, users, qos, slot_duration, mode, penalty_weight)(snapshot)
+    decide = oracle_policy(grid, users, qos, slot_duration, mode, penalty_weight)
+    return decide([snapshot])[0]
 
 
 def dynamic_policy(
@@ -362,19 +392,14 @@ def dynamic_policy(
         )
         return PolicyDecision(m, objective, "dnn")
 
-    return decide
+    return _each(decide)
 
 
 def dynamic_allocate(
-    snapshot: TwinSnapshot,
-    net: MLP,
-    grid: ResourceGrid,
-    users: Iterable[UserTerminal],
-    qos: QoSRequirement,
-    scaling: FeatureScaling,
-    slot_duration: float,
+    snapshot: TwinSnapshot, net: MLP, grid: ResourceGrid, users: Iterable[UserTerminal],
+    qos: QoSRequirement, scaling: FeatureScaling, slot_duration: float,
 ) -> PolicyDecision:
-    return dynamic_policy(net, grid, users, qos, scaling, slot_duration)(snapshot)
+    return dynamic_policy(net, grid, users, qos, scaling, slot_duration)([snapshot])[0]
 
 
 def _urllc_sum(rows: np.ndarray, idle: bool, rates: np.ndarray, urllc: list) -> float:
@@ -401,7 +426,7 @@ def repair_policy(
     grid: ResourceGrid,
     users: Iterable[UserTerminal],
     slot_duration: float,
-) -> Callable[[PolicyDecision, TwinSnapshot], PolicyDecision]:
+) -> Callable[[Sequence[PolicyDecision], Sequence[TwinSnapshot]], list[PolicyDecision]]:
     """Reassign eMBB blocks to URLLC until the predicted load constraint holds.
 
     Each move takes the eMBB-held block with the highest URLLC marginal rate
@@ -449,15 +474,11 @@ def repair_policy(
         policy_id = decision.policy_id + "+repair"
         return PolicyDecision(m, objective, policy_id, constraint_unmet=k > len(moves))
 
-    return repair
+    return _each(repair)
 
 
 def priority_repair(
-    decision: PolicyDecision,
-    snapshot: TwinSnapshot,
-    qos: QoSRequirement,
-    grid: ResourceGrid,
-    users: Iterable[UserTerminal],
-    slot_duration: float,
+    decision: PolicyDecision, snapshot: TwinSnapshot, qos: QoSRequirement,
+    grid: ResourceGrid, users: Iterable[UserTerminal], slot_duration: float,
 ) -> PolicyDecision:
-    return repair_policy(qos, grid, users, slot_duration)(decision, snapshot)
+    return repair_policy(qos, grid, users, slot_duration)([decision], [snapshot])[0]

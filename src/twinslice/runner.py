@@ -3,13 +3,14 @@
 One simulated run holds a physical environment, a digital twin fed from it,
 and one policy deciding against twin snapshots. The runs of an experiment
 step in lockstep: one environment and one twin hold all of them on a
-leading run axis, each run with its own generator and policy. Training runs
-the same loop with the oracle in charge, harvesting (feature, label) pairs
-from the twin.
+leading run axis, each run with its own generator, and each policy decides
+the slot of its block of runs in one call. Training runs the same loop with
+the oracle in charge, harvesting (feature, label) pairs from the twin.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -41,7 +42,7 @@ def derive_seed(base_seed: int, run_index: int) -> int:
 def _make_policy(
     policy_id: str, scenario: Scenario, net: Optional[MLP]
 ) -> policy_mod.Policy:
-    """The run's policy: its constants are derived here, once per run."""
+    """The policy of a block of runs: its constants are derived here, once."""
     layout = UserLayout(scenario.users())
     grid, qos, tau = scenario.grid, scenario.qos, scenario.slot_duration
     if policy_id == "orthogonal":
@@ -57,27 +58,28 @@ def _make_policy(
         if policy_id == "dnn":
             return decide
         repair = policy_mod.repair_policy(qos, grid, layout, tau)
-        return lambda snap: repair(decide(snap), snap)
+        return lambda snaps: repair(decide(snaps), snaps)
     raise ConfigError(f"unknown policy {policy_id!r}; known: {POLICY_IDS}")
 
 
 def _slots(
-    scenario: Scenario, decides: Sequence[policy_mod.Policy],
+    scenario: Scenario, decides: Sequence[tuple[policy_mod.Policy, slice]],
     seeds: Sequence[Optional[int]], lams: Sequence[Optional[float]],
 ) -> Iterator[tuple[int, list[TwinSnapshot], list[policy_mod.PolicyDecision], SlotColumns]]:
     """The slot loop of every run, the runs of one scenario in lockstep: run
-    r decides with ``decides[r]`` on the environment of ``seeds[r]`` and
-    ``lams[r]``. The twin records the physical states and is asked for the
-    snapshots before the decisions are made, so the allocation applied at
-    slot t only ever depends on twin state delivered at or before t; the
-    environment then steps. Yields (t, snapshots, decisions, columns), one
-    snapshot and one decision per run and the slot's per-run columns."""
+    r steps on the environment of ``seeds[r]`` and ``lams[r]``, and each
+    ``(policy, runs)`` of ``decides`` decides its slice of runs in one call.
+    The twin records the physical states and is asked for the snapshots
+    before the decisions are made, so the allocation applied at slot t only
+    ever depends on twin state delivered at or before t; the environment
+    then steps. Yields (t, snapshots, decisions, columns), one snapshot and
+    one decision per run and the slot's per-run columns."""
     env = scenario.environments(seeds, lams)
     twin = scenario.make_twin()
     for t in range(scenario.horizon_slots):
         twin.record(env.state)
         snaps = twin.snapshots(now=t)
-        decisions = [decide(snap) for decide, snap in zip(decides, snaps)]
+        decisions = [d for decide, runs in decides for d in decide(snaps[runs])]
         yield t, snaps, decisions, env.step_runs([d.allocation for d in decisions])
 
 
@@ -109,22 +111,24 @@ def _simulate(
     all in lockstep (``_slots``). Each slot's columns go into ``[R, T]``
     arrays, a contiguous row per run, from which each run's records are
     derived at the end, elementwise."""
-    decides = [_make_policy(policy_id, scenario, net) for policy_id, _, _ in runs]
+    decides, start = [], 0  # one policy per block of consecutive runs of one policy id
+    for policy_id, block in itertools.groupby(policy_id for policy_id, _, _ in runs):
+        n = len(list(block))
+        decides.append((_make_policy(policy_id, scenario, net), slice(start, start + n)))
+        start += n
     seeds = [scenario.seed if seed is None else seed for _, _, seed in runs]
     horizon, qos = scenario.horizon_slots, scenario.qos
     # lambda, eMBB sum, URLLC sum and served bits of run r at slot t
     columns = np.empty((4, len(runs), horizon))
     twin_log = np.empty((horizon, 3), dtype=np.int64)
-    repair_exhausted = [0] * len(runs)
+    unmet = [0] * len(runs)  # slots whose repair ran out of eMBB blocks, per run
     for t, snaps, decisions, slot in _slots(
         scenario, decides, seeds, [lam for _, lam, _ in runs]
     ):
         snap = snaps[0]  # the runs share the twin, so they share its log
         twin_log[t] = snap.captured_at, snap.delivered_at, snap.stale_underflow
         columns[:, :, t].flat = slot.lam + slot.embb + slot.urllc + slot.served
-        for r, decision in enumerate(decisions):
-            if decision.constraint_unmet:
-                repair_exhausted[r] += 1
+        unmet = [n + d.constraint_unmet for n, d in zip(unmet, decisions)]
 
     lam, embb, urllc, served = columns
     # Spectral efficiency counts delivered bits: eMBB is fully buffered so
@@ -140,7 +144,7 @@ def _simulate(
             records, policy_id, seed, scn.hash, scenario.outage_window,
             qos.urllc_outage_threshold,
         )
-        results.append(RunResult(summary, records, twin_log, repair_exhausted[r]))
+        results.append(RunResult(summary, records, twin_log, unmet[r]))
     return results
 
 
@@ -241,7 +245,8 @@ def collect_training_data(
 
     X = np.empty((scenario.horizon_slots, nn.feature_dim(len(layout.ids), grid.num_rbs)))
     labels = np.empty((scenario.horizon_slots, grid.num_rbs), dtype=int)
-    for t, (snap,), (decision,), _ in _slots(scenario, [decide], [seed], [None]):
+    slots = _slots(scenario, [(decide, slice(1))], [seed], [None])
+    for t, (snap,), (decision,), _ in slots:
         X[t] = encode(snap)
         # A user's label is its column, which is its row.
         labels[t] = decision.allocation.rows_in(layout.ids)

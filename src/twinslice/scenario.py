@@ -28,6 +28,11 @@ from .nn import FeatureScaling, TrainConfig
 from .twin import DelayClass, DigitalTwin
 
 
+#: The largest feature scale max(1, mean SNR) / reference: the float32 maximum
+#: over 1e9, 1e3 for fading gains above the mean times 1e6 for the first layer.
+FEATURE_SCALE_MAX = 3.4028234663852886e38 / 1e9
+
+
 class ScenarioError(ConfigError):
     """Base class for scenario loading failures."""
 
@@ -163,15 +168,6 @@ class Scenario:
                     raise ValueError(
                         f"{name} = {snr_db:g} dB has no finite linear value"
                     ) from None
-        # The encoder divides SNRs by the reference: 1 / ref and the largest
-        # mean SNR / ref must be finite.
-        ref = db_to_linear(self.reference_snr_db)
-        peak = max(1.0, *map(db_to_linear, self.embb_snrs() + self.urllc_snrs()))
-        if ref == 0.0 or not math.isfinite(peak / ref):
-            raise ValueError(
-                f"reference_snr_db = {self.reference_snr_db:g} dB is too small: "
-                f"the feature encoder divides SNRs up to {peak:g} by it"
-            )
         if not (math.isfinite(self.slot_duration) and self.slot_duration > 0):
             raise ValueError(
                 f"slot_duration_s must be finite and > 0, got {self.slot_duration}"
@@ -199,6 +195,16 @@ class Scenario:
         )
 
     def scaling(self) -> FeatureScaling:
+        """The feature encoder's references, checked before any labelling or
+        simulation: the float32 net reads SNRs / reference (FEATURE_SCALE_MAX)."""
+        ref = db_to_linear(self.reference_snr_db)
+        peak = max(1.0, *map(db_to_linear, self.embb_snrs() + self.urllc_snrs()))
+        if ref == 0.0 or not peak / ref <= FEATURE_SCALE_MAX:
+            raise ConfigError(
+                f"reference_snr_db = {self.reference_snr_db:g} dB is too small: the "
+                f"float32 net reads SNRs up to {peak:g} divided by it, over "
+                f"{FEATURE_SCALE_MAX:g}"
+            )
         return FeatureScaling(
             reference_snr_db=self.reference_snr_db,
             reference_lambda=self.reference_lambda,

@@ -86,19 +86,6 @@ class TwinSnapshot(PhysicalState):
         self._channel, self._traffic = channel, traffic
         self.delivered_at, self.stale_underflow = delivered_at, stale_underflow
 
-    @classmethod
-    def of(
-        cls,
-        ring: StateRing,
-        captured_at: int,
-        delivered_at: int,
-        stale_underflow: bool,
-        run: int = 0,
-    ) -> "TwinSnapshot":
-        snap = cls.view(ring, captured_at, run)
-        snap.delivered_at, snap.stale_underflow = delivered_at, stale_underflow
-        return snap
-
     @property
     def captured_at(self) -> int:
         return self.t
@@ -215,9 +202,10 @@ class DigitalTwin:
             # the kept slots except before the first one.
             captured, underflow = _capture(self._first, self._last, self.delay_slots, now)
             ring = self.ring
-            self._last_snapshots = [
-                TwinSnapshot.of(ring, captured, now, underflow, r) for r in range(ring.runs)
-            ]
+            views = [TwinSnapshot.view(ring, captured, r) for r in range(ring.runs)]
+            for snap in views:
+                snap.delivered_at, snap.stale_underflow = now, underflow
+            self._last_snapshots = views
             self._last_sync_slot = now
         return self._last_snapshots
 

@@ -238,6 +238,7 @@ NON_FINITE = [
     ("features", "reference_snr_db", "4000"),
     ("features", "reference_snr_db", "-4000"),  # the encoder divides by 0.0
     ("features", "reference_snr_db", "-3200"),  # SNR / reference overflows
+    ("features", "reference_snr_db", "-3000"),  # float32 features overflow
 ]
 
 

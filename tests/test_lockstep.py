@@ -3,11 +3,13 @@
 Every example draws a user set with mixed fading groups (Rayleigh, Rician,
 ``k = inf``), a twin delay and cadence, and one to four runs, each with its
 own policy, seed and lambda plan (zero included). The runs step together
-through one environment and one twin, and each also steps alone through a
+through one environment and one twin, each block of consecutive runs of
+one policy deciding in one call, and each run also steps alone through a
 one-run environment and twin of its own. Every slot's snapshot, every
 decision, each generator's final state and, bit for bit, every run's
 columns of the lockstep step and the outcome of its own step must agree.
 """
+import itertools
 import math
 
 import numpy as np
@@ -79,7 +81,17 @@ def _policy(policy_id, users, grid, qos, fraction, net):
     if policy_id == "dnn":
         return decide
     repair = policy.repair_policy(qos, grid, users, TAU)
-    return lambda snap: repair(decide(snap), snap)
+    return lambda snaps: repair(decide(snaps), snaps)
+
+
+def _blocks(policy_ids):
+    """``(policy_id, runs)`` per block of consecutive runs of one policy, as
+    ``runner._simulate`` groups them."""
+    start = 0
+    for policy_id, block in itertools.groupby(policy_ids):
+        stop = start + len(list(block))
+        yield policy_id, slice(start, stop)
+        start = stop
 
 
 def _same_snapshot(a, b):
@@ -121,7 +133,10 @@ def test_lockstep_runs_equal_each_run_alone(case):
 
     env = Environment(users, grid, qos, TAU, schedules, seeds)
     twin = DigitalTwin(**twin_args)
-    decides = [_policy(p, users, grid, qos, fraction, net) for p, *_ in runs]
+    decides = [
+        (_policy(p, users, grid, qos, fraction, net), block)
+        for p, block in _blocks(p for p, *_ in runs)
+    ]
     alone = [
         (
             Environment(users, grid, qos, TAU, [schedule], [seed]),
@@ -133,16 +148,83 @@ def test_lockstep_runs_equal_each_run_alone(case):
     for t in range(n_slots):
         twin.record(env.state)
         snaps = twin.snapshots(now=t)
-        decisions = [decide(snap) for decide, snap in zip(decides, snaps)]
+        decisions = [d for decide, block in decides for d in decide(snaps[block])]
         columns = env.step_runs([d.allocation for d in decisions])
         for r, (own_env, own_twin, own_decide) in enumerate(alone):
             own_twin.record(own_env.state)
             snap = own_twin.snapshot(now=t)
             _same_snapshot(snaps[r], snap)
-            decision = own_decide(snap)
+            (decision,) = own_decide([snap])
             assert decision.allocation.assignment == decisions[r].allocation.assignment
             assert decision.constraint_unmet == decisions[r].constraint_unmet
             outcome = own_env.step(decision.allocation)
             _same_outcome(columns, r, outcome)
     for rng, (own_env, _, _) in zip(env.rngs, alone):
         assert rng.bit_generator.state == own_env.rngs[0].bit_generator.state
+
+
+@st.composite
+def slot_cases(draw):
+    """One to four runs on one environment and twin. Equal means with
+    ``k = inf`` give users equal SNRs on every block (ties); up to five
+    users on one to seven blocks give partitions with more members than
+    blocks and last rounds that are not full."""
+    n_users = draw(st.integers(1, 5))
+    urllc = draw(st.lists(st.booleans(), min_size=n_users, max_size=n_users))
+    users = tuple(
+        UserTerminal(
+            i,
+            ServiceClass.URLLC if is_urllc else ServiceClass.EMBB,
+            LinkBudget(draw(st.sampled_from((0.0, 6.0))), draw(st.sampled_from(FADINGS))),
+        )
+        for i, is_urllc in enumerate(urllc)
+    )
+    fractions = [f for f, ok in ((0.0, not all(urllc)), (0.5, 0 < sum(urllc) < n_users),
+                                 (1.0, any(urllc))) if ok]
+    n_runs = draw(st.integers(1, 4))
+    lams = draw(st.lists(st.sampled_from((0.0, 0.4, 3.0, 20.0)), min_size=n_runs, max_size=n_runs))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=n_runs, max_size=n_runs))
+    qos = QoSRequirement(embb_min_rate=draw(st.sampled_from((0.0, 2e5))))
+    grid = ResourceGrid(draw(st.integers(1, 7)), 1e5)
+    return users, grid, qos, draw(st.sampled_from(fractions)), lams, seeds, draw(st.integers(1, 5))
+
+
+@given(slot_cases())
+def test_slot_decisions_equal_one_run_decisions(case):
+    users, grid, qos, fraction, lams, seeds, n_slots = case
+    n = len(users)
+    net = nn.MLP.glorot(
+        [nn.feature_dim(n, grid.num_rbs), 8, grid.num_rbs * n], (grid.num_rbs, n), seed=2
+    ).astype(np.float32)
+    cfg, scaling = policy.OrthogonalConfig(fraction), FeatureScaling()
+    dnn = policy.dynamic_policy(net, grid, users, qos, scaling, TAU)
+    repair = policy.repair_policy(qos, grid, users, TAU)
+
+    def dnn_alone(snap):
+        return policy.dynamic_allocate(snap, net, grid, users, qos, scaling, TAU)
+
+    policies = [
+        (policy.orthogonal_policy(cfg, grid, users, TAU),
+         lambda snap: policy.orthogonal_allocate(snap, cfg, grid, users, TAU)),
+        (policy.oracle_policy(grid, users, qos, TAU),
+         lambda snap: policy.oracle_allocate(snap, grid, users, qos, TAU)),
+        (policy.oracle_policy(grid, users, qos, TAU, mode="greedy"),
+         lambda snap: policy.oracle_allocate(snap, grid, users, qos, TAU, mode="greedy")),
+        (dnn, dnn_alone),
+        (lambda snaps: repair(dnn(snaps), snaps),
+         lambda snap: policy.priority_repair(dnn_alone(snap), snap, qos, grid, users, TAU)),
+    ]
+    env = Environment(users, grid, qos, TAU, [lambda t, lam=lam: lam for lam in lams], seeds)
+    twin = DigitalTwin()
+    for t in range(n_slots):
+        twin.record(env.state)
+        snaps = twin.snapshots(now=t)
+        for decide, alone in policies:
+            decisions = decide(snaps)
+            assert len(decisions) == len(snaps)
+            for decision, snap in zip(decisions, snaps):
+                want = alone(snap)
+                assert decision.allocation.assignment == want.allocation.assignment
+                assert decision.constraint_unmet == want.constraint_unmet
+                _same_bits([decision.objective_estimate], [want.objective_estimate])
+        env.step_runs([d.allocation for d in decisions])

@@ -522,7 +522,7 @@ def test_repair_probes_rows_and_builds_one_matrix(monkeypatch):
     snap = make_snapshot(snr, users, lam=1.0)
     base = PolicyDecision(AllocationMatrix((0, 1, 2, 0, 1, 2, 0, 1)), 0.0, "dnn")
     repair = repair_policy(QoSRequirement(), grid, users, 1e-3)
-    want = repair(base, snap)
+    (want,) = repair([base], [snap])
     calls = {"of_rows": 0, "rates": 0}
     of_rows, rates = AllocationMatrix.of_rows.__func__, type(snap).rates
 
@@ -540,7 +540,7 @@ def test_repair_probes_rows_and_builds_one_matrix(monkeypatch):
     monkeypatch.setattr(AllocationMatrix, "of_rows", classmethod(counted_of_rows))
     monkeypatch.setattr(type(snap), "rates", counted_rates)
     monkeypatch.setattr(policy, "predicted_urllc_rate", no_prediction)
-    got = repair(base, snap)
+    (got,) = repair([base], [snap])
     assert calls == {"of_rows": 1, "rates": 1}
     assert got.allocation.assignment == want.allocation.assignment
     pairs = zip(got.allocation.assignment, base.allocation.assignment)
@@ -567,3 +567,26 @@ def test_policy_outputs_always_validate_fuzz():
         d4 = priority_repair(d3, snap, qos, grid, users, 1e-3)
         for d in (d1, d2, d3, d4):
             assert validate_allocation(d.allocation, grid, users)
+
+
+def test_a_policy_call_rejects_snapshots_of_two_ring_entries():
+    users = make_users(2, 1)
+    grid = ResourceGrid(4, 1e5)
+    qos = QoSRequirement()
+    net = MLP.glorot([feature_dim(3, 4), 8, 12], (4, 3), seed=0)
+    a = make_snapshot(np.full((3, 4), 2.0), users, lam=1.0)
+    b = make_snapshot(np.full((3, 4), 2.0), users, lam=1.0)
+    policies = [
+        policy.orthogonal_policy(OrthogonalConfig(0.5), grid, users, 1e-3),
+        policy.oracle_policy(grid, users, qos, 1e-3, mode="exhaustive"),
+        policy.oracle_policy(grid, users, qos, 1e-3, mode="greedy"),
+        policy.dynamic_policy(net, grid, users, qos, FeatureScaling(), 1e-3),
+    ]
+    for decide in policies:
+        assert len(decide([a])) == 1
+        with pytest.raises(ValueError, match="share one ring entry"):
+            decide([a, b])
+    repair = repair_policy(qos, grid, users, 1e-3)
+    base = PolicyDecision(AllocationMatrix((0, 1, 2, 0)), 0.0, "dnn")
+    with pytest.raises(ValueError, match="share one ring entry"):
+        repair([base, base], [a, b])

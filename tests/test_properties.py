@@ -83,7 +83,7 @@ def _slots(scen, policy_id, net_seed):
         before = env.state
         twin.record(before)
         snap = twin.snapshot(now=t)
-        decision = decide(snap)
+        (decision,) = decide([snap])
         outcome = env.step(decision.allocation)
         yield snap, before, decision, outcome, env.state
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twinslice import domain, envsim, nn, policy, runner, scenario, twin
+from twinslice import domain, envsim, metrics, nn, policy, runner, scenario, twin
 from twinslice.metrics import CSV_COLUMNS
 from twinslice.scenario import ExperimentSpec, load_scenario
 from twinslice.twin import DelayClass
@@ -282,6 +282,25 @@ def test_lockstep_experiment_computes_one_rate_matrix_per_slot_for_all_runs(
     assert len(computed) == 100
     assert {snr.shape for snr in computed} == {(6, 3, 4)}
     assert len({id(snr) for snr in computed}) == 100
+
+
+@pytest.mark.parametrize("policies", [("orthogonal", "oracle"), ("oracle", "orthogonal")])
+def test_mixed_experiment_runs_are_each_run_alone(policies, repo_root_scenarios, tmp_path):
+    """Each policy of a mixed experiment decides its own block of runs: every
+    run's CSV and summary are those of ``simulate`` of that run alone."""
+    scen = replace(load_scenario(repo_root_scenarios / "tiny.cfg"), horizon_slots=200)
+    spec = ExperimentSpec(
+        scenario=scen, policies=policies, out_dir=str(tmp_path / "sweep"),
+        lambdas=(1.0, 4.0, 16.0),
+    )
+    runner.run_experiment(spec)
+    for run_index, (policy_id, lam, stem) in enumerate(spec.runs()):
+        seed = runner.derive_seed(scen.seed, run_index)
+        run = runner.simulate(scen, policy_id, lam=lam, seed=seed)
+        alone = str(tmp_path / f"{stem}.alone.csv")
+        metrics.export_csv(run.records, run.summary, alone)
+        for suffix in ("", ".summary"):
+            assert _read(alone + suffix) == _read(tmp_path / "sweep" / f"{stem}.csv{suffix}")
 
 
 def test_per_call_forms_sort_one_users_tuple_once(monkeypatch):

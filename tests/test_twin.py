@@ -256,7 +256,7 @@ def test_a_kept_decision_objective_raises_once_its_slot_left_the_ring(
     decisions = []
     for t in range(4):
         twin.record(env.state)
-        decisions.append(decide(twin.snapshot(now=t)))
+        decisions.extend(decide([twin.snapshot(now=t)]))
         env.step(decisions[-1].allocation)
     assert isinstance(decisions[-1].objective_estimate, float)
     with pytest.raises(LookupError, match="slot 0 has left the state ring"):
