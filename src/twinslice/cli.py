@@ -120,7 +120,10 @@ def _load(args) -> Scenario:
 
 
 def _out_dir(args) -> str:
-    return os.environ.get("TWINSLICE_OUT", args.out)
+    out = os.environ.get("TWINSLICE_OUT", args.out)
+    if not out:
+        raise ConfigError("the output directory (--out or TWINSLICE_OUT) is empty")
+    return out
 
 
 def _policies(args, default: tuple[str, ...]) -> tuple[str, ...]:
@@ -143,7 +146,7 @@ def _cmd_simulate(args) -> int:
             f"{args.command} takes exactly one --policy; use compare for several"
         )
     lambdas = DEFAULT_SWEEP if verb.sweep else None
-    if verb.sweep and args.lambdas:
+    if verb.sweep and args.lambdas is not None:
         try:
             lambdas = tuple(float(v) for v in args.lambdas.split(","))
         except ValueError:

@@ -6,7 +6,9 @@ states) and what a state is read as. A run keeps its slot state in arrays
 instead (``envsim.StateRing``) and builds ``ChannelState`` and
 ``TrafficState`` only when someone reads them; those two copy their arrays
 on construction and mark them read-only. ``UserLayout`` holds a user set's
-per-run constants, and ``AllocationMatrix`` carries a policy's user rows.
+per-run constants. A slot policy decides user rows in an array
+(``policy``); ``AllocationMatrix`` holds one allocation's user ids, for the
+calls that take or return a single allocation.
 """
 from __future__ import annotations
 
@@ -136,47 +138,21 @@ class UserLayout:
 
 
 class AllocationMatrix:
-    """Per-slot map of each resource block to one user id or UNASSIGNED.
-
-    Built from ids, or by a policy from user rows of a ``UserLayout``
-    (``of_rows``); the ids of a row-built matrix are derived when read.
-    """
-
-    __slots__ = ("_assignment", "_rows", "_layout", "idle")
+    """Per-slot map of each resource block to one user id or UNASSIGNED."""
 
     def __init__(self, assignment: Iterable[int]):
-        self._assignment = tuple(map(int, assignment))
-        self._rows = self._layout = None
-        self.idle = UNASSIGNED in self._assignment  # some block left unassigned
+        self.assignment = tuple(map(int, assignment))
+        self.idle = UNASSIGNED in self.assignment  # some block left unassigned
 
     @classmethod
     def of_rows(cls, rows: Sequence[int], layout: UserLayout) -> "AllocationMatrix":
-        """A policy's output: one user row per block, UNASSIGNED for an idle
-        block. The range check here is the only one the rows get."""
-        lo, hi = min(rows), max(rows)
-        if lo < UNASSIGNED or hi >= len(layout.ids):
-            raise ValueError(
-                f"allocation rows {list(rows)} outside the {len(layout.ids)} users"
-            )
-        m = cls.__new__(cls)
-        m._assignment, m._layout, m.idle = None, layout, lo == UNASSIGNED
-        m._rows = np.array(rows, dtype=np.intp)
-        return m
-
-    @property
-    def assignment(self) -> tuple[int, ...]:
-        if self._assignment is None:
-            ids = self._layout.ids
-            self._assignment = tuple(
-                UNASSIGNED if r == UNASSIGNED else ids[r] for r in self._rows.tolist()
-            )
-        return self._assignment
+        """The matrix of one user row of ``layout`` per block, UNASSIGNED for
+        an idle block, as a policy decides it."""
+        return cls(UNASSIGNED if r == UNASSIGNED else layout.ids[r] for r in rows)
 
     def rows_in(self, ids: tuple[int, ...]) -> np.ndarray:
         """The row of each block's user among ``ids`` (ascending); a
         ValueError names an id that is not one of them."""
-        if self._layout is not None and self._layout.ids == ids:
-            return self._rows
         row = {uid: i for i, uid in enumerate(ids)}
         try:
             return np.array(

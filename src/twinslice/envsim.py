@@ -21,6 +21,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .domain import (
+    UNASSIGNED,
     AllocationMatrix,
     ChannelState,
     QoSRequirement,
@@ -172,9 +173,7 @@ def _run_index(n_runs: int, n_users: int, n_rbs: int) -> tuple[np.ndarray, np.nd
     return offsets, blocks
 
 
-def _user_rates(
-    rows: Sequence[np.ndarray], rates: np.ndarray, idle: bool
-) -> np.ndarray:
+def _user_rates(rows: np.ndarray, rates: np.ndarray, idle: bool) -> np.ndarray:
     """Bits/slot of every user of every run: ``rows[r]`` holds run r's user
     row per block, ``rates`` (runs, users, blocks) the runs'
     ``block_rates``; ``idle`` says some block is UNASSIGNED. One
@@ -182,16 +181,11 @@ def _user_rates(
     user's entries in block order."""
     n_runs, n_users, n_rbs = rates.shape
     offsets, blocks = _run_index(n_runs, n_users, n_rbs)
-    if n_runs > 1:
-        rows = np.concatenate(rows)
-        bins = rows + offsets  # each entry's row in the (runs * users, blocks) stack
-        stack = rates.reshape(-1, n_rbs)
-    else:
-        rows = bins = rows[0]
-        stack = rates[0]
-    held = rows >= 0 if idle else None
-    weights = stack[bins, blocks]
+    rows = rows.reshape(-1)
+    bins = rows + offsets  # each entry's row in the (runs * users, blocks) stack
+    weights = rates.reshape(-1, n_rbs)[bins, blocks]
     if idle:
+        held = rows >= 0
         bins, weights = bins[held], weights[held]
     return np.bincount(bins, weights=weights, minlength=n_runs * n_users).reshape(
         n_runs, n_users
@@ -204,7 +198,7 @@ def user_rates(
     """Bits/slot of every user (the rows of ``rates``, with ``ids``) under
     ``m``: the user's entries added in block order, by the one ``bincount``
     the slot kernel runs for all runs (``_user_rates``)."""
-    return _user_rates([m.rows_in(ids)], rates[None], m.idle)[0]
+    return _user_rates(m.rows_in(ids), rates[None], m.idle)[0]
 
 
 def class_sum(values: list[float], rows: Iterable[int]) -> float:
@@ -398,12 +392,15 @@ class Environment:
     def step(self, decision: AllocationMatrix) -> SlotOutcome:
         """Apply an allocation for the current slot of a one-run environment
         and move to the next one (``step_runs``), as a ``SlotOutcome``."""
-        return self.step_runs([decision]).outcome(self.ring.layout)
+        layout = self.ring.layout
+        return self.step_runs(decision.rows_in(layout.ids)[None]).outcome(layout)
 
-    def step_runs(self, decisions: Sequence[AllocationMatrix]) -> SlotColumns:
-        """The slot kernel: apply one allocation per run to the current slot,
-        write the next slot of every run into the ring, move to it and
-        return the slot's columns.
+    def step_runs(self, rows: np.ndarray) -> SlotColumns:
+        """The slot kernel: apply run r's user rows ``rows[r]``, one per
+        block with UNASSIGNED for an idle block, to the current slot, write
+        the next slot of every run into the ring, move to it and return the
+        slot's columns. Rows of another shape or outside the users are a
+        ValueError, raised before anything is drawn.
 
         Order of events within the slot: realise rates against the current
         channel, drain URLLC queues by served bits, add the slot's new
@@ -412,23 +409,23 @@ class Environment:
         its own generator, its arrivals before its next channel.
         """
         ring, t, rngs = self.ring, self.now, self.rngs
-        if len(decisions) != len(rngs):
-            raise ValueError(f"{len(decisions)} allocations for {len(rngs)} runs")
         layout, n_rbs = ring.layout, self.grid.num_rbs
-        rows, idle = [], False
-        for decision in decisions:
-            own = decision.rows_in(layout.ids)
-            if len(own) != n_rbs:
-                raise ValueError(
-                    f"invalid allocation: length {len(own)} != num_rbs {n_rbs}"
-                )
-            rows.append(own)
-            idle = idle or decision.idle
+        if rows.shape != (len(rngs), n_rbs):
+            raise ValueError(
+                f"invalid allocation: rows of shape {rows.shape} for "
+                f"{len(rngs)} runs of {n_rbs} blocks"
+            )
+        lo = rows.min()
+        if lo < UNASSIGNED or rows.max() >= len(layout.ids):
+            raise ValueError(
+                f"invalid allocation: rows {rows.tolist()} outside the "
+                f"{len(layout.ids)} users"
+            )
         i, j = t % ring.depth, (t + 1) % ring.depth
         matrix = memo_rates(
             ring.memo[i], ring.snr[i], self.grid.rb_bandwidth, self.slot_duration
         )
-        rates = _user_rates(rows, matrix, idle).tolist()
+        rates = _user_rates(rows, matrix, lo == UNASSIGNED).tolist()
 
         urllc, bits, lams = layout.urllc, ring.qos.urllc_packet_bits, ring.lam[i]
         n_urllc = len(urllc)

@@ -3,11 +3,13 @@
 A ``Policy`` derives a user set's constants once (the user layout, the
 orthogonal split, the oracle's search space, the encoder's positions); each
 call takes one slot's snapshots of a block of runs, which share one ring
-entry, and returns one ``PolicyDecision`` per run, bit for bit the one of
-that snapshot alone, whose allocation always validates. ``repair_policy``
-takes a slot's decisions too; ``*_allocate`` and ``priority_repair`` are one
-call on one snapshot, and ``users`` may be a ``UserLayout``. Tie-breaking is
-lowest block index then lowest user id everywhere.
+entry, and returns their user rows as an ``[R, B]`` array: run r's row per
+block, UNASSIGNED for an idle block, bit for bit the rows of that snapshot
+alone. ``repair_policy`` takes a slot's rows too and also returns one
+``constraint_unmet`` flag per run. ``*_allocate`` and ``priority_repair``
+are one call on one snapshot: they return a ``PolicyDecision``, whose
+objective is computed when first read. ``users`` may be a ``UserLayout``.
+Tie-breaking is lowest block index then lowest user id everywhere.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .domain import (
     UserTerminal,
 )
 from .envsim import StateRing, _user_rates, class_sum, memo_rates, user_rates
-from .nn import MLP, FeatureScaling, decode_output, feature_encoder, forward
+from .nn import MLP, FeatureScaling, feature_encoder, forward
 from .twin import TwinSnapshot
 
 #: Penalty multiplier applied to the largest per-block rate in the snapshot.
@@ -37,7 +39,7 @@ PENALTY_SCALE = 10.0
 #: Exhaustive search cap: enumerate only when num_users ** num_rbs fits.
 EXHAUSTIVE_CAP = 4 ** 6
 
-Policy = Callable[[Sequence[TwinSnapshot]], list["PolicyDecision"]]
+Policy = Callable[[Sequence[TwinSnapshot]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -130,13 +132,18 @@ def _entry(snapshots: Sequence[TwinSnapshot]) -> tuple[StateRing, int, list[int]
     return ring, snapshots[0].held(), [s.run for s in snapshots]
 
 
-def _each(decide: Callable[..., PolicyDecision]) -> Callable[..., list[PolicyDecision]]:
-    """The slot form of ``decide(snapshot)`` or ``decide(decision, snapshot)``."""
-    def slot(*args: Sequence) -> list[PolicyDecision]:
-        _entry(args[-1])
-        return [decide(*per_run) for per_run in zip(*args)]
-
-    return slot
+def _decision(
+    rows: np.ndarray, snapshot: TwinSnapshot, grid: ResourceGrid, layout: UserLayout,
+    qos: QoSRequirement, slot_duration: float, policy_id: str,
+    penalty_weight: Optional[float] = None, constraint_unmet: bool = False,
+) -> PolicyDecision:
+    """A per-call form's result: one run's ``rows`` as an ``AllocationMatrix``,
+    scored by ``allocation_objective`` on ``snapshot`` when first read."""
+    m = AllocationMatrix.of_rows(rows.tolist(), layout)
+    objective = partial(
+        allocation_objective, m, snapshot, grid, layout, qos, slot_duration, penalty_weight
+    )
+    return PolicyDecision(m, objective, policy_id, constraint_unmet)
 
 
 def orthogonal_policy(
@@ -158,7 +165,7 @@ def orthogonal_policy(
         for rows, lo, hi in ((layout.urllc, 0, split), (layout.embb, split, grid.num_rbs))
     ]
 
-    def decide(snapshots: Sequence[TwinSnapshot]) -> list[PolicyDecision]:
+    def decide(snapshots: Sequence[TwinSnapshot]) -> np.ndarray:
         ring, i, runs = _entry(snapshots)
         neg, rows = -ring.snr[i, runs], [[UNASSIGNED] * grid.num_rbs for _ in runs]
         for members, blocks, rounds in partitions:
@@ -177,14 +184,7 @@ def orthogonal_policy(
                             break
                     served.add(best)
                     own[b] = best
-        decisions = []
-        for own, snapshot in zip(rows, snapshots):
-            m = AllocationMatrix.of_rows(own, layout)
-            objective = partial(
-                allocation_objective, m, snapshot, grid, layout, snapshot.qos, slot_duration
-            )
-            decisions.append(PolicyDecision(m, objective, "orthogonal"))
-        return decisions
+        return np.array(rows, dtype=np.intp)
 
     return decide
 
@@ -193,7 +193,9 @@ def orthogonal_allocate(
     snapshot: TwinSnapshot, cfg: OrthogonalConfig, grid: ResourceGrid,
     users: Iterable[UserTerminal], slot_duration: float,
 ) -> PolicyDecision:
-    return orthogonal_policy(cfg, grid, users, slot_duration)([snapshot])[0]
+    layout = UserLayout.of(users)
+    (rows,) = orthogonal_policy(cfg, grid, layout, slot_duration)([snapshot])
+    return _decision(rows, snapshot, grid, layout, snapshot.qos, slot_duration, "orthogonal")
 
 
 def _exhaustive_oracle(
@@ -204,9 +206,8 @@ def _exhaustive_oracle(
     holders: np.ndarray,
     holds: np.ndarray,
     penalty_weight: np.ndarray,
-) -> tuple[list[list[int]], list[float]]:
-    """Each run's best rows and objective; load and penalty_weight are (runs, 1)."""
-    n_runs, n_users = rates.shape[:2]
+) -> np.ndarray:
+    """Each run's best rows; load and penalty_weight are (runs, 1)."""
     # holders[b][n]: user row holding block b in the n-th assignment, in
     # itertools.product's order; holds[b, u, n]: whether it is u. A user's sum
     # adds its entries in block order, as user_rates does: + 0.0 is exact.
@@ -216,7 +217,7 @@ def _exhaustive_oracle(
 
     # allocation_objective's terms, accumulated in user order.
     total = urllc_rate = embb_deficit = 0.0
-    for i in range(n_users):
+    for i in range(rates.shape[1]):
         r = sums[:, i]
         total = total + r
         if is_urllc[i]:
@@ -227,8 +228,7 @@ def _exhaustive_oracle(
     obj = total - penalty_weight * urllc_deficit - penalty_weight * embb_deficit
     # The first maximum is the lexicographically first optimal assignment:
     # lowest block index, then lowest user id.
-    best = obj.argmax(axis=1)
-    return holders[:, best].T.tolist(), obj[np.arange(n_runs), best].tolist()
+    return holders[:, obj.argmax(axis=1)].T
 
 
 def _greedy_oracle(
@@ -327,33 +327,24 @@ def oracle_policy(
     bw = grid.rb_bandwidth
     min_rate_bits = qos.embb_min_rate * slot_duration
 
-    def decide(snapshots: Sequence[TwinSnapshot]) -> list[PolicyDecision]:
+    def decide(snapshots: Sequence[TwinSnapshot]) -> np.ndarray:
         ring, i, runs = _entry(snapshots)
         loads = [qos.urllc_packet_bits * s.lam for s in snapshots]
         pws = [default_penalty_weight(s, grid, slot_duration) if penalty_weight is None
                else penalty_weight for s in snapshots]
         if mode == "exhaustive":
-            rows, objs = _exhaustive_oracle(
+            return _exhaustive_oracle(
                 memo_rates(ring.memo[i], ring.snr[i], bw, slot_duration)[runs],
                 np.array(loads)[:, None], min_rate_bits, layout.is_urllc, holders, holds,
                 np.array(pws)[:, None],
             )
-            return [
-                PolicyDecision(AllocationMatrix.of_rows(own, layout), obj, "oracle")
-                for own, obj in zip(rows, objs)
-            ]
-        decisions = []
-        for snap, load, pw in zip(snapshots, loads, pws):
-            rows = _greedy_oracle(
+        return np.array([
+            _greedy_oracle(
                 snap.rates(bw, slot_duration), load, min_rate_bits, layout.is_urllc,
                 layout.urllc_rows, pw,
             )
-            m = AllocationMatrix.of_rows(rows, layout)
-            objective = partial(
-                allocation_objective, m, snap, grid, layout, qos, slot_duration, pw
-            )
-            decisions.append(PolicyDecision(m, objective, "oracle"))
-        return decisions
+            for snap, load, pw in zip(snapshots, loads, pws)
+        ], dtype=np.intp)
 
     return decide
 
@@ -363,8 +354,9 @@ def oracle_allocate(
     qos: QoSRequirement, slot_duration: float, mode: str = "auto",
     penalty_weight: Optional[float] = None,
 ) -> PolicyDecision:
-    decide = oracle_policy(grid, users, qos, slot_duration, mode, penalty_weight)
-    return decide([snapshot])[0]
+    layout = UserLayout.of(users)
+    (rows,) = oracle_policy(grid, layout, qos, slot_duration, mode, penalty_weight)([snapshot])
+    return _decision(rows, snapshot, grid, layout, qos, slot_duration, "oracle", penalty_weight)
 
 
 def dynamic_policy(
@@ -376,7 +368,7 @@ def dynamic_policy(
     slot_duration: float,
 ) -> Policy:
     """Neural allocator: encode the snapshot, run the net, decode per-block
-    argmax. The decode step guarantees a valid matrix for any finite net."""
+    argmax. The decode step gives valid rows for any finite net."""
     layout = UserLayout.of(users)
     if net.output_shape != (grid.num_rbs, len(layout.ids)):
         raise ValueError(
@@ -385,26 +377,26 @@ def dynamic_policy(
         )
     encode = feature_encoder(grid, layout, qos, scaling)
 
-    def decide(snapshot: TwinSnapshot) -> PolicyDecision:
-        m = decode_output(forward(net, encode(snapshot)), layout)
-        objective = partial(
-            allocation_objective, m, snapshot, grid, layout, qos, slot_duration
-        )
-        return PolicyDecision(m, objective, "dnn")
+    def decide(snapshots: Sequence[TwinSnapshot]) -> np.ndarray:
+        _entry(snapshots)
+        probs = np.array([forward(net, encode(s)).probs for s in snapshots])
+        return probs.argmax(axis=2)  # decode_output's argmax: the lowest id wins ties
 
-    return _each(decide)
+    return decide
 
 
 def dynamic_allocate(
     snapshot: TwinSnapshot, net: MLP, grid: ResourceGrid, users: Iterable[UserTerminal],
     qos: QoSRequirement, scaling: FeatureScaling, slot_duration: float,
 ) -> PolicyDecision:
-    return dynamic_policy(net, grid, users, qos, scaling, slot_duration)([snapshot])[0]
+    layout = UserLayout.of(users)
+    (rows,) = dynamic_policy(net, grid, layout, qos, scaling, slot_duration)([snapshot])
+    return _decision(rows, snapshot, grid, layout, qos, slot_duration, "dnn")
 
 
 def _urllc_sum(rows: np.ndarray, idle: bool, rates: np.ndarray, urllc: list) -> float:
     """Sum URLLC rate of user rows ``rows``, added as the slot kernel adds it."""
-    return class_sum(_user_rates([rows], rates[None], idle)[0].tolist(), urllc)
+    return class_sum(_user_rates(rows, rates[None], idle)[0].tolist(), urllc)
 
 
 def predicted_urllc_rate(
@@ -426,7 +418,7 @@ def repair_policy(
     grid: ResourceGrid,
     users: Iterable[UserTerminal],
     slot_duration: float,
-) -> Callable[[Sequence[PolicyDecision], Sequence[TwinSnapshot]], list[PolicyDecision]]:
+) -> Callable[[np.ndarray, Sequence[TwinSnapshot]], tuple[np.ndarray, list[bool]]]:
     """Reassign eMBB blocks to URLLC until the predicted load constraint holds.
 
     Each move takes the eMBB-held block with the highest URLLC marginal rate
@@ -434,27 +426,28 @@ def repair_policy(
     first move after which ``predicted_urllc_rate`` exceeds the load.
     URLLC-held blocks are never touched. Runs on the snapshot's channel
     deliberately, so twin staleness degrades the repair exactly as it would
-    in operation.
+    in operation. A call takes a slot's rows and snapshots and returns the
+    repaired rows and, per run, whether the moves ran out first
+    (``constraint_unmet``).
     """
     layout = UserLayout.of(users)
     urllc, is_urllc = layout.urllc, layout.is_urllc.tolist()
 
-    def repair(decision: PolicyDecision, snapshot: TwinSnapshot) -> PolicyDecision:
-        rows = decision.allocation.rows_in(layout.ids).tolist()
-        idle = decision.allocation.idle  # a move never frees or fills a block
+    def repair(own: list[int], snapshot: TwinSnapshot) -> tuple[list[int], bool]:
+        idle = UNASSIGNED in own  # a move never frees or fills a block
         rates = snapshot.rates(grid.rb_bandwidth, slot_duration)
         target = qos.urllc_packet_bits * snapshot.lam
         moves: list[tuple[int, int]] = []  # (block, new holder) in the order made
         if urllc:
             gain = rates[urllc]
             top, best = gain.max(axis=0).tolist(), gain.argmax(axis=0).tolist()
-            embb = [b for b, r in enumerate(rows) if r != UNASSIGNED and not is_urllc[r]]
+            embb = [b for b, r in enumerate(own) if r != UNASSIGNED and not is_urllc[r]]
             # A move leaves the other blocks' rates as they are, so the order is
             # fixed: highest rate first, then the lowest block, then the lowest id.
             moves = [(b, urllc[best[b]]) for b in sorted(embb, key=lambda b: -top[b])]
 
         def after(k: int) -> list[int]:
-            moved = rows.copy()
+            moved = own.copy()
             for b, r in moves[:k]:
                 moved[b] = r
             return moved
@@ -467,18 +460,22 @@ def repair_policy(
             range(len(moves) + 1), True,
             key=lambda k: _urllc_sum(np.array(after(k)), idle, rates, urllc) > target,
         )
-        m = AllocationMatrix.of_rows(after(k), layout)
-        objective = partial(
-            allocation_objective, m, snapshot, grid, layout, qos, slot_duration
-        )
-        policy_id = decision.policy_id + "+repair"
-        return PolicyDecision(m, objective, policy_id, constraint_unmet=k > len(moves))
+        return after(k), k > len(moves)
 
-    return _each(repair)
+    def slot(rows: np.ndarray, snapshots: Sequence[TwinSnapshot]):
+        _entry(snapshots)
+        repaired, unmet = zip(*map(repair, rows.tolist(), snapshots))
+        return np.array(repaired, dtype=np.intp), list(unmet)
+
+    return slot
 
 
 def priority_repair(
     decision: PolicyDecision, snapshot: TwinSnapshot, qos: QoSRequirement,
     grid: ResourceGrid, users: Iterable[UserTerminal], slot_duration: float,
 ) -> PolicyDecision:
-    return repair_policy(qos, grid, users, slot_duration)([decision], [snapshot])[0]
+    layout = UserLayout.of(users)
+    rows = decision.allocation.rows_in(layout.ids)[None]
+    (own,), (unmet,) = repair_policy(qos, grid, layout, slot_duration)(rows, [snapshot])
+    policy_id = decision.policy_id + "+repair"
+    return _decision(own, snapshot, grid, layout, qos, slot_duration, policy_id, None, unmet)

@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,46 +41,52 @@ def derive_seed(base_seed: int, run_index: int) -> int:
 
 def _make_policy(
     policy_id: str, scenario: Scenario, net: Optional[MLP]
-) -> policy_mod.Policy:
-    """The policy of a block of runs: its constants are derived here, once."""
+) -> Callable[[Sequence[TwinSnapshot]], tuple[np.ndarray, list[bool]]]:
+    """The policy of a block of runs: its constants are derived here, once.
+    A call returns the slot's user rows and, per run, whether the repair ran
+    out of eMBB blocks."""
     layout = UserLayout(scenario.users())
     grid, qos, tau = scenario.grid, scenario.qos, scenario.slot_duration
     if policy_id == "orthogonal":
         cfg = policy_mod.OrthogonalConfig(urllc_fraction=scenario.urllc_fraction)
-        return policy_mod.orthogonal_policy(cfg, grid, layout, tau)
-    if policy_id == "oracle":
-        return policy_mod.oracle_policy(grid, layout, qos, tau)
-    if policy_id in ("dnn", "dnn+repair"):
+        decide = policy_mod.orthogonal_policy(cfg, grid, layout, tau)
+    elif policy_id == "oracle":
+        decide = policy_mod.oracle_policy(grid, layout, qos, tau)
+    elif policy_id in ("dnn", "dnn+repair"):
         if net is None:
             raise ConfigError(f"policy {policy_id!r} needs trained weights")
         scaling = scenario.scaling()
         decide = policy_mod.dynamic_policy(net, grid, layout, qos, scaling, tau)
-        if policy_id == "dnn":
-            return decide
-        repair = policy_mod.repair_policy(qos, grid, layout, tau)
-        return lambda snaps: repair(decide(snaps), snaps)
-    raise ConfigError(f"unknown policy {policy_id!r}; known: {POLICY_IDS}")
+        if policy_id == "dnn+repair":
+            repair = policy_mod.repair_policy(qos, grid, layout, tau)
+            return lambda snaps: repair(decide(snaps), snaps)
+    else:
+        raise ConfigError(f"unknown policy {policy_id!r}; known: {POLICY_IDS}")
+    return lambda snaps: (decide(snaps), [False] * len(snaps))
 
 
 def _slots(
-    scenario: Scenario, decides: Sequence[tuple[policy_mod.Policy, slice]],
+    scenario: Scenario, decides: Sequence[tuple[Callable, slice]],
     seeds: Sequence[Optional[int]], lams: Sequence[Optional[float]],
-) -> Iterator[tuple[int, list[TwinSnapshot], list[policy_mod.PolicyDecision], SlotColumns]]:
+) -> Iterator[tuple[int, list[TwinSnapshot], np.ndarray, list[bool], SlotColumns]]:
     """The slot loop of every run, the runs of one scenario in lockstep: run
     r steps on the environment of ``seeds[r]`` and ``lams[r]``, and each
-    ``(policy, runs)`` of ``decides`` decides its slice of runs in one call.
+    ``(decide, runs)`` of ``decides`` decides its slice of runs in one call.
     The twin records the physical states and is asked for the snapshots
     before the decisions are made, so the allocation applied at slot t only
     ever depends on twin state delivered at or before t; the environment
-    then steps. Yields (t, snapshots, decisions, columns), one snapshot and
-    one decision per run and the slot's per-run columns."""
+    then steps. Yields (t, snapshots, rows, unmet, columns): one snapshot,
+    one row of user rows and one repair flag per run, and the slot's
+    per-run columns."""
     env = scenario.environments(seeds, lams)
     twin = scenario.make_twin()
     for t in range(scenario.horizon_slots):
         twin.record(env.state)
         snaps = twin.snapshots(now=t)
-        decisions = [d for decide, runs in decides for d in decide(snaps[runs])]
-        yield t, snaps, decisions, env.step_runs([d.allocation for d in decisions])
+        decided = [decide(snaps[runs]) for decide, runs in decides]
+        rows = np.concatenate([block for block, _ in decided])
+        unmet = [flag for _, flags in decided for flag in flags]
+        yield t, snaps, rows, unmet, env.step_runs(rows)
 
 
 @dataclass
@@ -122,13 +128,13 @@ def _simulate(
     columns = np.empty((4, len(runs), horizon))
     twin_log = np.empty((horizon, 3), dtype=np.int64)
     unmet = [0] * len(runs)  # slots whose repair ran out of eMBB blocks, per run
-    for t, snaps, decisions, slot in _slots(
+    for t, snaps, _, flags, slot in _slots(
         scenario, decides, seeds, [lam for _, lam, _ in runs]
     ):
         snap = snaps[0]  # the runs share the twin, so they share its log
         twin_log[t] = snap.captured_at, snap.delivered_at, snap.stale_underflow
         columns[:, :, t].flat = slot.lam + slot.embb + slot.urllc + slot.served
-        unmet = [n + d.constraint_unmet for n, d in zip(unmet, decisions)]
+        unmet = [n + flag for n, flag in zip(unmet, flags)]
 
     lam, embb, urllc, served = columns
     # Spectral efficiency counts delivered bits: eMBB is fully buffered so
@@ -240,16 +246,15 @@ def collect_training_data(
     """
     layout = UserLayout(scenario.users())
     grid = scenario.grid
-    decide = policy_mod.oracle_policy(grid, layout, scenario.qos, scenario.slot_duration)
+    decide = _make_policy("oracle", scenario, None)
     encode = nn.feature_encoder(grid, layout, scenario.qos, scenario.scaling())
 
     X = np.empty((scenario.horizon_slots, nn.feature_dim(len(layout.ids), grid.num_rbs)))
     labels = np.empty((scenario.horizon_slots, grid.num_rbs), dtype=int)
     slots = _slots(scenario, [(decide, slice(1))], [seed], [None])
-    for t, (snap,), (decision,), _ in slots:
+    for t, (snap,), rows, _, _ in slots:
         X[t] = encode(snap)
-        # A user's label is its column, which is its row.
-        labels[t] = decision.allocation.rows_in(layout.ids)
+        labels[t] = rows[0]  # a user's label is its column, which is its row
     return X, labels
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from twinslice import runner
 from twinslice.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from twinslice.nn import MLP, save_weights
 
@@ -169,6 +170,39 @@ def test_runs_that_would_share_a_file_are_a_config_error(
     assert code == EXIT_CONFIG
     assert "orthogonal_lam1.csv" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_empty_lambdas_is_a_config_error(tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(
+        [
+            "sweep", "--scenario", tiny_cfg, "--out", str(out),
+            "--policy", "orthogonal", "--lambdas", "",
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert "--lambdas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "train"])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_empty_output_dir_is_a_config_error_before_any_work(
+    tiny_cfg, monkeypatch, capsys, verb, via_env
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was checked")
+
+    monkeypatch.setattr(runner, "_simulate", no_work)
+    monkeypatch.setattr(runner, "collect_training_data", no_work)
+    argv = [verb, "--scenario", tiny_cfg]
+    if via_env:
+        monkeypatch.setenv("TWINSLICE_OUT", "")
+    else:
+        argv += ["--out", ""]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--out" in err and "TWINSLICE_OUT" in err
 
 
 def test_dump_twin_flag_writes_the_side_log(tiny_cfg, tmp_path):

@@ -19,6 +19,7 @@ from twinslice.domain import (
     ServiceClass,
 )
 from twinslice.envsim import (
+    Environment,
     FadingModel,
     FadingParams,
     LinkBudget,
@@ -323,6 +324,29 @@ def test_advance_rejects_invalid_allocation():
     env = make_env(make_users(1, 0), ResourceGrid(2, 1e5))
     with pytest.raises(ValueError, match="invalid allocation"):
         env.step(AllocationMatrix((0, 99)))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1, 2]],  # one run's rows for two runs
+        [[0, 1], [2, 0]],  # two blocks of three
+        [[0, 1, 2], [2, 3, 0]],  # a row >= the three users
+        [[0, 1, 2], [-2, 0, 1]],  # a row below UNASSIGNED
+    ],
+)
+def test_step_runs_rejects_bad_rows_before_drawing(rows):
+    users = make_users(2, 1)
+    env = Environment(
+        users, ResourceGrid(3, 1e5), QoSRequirement(), 1e-3, [lambda t: 5.0] * 2, [1, 2]
+    )
+    before = [rng.bit_generator.state for rng in env.rngs]
+    with pytest.raises(ValueError, match="invalid allocation"):
+        env.step_runs(np.array(rows))
+    assert env.now == 0
+    assert [rng.bit_generator.state for rng in env.rngs] == before
+    env.step_runs(np.array([[0, 1, 2], [UNASSIGNED, 2, 1]]))  # still steps
+    assert env.now == 1
 
 
 def test_a_view_raises_once_its_ring_entry_is_reused():

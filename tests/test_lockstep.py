@@ -5,9 +5,10 @@ Every example draws a user set with mixed fading groups (Rayleigh, Rician,
 own policy, seed and lambda plan (zero included). The runs step together
 through one environment and one twin, each block of consecutive runs of
 one policy deciding in one call, and each run also steps alone through a
-one-run environment and twin of its own. Every slot's snapshot, every
-decision, each generator's final state and, bit for bit, every run's
-columns of the lockstep step and the outcome of its own step must agree.
+one-run environment and twin of its own. Every slot's snapshot, user rows
+and repair flags, each generator's final state and, bit for bit, every
+run's columns of the lockstep step and the outcome of its own step must
+agree. The per-call forms decide as the slot forms do.
 """
 import itertools
 import math
@@ -16,7 +17,14 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from twinslice import nn, policy
-from twinslice.domain import QoSRequirement, ResourceGrid, ServiceClass, UserTerminal
+from twinslice.domain import (
+    UNASSIGNED,
+    AllocationMatrix,
+    QoSRequirement,
+    ResourceGrid,
+    ServiceClass,
+    UserTerminal,
+)
 from twinslice.envsim import Environment, FadingModel, FadingParams, LinkBudget
 from twinslice.nn import FeatureScaling
 from twinslice.scenario import LambdaSchedule
@@ -73,15 +81,17 @@ def cases(draw):
 
 
 def _policy(policy_id, users, grid, qos, fraction, net):
+    """A slot's snapshots -> (rows, one repair flag per run)."""
     if policy_id == "orthogonal":
-        return policy.orthogonal_policy(policy.OrthogonalConfig(fraction), grid, users, TAU)
-    if policy_id == "oracle":
-        return policy.oracle_policy(grid, users, qos, TAU)
-    decide = policy.dynamic_policy(net, grid, users, qos, FeatureScaling(), TAU)
-    if policy_id == "dnn":
-        return decide
-    repair = policy.repair_policy(qos, grid, users, TAU)
-    return lambda snaps: repair(decide(snaps), snaps)
+        decide = policy.orthogonal_policy(policy.OrthogonalConfig(fraction), grid, users, TAU)
+    elif policy_id == "oracle":
+        decide = policy.oracle_policy(grid, users, qos, TAU)
+    else:
+        decide = policy.dynamic_policy(net, grid, users, qos, FeatureScaling(), TAU)
+    if policy_id == "dnn+repair":
+        repair = policy.repair_policy(qos, grid, users, TAU)
+        return lambda snaps: repair(decide(snaps), snaps)
+    return lambda snaps: (decide(snaps), [False] * len(snaps))
 
 
 def _blocks(policy_ids):
@@ -148,16 +158,18 @@ def test_lockstep_runs_equal_each_run_alone(case):
     for t in range(n_slots):
         twin.record(env.state)
         snaps = twin.snapshots(now=t)
-        decisions = [d for decide, block in decides for d in decide(snaps[block])]
-        columns = env.step_runs([d.allocation for d in decisions])
+        decided = [decide(snaps[block]) for decide, block in decides]
+        rows = np.concatenate([block_rows for block_rows, _ in decided])
+        unmet = [flag for _, flags in decided for flag in flags]
+        columns = env.step_runs(rows)
         for r, (own_env, own_twin, own_decide) in enumerate(alone):
             own_twin.record(own_env.state)
             snap = own_twin.snapshot(now=t)
             _same_snapshot(snaps[r], snap)
-            (decision,) = own_decide([snap])
-            assert decision.allocation.assignment == decisions[r].allocation.assignment
-            assert decision.constraint_unmet == decisions[r].constraint_unmet
-            outcome = own_env.step(decision.allocation)
+            own_rows, (own_unmet,) = own_decide([snap])
+            assert own_rows.tolist() == [rows[r].tolist()]
+            assert own_unmet == unmet[r]
+            outcome = own_env.step(AllocationMatrix.of_rows(own_rows[0], own_env.ring.layout))
             _same_outcome(columns, r, outcome)
     for rng, (own_env, _, _) in zip(env.rngs, alone):
         assert rng.bit_generator.state == own_env.rngs[0].bit_generator.state
@@ -189,42 +201,78 @@ def slot_cases(draw):
     return users, grid, qos, draw(st.sampled_from(fractions)), lams, seeds, draw(st.integers(1, 5))
 
 
-@given(slot_cases())
-def test_slot_decisions_equal_one_run_decisions(case):
+def _forms(users, grid, qos, fraction, net):
+    """Per policy: its slot form, a slot's snapshots -> (rows, one repair
+    flag per run or None); its per-call form, one snapshot -> decision; and
+    the penalty weight both are given."""
+    cfg, scaling = policy.OrthogonalConfig(fraction), FeatureScaling()
+    dnn = policy.dynamic_policy(net, grid, users, qos, scaling, TAU)
+    repair = policy.repair_policy(qos, grid, users, TAU)
+
+    def rows_only(decide):
+        return lambda snaps: (decide(snaps), None)
+
+    def dnn_alone(snap):
+        return policy.dynamic_allocate(snap, net, grid, users, qos, scaling, TAU)
+
+    forms = [
+        (rows_only(policy.orthogonal_policy(cfg, grid, users, TAU)),
+         lambda snap: policy.orthogonal_allocate(snap, cfg, grid, users, TAU), None),
+        (rows_only(dnn), dnn_alone, None),
+        (lambda snaps: repair(dnn(snaps), snaps),
+         lambda snap: policy.priority_repair(dnn_alone(snap), snap, qos, grid, users, TAU),
+         None),
+    ]
+    for mode, pw in itertools.product(("auto", "greedy"), (None, 2.5)):
+        forms.append((
+            rows_only(policy.oracle_policy(grid, users, qos, TAU, mode, pw)),
+            lambda snap, mode=mode, pw=pw: policy.oracle_allocate(
+                snap, grid, users, qos, TAU, mode, pw
+            ),
+            pw,
+        ))
+    return forms
+
+
+def _slot_snapshots(case):
+    """(policy forms, layout, each slot's snapshots) of a ``slot_cases`` case;
+    every run idles its blocks."""
     users, grid, qos, fraction, lams, seeds, n_slots = case
     n = len(users)
     net = nn.MLP.glorot(
         [nn.feature_dim(n, grid.num_rbs), 8, grid.num_rbs * n], (grid.num_rbs, n), seed=2
     ).astype(np.float32)
-    cfg, scaling = policy.OrthogonalConfig(fraction), FeatureScaling()
-    dnn = policy.dynamic_policy(net, grid, users, qos, scaling, TAU)
-    repair = policy.repair_policy(qos, grid, users, TAU)
-
-    def dnn_alone(snap):
-        return policy.dynamic_allocate(snap, net, grid, users, qos, scaling, TAU)
-
-    policies = [
-        (policy.orthogonal_policy(cfg, grid, users, TAU),
-         lambda snap: policy.orthogonal_allocate(snap, cfg, grid, users, TAU)),
-        (policy.oracle_policy(grid, users, qos, TAU),
-         lambda snap: policy.oracle_allocate(snap, grid, users, qos, TAU)),
-        (policy.oracle_policy(grid, users, qos, TAU, mode="greedy"),
-         lambda snap: policy.oracle_allocate(snap, grid, users, qos, TAU, mode="greedy")),
-        (dnn, dnn_alone),
-        (lambda snaps: repair(dnn(snaps), snaps),
-         lambda snap: policy.priority_repair(dnn_alone(snap), snap, qos, grid, users, TAU)),
-    ]
     env = Environment(users, grid, qos, TAU, [lambda t, lam=lam: lam for lam in lams], seeds)
     twin = DigitalTwin()
+    forms = _forms(users, grid, qos, fraction, net)
     for t in range(n_slots):
         twin.record(env.state)
-        snaps = twin.snapshots(now=t)
-        for decide, alone in policies:
-            decisions = decide(snaps)
-            assert len(decisions) == len(snaps)
-            for decision, snap in zip(decisions, snaps):
+        yield forms, env.ring.layout, twin.snapshots(now=t)
+        env.step_runs(np.full((len(lams), grid.num_rbs), UNASSIGNED))
+
+
+@given(slot_cases())
+def test_slot_decisions_equal_one_run_decisions(case):
+    grid = case[1]
+    for forms, layout, snaps in _slot_snapshots(case):
+        for decide, alone, _ in forms:
+            rows, unmet = decide(snaps)
+            assert rows.shape == (len(snaps), grid.num_rbs)
+            for r, snap in enumerate(snaps):
                 want = alone(snap)
-                assert decision.allocation.assignment == want.allocation.assignment
-                assert decision.constraint_unmet == want.constraint_unmet
-                _same_bits([decision.objective_estimate], [want.objective_estimate])
-        env.step_runs([d.allocation for d in decisions])
+                assert rows[r].tolist() == want.allocation.rows_in(layout.ids).tolist()
+                assert (unmet[r] if unmet else False) == want.constraint_unmet
+
+
+@given(slot_cases())
+def test_a_per_call_decision_is_its_slot_rows_and_their_objective(case):
+    users, grid, qos = case[:3]
+    for forms, layout, snaps in _slot_snapshots(case):
+        for decide, alone, pw in forms:
+            rows, _ = decide(snaps)
+            for r, snap in enumerate(snaps):
+                got = alone(snap)
+                m = AllocationMatrix.of_rows(rows[r], layout)
+                assert got.allocation.assignment == m.assignment
+                want = policy.allocation_objective(m, snap, grid, users, qos, TAU, pw)
+                _same_bits([got.objective_estimate], [want])

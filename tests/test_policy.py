@@ -515,14 +515,15 @@ def test_repair_equals_stepwise_reference():
 
 def test_repair_probes_rows_and_builds_one_matrix(monkeypatch):
     # The bisection scores user rows on the one rate matrix it read; only
-    # the repaired allocation becomes an AllocationMatrix.
+    # the repaired allocation of the per-call form becomes an
+    # AllocationMatrix, and the slot form builds none.
     users = make_users(3, 2)
     grid = ResourceGrid(8, 1e5)
     snr = np.random.default_rng(5).exponential(1.0, (5, 8))
     snap = make_snapshot(snr, users, lam=1.0)
     base = PolicyDecision(AllocationMatrix((0, 1, 2, 0, 1, 2, 0, 1)), 0.0, "dnn")
-    repair = repair_policy(QoSRequirement(), grid, users, 1e-3)
-    (want,) = repair([base], [snap])
+    qos = QoSRequirement()
+    want = priority_repair(base, snap, qos, grid, users, 1e-3)
     calls = {"of_rows": 0, "rates": 0}
     of_rows, rates = AllocationMatrix.of_rows.__func__, type(snap).rates
 
@@ -540,12 +541,22 @@ def test_repair_probes_rows_and_builds_one_matrix(monkeypatch):
     monkeypatch.setattr(AllocationMatrix, "of_rows", classmethod(counted_of_rows))
     monkeypatch.setattr(type(snap), "rates", counted_rates)
     monkeypatch.setattr(policy, "predicted_urllc_rate", no_prediction)
-    (got,) = repair([base], [snap])
+    got = priority_repair(base, snap, qos, grid, users, 1e-3)
     assert calls == {"of_rows": 1, "rates": 1}
     assert got.allocation.assignment == want.allocation.assignment
     pairs = zip(got.allocation.assignment, base.allocation.assignment)
     assert sum(a != b for a, b in pairs) >= 2  # the bisection probed
     assert not got.constraint_unmet
+
+    def no_matrix(*args):
+        raise AssertionError("the slot repair built an AllocationMatrix")
+
+    monkeypatch.setattr(AllocationMatrix, "__init__", no_matrix)
+    repair = repair_policy(qos, grid, users, 1e-3)
+    rows, unmet = repair(np.array([[0, 1, 2, 0, 1, 2, 0, 1]]), [snap])
+    assert rows.tolist() == [list(want.allocation.assignment)]  # ids are rows here
+    assert unmet == [False]
+    assert calls == {"of_rows": 1, "rates": 2}
 
 
 def test_policy_outputs_always_validate_fuzz():
@@ -587,6 +598,5 @@ def test_a_policy_call_rejects_snapshots_of_two_ring_entries():
         with pytest.raises(ValueError, match="share one ring entry"):
             decide([a, b])
     repair = repair_policy(qos, grid, users, 1e-3)
-    base = PolicyDecision(AllocationMatrix((0, 1, 2, 0)), 0.0, "dnn")
     with pytest.raises(ValueError, match="share one ring entry"):
-        repair([base, base], [a, b])
+        repair(np.array([[0, 1, 2, 0]] * 2), [a, b])

@@ -13,7 +13,13 @@ from functools import partial
 from hypothesis import example, given, strategies as st
 
 from twinslice import metrics, nn, runner
-from twinslice.domain import AllocationMatrix, QoSRequirement, validate_allocation
+from twinslice.domain import (
+    UNASSIGNED,
+    AllocationMatrix,
+    QoSRequirement,
+    UserLayout,
+    validate_allocation,
+)
 from twinslice.envsim import FadingModel, FadingParams
 from twinslice.policy import predicted_urllc_rate
 from twinslice.scenario import LambdaSchedule, Scenario
@@ -72,7 +78,8 @@ def scenarios(draw, zero_delay=False):
 
 
 def _slots(scen, policy_id, net_seed):
-    """(snapshot, state before, decision, outcome, state after) per slot."""
+    """(snapshot, state before, the run's user rows, repair flag, outcome,
+    state after) per slot."""
     users = scen.users()
     n, b = len(users), scen.num_rbs
     net = nn.MLP.glorot([nn.feature_dim(n, b), 8, b * n], (b, n), seed=net_seed)
@@ -83,15 +90,15 @@ def _slots(scen, policy_id, net_seed):
         before = env.state
         twin.record(before)
         snap = twin.snapshot(now=t)
-        (decision,) = decide([snap])
-        outcome = env.step(decision.allocation)
-        yield snap, before, decision, outcome, env.state
+        rows, (unmet,) = decide([snap])
+        outcome = env.step_runs(rows).outcome(env.ring.layout)
+        yield snap, before, rows[0], unmet, outcome, env.state
 
 
 @given(scenarios(), st.sampled_from(POLICIES), st.integers(0, 100))
 def test_queue_bits_are_conserved(scen, policy_id, net_seed):
     bits = scen.qos.urllc_packet_bits
-    for _, before, _, outcome, after in _slots(scen, policy_id, net_seed):
+    for _, before, _, _, outcome, after in _slots(scen, policy_id, net_seed):
         ids = before.traffic.urllc_user_ids
         packets = 0
         for i, uid in enumerate(ids):
@@ -105,7 +112,7 @@ def test_queue_bits_are_conserved(scen, policy_id, net_seed):
 
 @given(scenarios(), st.sampled_from(POLICIES), st.integers(0, 100))
 def test_served_bits_within_capacity_and_backlog(scen, policy_id, net_seed):
-    for _, before, _, outcome, _ in _slots(scen, policy_id, net_seed):
+    for _, before, _, _, outcome, _ in _slots(scen, policy_id, net_seed):
         for i, uid in enumerate(before.traffic.urllc_user_ids):
             served = outcome.urllc_served_bits[uid]
             assert 0 <= served <= min(outcome.rates[uid], before.traffic.urllc_queue[i])
@@ -114,17 +121,21 @@ def test_served_bits_within_capacity_and_backlog(scen, policy_id, net_seed):
 @given(scenarios(), st.sampled_from(POLICIES), st.integers(0, 100))
 def test_every_decision_validates(scen, policy_id, net_seed):
     users = scen.users()
-    for _, _, decision, _, _ in _slots(scen, policy_id, net_seed):
-        assert validate_allocation(decision.allocation, scen.grid, users)
-        assert decision.policy_id == policy_id
+    layout = UserLayout(users)
+    for _, _, rows, _, _, _ in _slots(scen, policy_id, net_seed):
+        assert rows.shape == (scen.num_rbs,)
+        assert ((rows >= UNASSIGNED) & (rows < len(users))).all()
+        assert validate_allocation(AllocationMatrix.of_rows(rows, layout), scen.grid, users)
 
 
 @given(scenarios(zero_delay=True), st.sampled_from(POLICIES), st.integers(0, 100))
 def test_zero_delay_prediction_is_the_realised_rate(scen, policy_id, net_seed):
     users = scen.users()
-    for snap, _, decision, outcome, _ in _slots(scen, policy_id, net_seed):
+    layout = UserLayout(users)
+    for snap, _, rows, _, outcome, _ in _slots(scen, policy_id, net_seed):
         predicted = predicted_urllc_rate(
-            decision.allocation, snap, scen.grid, users, scen.slot_duration
+            AllocationMatrix.of_rows(rows, layout), snap, scen.grid, users,
+            scen.slot_duration,
         )
         assert predicted == outcome.urllc_sum_rate
 
@@ -150,8 +161,8 @@ BOUNDARY = Scenario(
 @example(BOUNDARY, 1)
 def test_zero_delay_repaired_slot_is_never_an_outage(scen, net_seed):
     bits = scen.qos.urllc_packet_bits
-    for _, _, decision, outcome, _ in _slots(scen, "dnn+repair", net_seed):
-        if not decision.constraint_unmet:
+    for _, _, _, unmet, outcome, _ in _slots(scen, "dnn+repair", net_seed):
+        if not unmet:
             assert not metrics.outage_event(
                 outcome.urllc_sum_rate, bits, outcome.lambda_t
             )

@@ -11,7 +11,7 @@ from twinslice.metrics import CSV_COLUMNS
 from twinslice.scenario import ExperimentSpec, load_scenario
 from twinslice.twin import DelayClass
 
-from conftest import tiny_scenario
+from conftest import make_snapshot, tiny_scenario
 
 
 def _read(path):
@@ -306,8 +306,6 @@ def test_mixed_experiment_runs_are_each_run_alone(policies, repo_root_scenarios,
 def test_per_call_forms_sort_one_users_tuple_once(monkeypatch):
     """``oracle_allocate`` and ``encode_features`` called slot after slot with
     one users tuple derive its layout once; a list is sorted on every call."""
-    from conftest import make_snapshot
-
     scen = tiny_scenario()
     users, grid, qos, tau = scen.users(), scen.grid, scen.qos, scen.slot_duration
     snap = make_snapshot(np.full((3, 4), 5.0), users, lam=2.0)
@@ -387,3 +385,32 @@ def test_run_records_hold_no_per_slot_objects(repo_root_scenarios):
         tracemalloc.stop()
     assert len(results) == 5
     assert held <= 64 * 5 * 2000, f"{held / (5 * 2000):.0f} B per run-slot"
+
+
+def test_the_slot_loop_builds_no_matrix_decision_or_partial(
+    repo_root_scenarios, tmp_path, monkeypatch
+):
+    """The runs of every policy and the oracle labels decide in user-row
+    arrays: ``AllocationMatrix``, ``PolicyDecision`` and the lazy objective's
+    ``partial`` belong to the per-call forms only."""
+    scen = replace(load_scenario(repo_root_scenarios / "tiny.cfg"), horizon_slots=100)
+    net = nn.MLP.glorot([nn.feature_dim(3, 4), 8, 12], (4, 3), seed=0).astype(np.float32)
+    weights = str(tmp_path / "weights.bin")
+    nn.save_weights(net, weights, seed=0)
+
+    def built(*args, **kwargs):
+        raise AssertionError("the slot loop built a per-call object")
+
+    monkeypatch.setattr(domain.AllocationMatrix, "__init__", built)
+    monkeypatch.setattr(policy.PolicyDecision, "__init__", built)
+    monkeypatch.setattr(policy, "partial", built)
+    spec = ExperimentSpec(
+        scenario=scen, policies=runner.POLICY_IDS, out_dir=str(tmp_path / "out"),
+        lambdas=(1.0, 4.0), weights_path=weights,
+    )
+    assert len(runner.run_experiment(spec)) == 8
+    X, labels = runner.collect_training_data(scen)
+    assert X.shape[0] == labels.shape[0] == 100
+    snap = make_snapshot(np.ones((3, 4)), scen.users(), lam=2.0)
+    with pytest.raises(AssertionError, match="per-call object"):  # the patch bites
+        policy.oracle_allocate(snap, scen.grid, scen.users(), scen.qos, scen.slot_duration)

@@ -12,7 +12,6 @@ from twinslice.nn import FeatureScaling, encode_features
 from twinslice.policy import (
     OrthogonalConfig,
     oracle_allocate,
-    oracle_policy,
     orthogonal_allocate,
 )
 from twinslice.scenario import load_scenario
@@ -250,13 +249,13 @@ def test_a_kept_decision_objective_raises_once_its_slot_left_the_ring(
     # the allocation on a later slot's channel.
     scen = load_scenario(repo_root_scenarios / "tiny.cfg")
     env, twin = scen.environment(), scen.make_twin()
-    decide = oracle_policy(
-        scen.grid, scen.users(), scen.qos, scen.slot_duration, mode="greedy"
-    )
     decisions = []
     for t in range(4):
         twin.record(env.state)
-        decisions.extend(decide([twin.snapshot(now=t)]))
+        decisions.append(oracle_allocate(
+            twin.snapshot(now=t), scen.grid, scen.users(), scen.qos,
+            scen.slot_duration, mode="greedy",
+        ))
         env.step(decisions[-1].allocation)
     assert isinstance(decisions[-1].objective_estimate, float)
     with pytest.raises(LookupError, match="slot 0 has left the state ring"):
