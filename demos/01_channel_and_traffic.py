@@ -73,7 +73,7 @@ env = Environment(
 )
 m = AllocationMatrix((0, 0, 10, 10))
 rates = env.state.rates(grid.rb_bandwidth, scen.slot_duration)
-for uid, bits in zip((0, 10), user_rates(m, (0, 10), rates).tolist()):
+for uid, bits in zip((0, 10), user_rates(m, two, rates).tolist()):
     blocks = tuple(b for b, holder in enumerate(m.assignment) if holder == uid)
     print(f"  user {uid:>2} holds blocks {blocks} -> {bits:8.1f} bits/slot")
 

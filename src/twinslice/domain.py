@@ -128,6 +128,7 @@ class UserLayout:
     def __init__(self, users: Iterable[UserTerminal]):
         self.users = canonical_users(users)
         self.ids = tuple(u.id for u in self.users)
+        self.row = {uid: i for i, uid in enumerate(self.ids)}  # id -> row
         urllc = ServiceClass.URLLC
         flags = [u.service is urllc for u in self.users]
         self.urllc = [i for i, f in enumerate(flags) if f]
@@ -147,21 +148,24 @@ class AllocationMatrix:
     @classmethod
     def of_rows(cls, rows: Sequence[int], layout: UserLayout) -> "AllocationMatrix":
         """The matrix of one user row of ``layout`` per block, UNASSIGNED for
-        an idle block, as a policy decides it."""
+        an idle block, as a policy decides it; a ValueError names bad rows."""
+        n = len(layout.ids)
+        bad = [int(r) for r in rows if not UNASSIGNED <= r < n]
+        if bad:
+            raise ValueError(f"invalid allocation: rows {bad} are not in [-1, {n})")
         return cls(UNASSIGNED if r == UNASSIGNED else layout.ids[r] for r in rows)
 
-    def rows_in(self, ids: tuple[int, ...]) -> np.ndarray:
-        """The row of each block's user among ``ids`` (ascending); a
-        ValueError names an id that is not one of them."""
-        row = {uid: i for i, uid in enumerate(ids)}
+    def rows_in(self, layout: UserLayout) -> np.ndarray:
+        """The row of each block's user in ``layout``; a ValueError names an
+        id that is not one of its users'."""
         try:
             return np.array(
-                [uid if uid == UNASSIGNED else row[uid] for uid in self.assignment],
+                [uid if uid == UNASSIGNED else layout.row[uid] for uid in self.assignment],
                 dtype=np.intp,
             )
         except KeyError as exc:
             raise ValueError(
-                f"invalid allocation: user {exc.args[0]} is not among {ids}"
+                f"invalid allocation: user {exc.args[0]} is not among {layout.ids}"
             ) from None
 
     def __len__(self) -> int:

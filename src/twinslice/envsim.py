@@ -193,12 +193,12 @@ def _user_rates(rows: np.ndarray, rates: np.ndarray, idle: bool) -> np.ndarray:
 
 
 def user_rates(
-    m: AllocationMatrix, ids: tuple[int, ...], rates: np.ndarray
+    m: AllocationMatrix, users: Iterable[UserTerminal], rates: np.ndarray
 ) -> np.ndarray:
-    """Bits/slot of every user (the rows of ``rates``, with ``ids``) under
-    ``m``: the user's entries added in block order, by the one ``bincount``
-    the slot kernel runs for all runs (``_user_rates``)."""
-    return _user_rates(m.rows_in(ids), rates[None], m.idle)[0]
+    """Bits/slot of every user (the rows of ``rates``, ``users`` in ascending
+    id order) under ``m``: the user's entries added in block order, by the
+    one ``bincount`` the slot kernel runs for all runs (``_user_rates``)."""
+    return _user_rates(m.rows_in(UserLayout.of(users)), rates[None], m.idle)[0]
 
 
 def class_sum(values: list[float], rows: Iterable[int]) -> float:
@@ -393,7 +393,7 @@ class Environment:
         """Apply an allocation for the current slot of a one-run environment
         and move to the next one (``step_runs``), as a ``SlotOutcome``."""
         layout = self.ring.layout
-        return self.step_runs(decision.rows_in(layout.ids)[None]).outcome(layout)
+        return self.step_runs(decision.rows_in(layout)[None]).outcome(layout)
 
     def step_runs(self, rows: np.ndarray) -> SlotColumns:
         """The slot kernel: apply run r's user rows ``rows[r]``, one per

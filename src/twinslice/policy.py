@@ -116,7 +116,7 @@ def allocation_objective(
     min_rate_bits = qos.embb_min_rate * slot_duration
 
     rates = snapshot.rates(grid.rb_bandwidth, slot_duration)
-    rates = user_rates(m, layout.ids, rates).tolist()
+    rates = user_rates(m, layout, rates).tolist()
     total, embb_deficit = class_sum(rates, range(len(rates))), 0.0
     for i in layout.embb:
         embb_deficit += max(0.0, min_rate_bits - rates[i])
@@ -318,9 +318,7 @@ def oracle_policy(
     if mode not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown oracle mode {mode!r}")
     if mode == "exhaustive" and size > EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"exhaustive search of {size} assignments exceeds cap {EXHAUSTIVE_CAP}"
-        )
+        raise ValueError(f"exhaustive search of {size} assignments exceeds cap {EXHAUSTIVE_CAP}")
     if mode == "exhaustive":
         holders = np.array(np.unravel_index(np.arange(size), (n_users,) * grid.num_rbs))
         holds = holders[:, None, :] == np.arange(n_users)[:, None]
@@ -410,7 +408,7 @@ def predicted_urllc_rate(
     at zero twin delay it equals the realised rate bit for bit."""
     layout = UserLayout.of(users)
     rates = snapshot.rates(grid.rb_bandwidth, slot_duration)
-    return _urllc_sum(m.rows_in(layout.ids), m.idle, rates, layout.urllc)
+    return _urllc_sum(m.rows_in(layout), m.idle, rates, layout.urllc)
 
 
 def repair_policy(
@@ -475,7 +473,7 @@ def priority_repair(
     grid: ResourceGrid, users: Iterable[UserTerminal], slot_duration: float,
 ) -> PolicyDecision:
     layout = UserLayout.of(users)
-    rows = decision.allocation.rows_in(layout.ids)[None]
+    rows = decision.allocation.rows_in(layout)[None]
     (own,), (unmet,) = repair_policy(qos, grid, layout, slot_duration)(rows, [snapshot])
     policy_id = decision.policy_id + "+repair"
     return _decision(own, snapshot, grid, layout, qos, slot_duration, policy_id, None, unmet)

@@ -9,6 +9,7 @@ from twinslice.domain import (
     ResourceGrid,
     ServiceClass,
     TrafficState,
+    UserLayout,
     canonical_users,
     validate_allocation,
 )
@@ -37,6 +38,16 @@ def test_validate_allocation_reports_length_mismatch():
     check = validate_allocation(AllocationMatrix((0, 1)), ResourceGrid(3, 1e5), users)
     assert not check
     assert "length" in check.reason
+
+
+@pytest.mark.parametrize("rows", [[-2, 0, 1, 2], [0, 3, 1, 2], [UNASSIGNED, 0, 7, -5]])
+def test_of_rows_rejects_a_row_out_of_range(rows):
+    layout = UserLayout(make_users(2, 1))
+    with pytest.raises(ValueError, match="invalid allocation"):
+        AllocationMatrix.of_rows(rows, layout)
+    m = AllocationMatrix.of_rows([UNASSIGNED, 0, 1, 2], layout)
+    assert m.assignment == (UNASSIGNED, 0, 1, 2)
+    assert m.rows_in(layout).tolist() == [UNASSIGNED, 0, 1, 2]
 
 
 def test_slice_of_orthogonal_split_is_half_half():

@@ -91,21 +91,21 @@ def test_arrivals_poisson_dispersion():
 def test_rate_sums_zero_when_unassigned():
     rates = block_rates(np.array([[3.0, 7.0]]), 10.0, 1.0)
     m = AllocationMatrix((UNASSIGNED, UNASSIGNED))
-    assert user_rates(m, (0,), rates).tolist() == [0.0]
+    assert user_rates(m, make_users(1, 0), rates).tolist() == [0.0]
 
 
 def test_rate_sums_single_block_closed_form():
     # 1 Hz x 1 s x log2(1 + 1) = 1 bit
     rates = block_rates(np.array([[1.0]]), 1.0, 1.0)
     assert rates.tolist() == [[1.0]]
-    assert user_rates(AllocationMatrix((0,)), (0,), rates).tolist() == [1.0]
+    assert user_rates(AllocationMatrix((0,)), make_users(1, 0), rates).tolist() == [1.0]
 
 
 def test_rate_sums_two_blocks_closed_form():
     # 10 Hz x (log2 4 + log2 8) = 50 bits
     rates = block_rates(np.array([[3.0, 7.0]]), 10.0, 1.0)
     assert rates.tolist() == [[20.0, 30.0]]
-    assert user_rates(AllocationMatrix((0, 0)), (0,), rates).tolist() == [50.0]
+    assert user_rates(AllocationMatrix((0, 0)), make_users(1, 0), rates).tolist() == [50.0]
 
 
 def test_rate_matrix_is_the_scalar_term_memoised_read_only():
@@ -315,8 +315,8 @@ def test_rate_monotonicity_adding_a_block_never_hurts():
         idle = [b for b, v in enumerate(base) if v == UNASSIGNED]
         grown = list(base)
         grown[idle[0]] = 0
-        r0 = user_rates(AllocationMatrix(base), (0,), rates)[0]
-        r1 = user_rates(AllocationMatrix(tuple(grown)), (0,), rates)[0]
+        r0 = user_rates(AllocationMatrix(base), users, rates)[0]
+        r1 = user_rates(AllocationMatrix(tuple(grown)), users, rates)[0]
         assert r1 >= r0
 
 

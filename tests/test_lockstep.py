@@ -203,8 +203,8 @@ def slot_cases(draw):
 
 def _forms(users, grid, qos, fraction, net):
     """Per policy: its slot form, a slot's snapshots -> (rows, one repair
-    flag per run or None); its per-call form, one snapshot -> decision; and
-    the penalty weight both are given."""
+    flag per run or None); its per-call form, one snapshot -> decision; the
+    penalty weight both are given; and the per-call form's policy id."""
     cfg, scaling = policy.OrthogonalConfig(fraction), FeatureScaling()
     dnn = policy.dynamic_policy(net, grid, users, qos, scaling, TAU)
     repair = policy.repair_policy(qos, grid, users, TAU)
@@ -217,11 +217,12 @@ def _forms(users, grid, qos, fraction, net):
 
     forms = [
         (rows_only(policy.orthogonal_policy(cfg, grid, users, TAU)),
-         lambda snap: policy.orthogonal_allocate(snap, cfg, grid, users, TAU), None),
-        (rows_only(dnn), dnn_alone, None),
+         lambda snap: policy.orthogonal_allocate(snap, cfg, grid, users, TAU), None,
+         "orthogonal"),
+        (rows_only(dnn), dnn_alone, None, "dnn"),
         (lambda snaps: repair(dnn(snaps), snaps),
          lambda snap: policy.priority_repair(dnn_alone(snap), snap, qos, grid, users, TAU),
-         None),
+         None, "dnn+repair"),
     ]
     for mode, pw in itertools.product(("auto", "greedy"), (None, 2.5)):
         forms.append((
@@ -230,6 +231,7 @@ def _forms(users, grid, qos, fraction, net):
                 snap, grid, users, qos, TAU, mode, pw
             ),
             pw,
+            "oracle",
         ))
     return forms
 
@@ -255,20 +257,21 @@ def _slot_snapshots(case):
 def test_slot_decisions_equal_one_run_decisions(case):
     grid = case[1]
     for forms, layout, snaps in _slot_snapshots(case):
-        for decide, alone, _ in forms:
+        for decide, alone, _, policy_id in forms:
             rows, unmet = decide(snaps)
             assert rows.shape == (len(snaps), grid.num_rbs)
             for r, snap in enumerate(snaps):
                 want = alone(snap)
-                assert rows[r].tolist() == want.allocation.rows_in(layout.ids).tolist()
+                assert rows[r].tolist() == want.allocation.rows_in(layout).tolist()
                 assert (unmet[r] if unmet else False) == want.constraint_unmet
+                assert want.policy_id == policy_id
 
 
 @given(slot_cases())
 def test_a_per_call_decision_is_its_slot_rows_and_their_objective(case):
     users, grid, qos = case[:3]
     for forms, layout, snaps in _slot_snapshots(case):
-        for decide, alone, pw in forms:
+        for decide, alone, pw, _ in forms:
             rows, _ = decide(snaps)
             for r, snap in enumerate(snaps):
                 got = alone(snap)
