@@ -227,9 +227,12 @@ class StateRing:
         self.slot = [-1] * depth
         self.memo: list[dict] = [{} for _ in range(depth)]
 
-    @property
-    def runs(self) -> int:
-        return self.snr.shape[1]
+    def entry(self, t: int) -> int:
+        """Slot t's entry; LookupError unless the ring still holds slot t."""
+        i = t % self.depth
+        if self.slot[i] != t:
+            raise LookupError(f"slot {t} has left the state ring")
+        return i
 
     def put(
         self, t: int, snr, queue, lam: list[float], memo: Optional[dict] = None
@@ -254,20 +257,22 @@ class PhysicalState:
     ``channel`` and ``traffic`` copy the run's values on their first read
     and keep them."""
 
-    __slots__ = ("ring", "t", "index", "run", "_channel", "_traffic")
+    __slots__ = ("ring", "t", "run", "_channel", "_traffic")
 
     @classmethod
     def view(cls, ring: StateRing, t: int, run: int = 0) -> "PhysicalState":
         state = cls.__new__(cls)
-        state.ring, state.t, state.index, state.run = ring, t, t % ring.depth, run
+        state.ring, state.t, state.run = ring, t, run
         state._channel = state._traffic = None
         return state
 
     def held(self) -> int:
-        """The slot's ring entry; LookupError once the ring has reused it."""
-        if self.ring.slot[self.index] != self.t:
-            raise LookupError(f"slot {self.t} has left the state ring")
-        return self.index
+        """The slot's ring entry (``StateRing.entry``)."""
+        return self.ring.entry(self.t)
+
+    def as_slot(self) -> tuple[StateRing, int, slice]:
+        """The run as a slot policy's ``(ring, entry, runs)``: one run."""
+        return self.ring, self.held(), slice(self.run, self.run + 1)
 
     @property
     def snr(self) -> np.ndarray:

@@ -11,11 +11,14 @@ The parameter dtype is a property of the net, read from its arrays: float32
 or float64. Inputs are cast to it, so a net trains and serves in one
 precision. ``MLP.glorot``/``MLP.zeros`` build float64 nets, which the
 finite-difference check needs; ``MLP.astype`` converts.
+The encoder reads a slot's runs from the twin's ring entry as one ``[R, d]``
+array; the forward pass serves one row at a time.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -29,7 +32,7 @@ from .domain import (
     UserLayout,
     UserTerminal,
 )
-from .envsim import db_to_linear
+from .envsim import StateRing, db_to_linear
 from .twin import TwinSnapshot
 
 WEIGHTS_FORMAT_VERSION = 2
@@ -222,7 +225,7 @@ def encode_features(
         raise ValueError("snapshot channel users do not match the user set")
     if snapshot.snr.shape[1] != grid.num_rbs:
         raise ValueError("snapshot channel grid does not match the resource grid")
-    return feature_encoder(grid, layout, qos, scaling)(snapshot)
+    return feature_encoder(grid, layout, qos, scaling)(*snapshot.as_slot())[0]
 
 
 def feature_encoder(
@@ -230,9 +233,10 @@ def feature_encoder(
     users: Iterable[UserTerminal],
     qos: QoSRequirement,
     scaling: FeatureScaling,
-) -> Callable[[TwinSnapshot], np.ndarray]:
-    """``encode_features`` for one run's snapshots: the positions of the
-    URLLC users' traffic entries and the constant entries are placed once."""
+) -> Callable[[StateRing, int, slice], np.ndarray]:
+    """``encode_features`` of a slot's runs as one ``[R, d]`` array, row r bit
+    for bit run r's: the positions of the URLLC users' traffic entries and
+    the constant entries are placed once."""
     layout = UserLayout.of(users)
     n_snr = len(layout.ids) * grid.num_rbs
     zeta = qos.urllc_packet_bits
@@ -243,13 +247,14 @@ def feature_encoder(
     embb_entry = qos.embb_min_rate * scaling.slot_duration / ref_bits
     dim, ref_snr = feature_dim(len(layout.ids), grid.num_rbs), scaling.reference_snr
 
-    def encode(snapshot: TwinSnapshot) -> np.ndarray:
-        lam = snapshot.lam
-        x = np.zeros(dim)
-        x[:n_snr] = (snapshot.snr / ref_snr).ravel()
-        x[rate_at] = (lam / n_urllc) / scaling.reference_lambda
-        x[queue_at] = snapshot.queue / ref_bits
-        x[-3:] = (embb_entry, (zeta * lam) / ref_bits, qos.urllc_outage_threshold)
+    def encode(ring: StateRing, i: int, runs: slice) -> np.ndarray:
+        snr, lam = ring.snr[i, runs], np.array(ring.lam[i][runs])
+        x = np.zeros((len(lam), dim))
+        x[:, :n_snr] = (snr / ref_snr).reshape(len(lam), n_snr)
+        x[:, rate_at] = ((lam / n_urllc) / scaling.reference_lambda)[:, None]
+        x[:, queue_at] = ring.queue[i, runs] / ref_bits
+        x[:, -3], x[:, -1] = embb_entry, qos.urllc_outage_threshold
+        x[:, -2] = (zeta * lam) / ref_bits
         if not np.isfinite(x).all():
             raise ValueError("encoded features contain non-finite entries")
         return x
@@ -431,7 +436,8 @@ def load_weights(path) -> tuple[MLP, int]:
     """Inverse of save_weights; the net comes back in the stored dtype. A
     file that cannot be read, that is not a whole weights file of this
     format version, or that names another dtype, raises ConfigError naming
-    the file and the key."""
+    the file and the key; its layer sizes must declare exactly the bytes
+    after the header, checked before any block is read."""
     try:
         with open(path, "rb") as f:
             header = json.loads(f.readline().decode("ascii"))
@@ -444,15 +450,18 @@ def load_weights(path) -> tuple[MLP, int]:
             dtype = WEIGHTS_DTYPES[stored]
             layer_sizes = [int(s) for s in header["layer_sizes"]]
             output_shape = tuple(int(s) for s in header["output_shape"])
+            if len(layer_sizes) < 2 or min(layer_sizes) < 1:
+                raise ValueError(f"layer_sizes {layer_sizes} needs >= 2 sizes, each >= 1")
+            declared = dtype.itemsize * sum(i * o + o for i, o in zip(layer_sizes, layer_sizes[1:]))
+            held = os.fstat(f.fileno()).st_size - f.tell()
+            if declared != held:
+                raise ValueError(f"layer_sizes declare {declared} parameter bytes, {held} follow")
             weights, biases = [], []
             for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
                 w = np.frombuffer(f.read(dtype.itemsize * fan_in * fan_out), stored)
                 weights.append(w.reshape(fan_in, fan_out).astype(dtype))
                 b = np.frombuffer(f.read(dtype.itemsize * fan_out), stored)
                 biases.append(b.astype(dtype))
-            trailing = f.read()
-        if trailing:
-            raise ValueError(f"{len(trailing)} unexpected trailing bytes")
         net = MLP(layer_sizes, output_shape, weights, biases)  # type: ignore[arg-type]
         return net, int(header["seed"])
     except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -2,12 +2,13 @@
 
 A ``Policy`` derives a user set's constants once (the user layout, the
 orthogonal split, the oracle's search space, the encoder's positions); each
-call takes one slot's snapshots of a block of runs, which share one ring
-entry, and returns their user rows as an ``[R, B]`` array: run r's row per
-block, UNASSIGNED for an idle block, bit for bit the rows of that snapshot
-alone. ``repair_policy`` takes a slot's rows too and also returns one
-``constraint_unmet`` flag per run. ``*_allocate`` and ``priority_repair``
-are one call on one snapshot: they return a ``PolicyDecision``, whose
+call ``(ring, i, runs)`` reads entry ``i`` of the twin's ``StateRing`` for
+the ``slice`` of runs ``runs`` in place and returns their user rows as an
+``[R, B]`` array: run r's row per block, UNASSIGNED for an idle block, bit
+for bit the rows of that run alone. ``repair_policy`` takes a slot's rows
+too and also returns one ``constraint_unmet`` flag per run. ``*_allocate``
+and ``priority_repair`` are one call on one snapshot's run
+(``PhysicalState.as_slot``): they return a ``PolicyDecision``, whose
 objective is computed when first read. ``users`` may be a ``UserLayout``.
 Tie-breaking is lowest block index then lowest user id everywhere.
 """
@@ -16,14 +17,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .domain import (
     UNASSIGNED,
     AllocationMatrix,
-    ChannelState,
     ConfigError,
     QoSRequirement,
     ResourceGrid,
@@ -39,7 +39,7 @@ PENALTY_SCALE = 10.0
 #: Exhaustive search cap: enumerate only when num_users ** num_rbs fits.
 EXHAUSTIVE_CAP = 4 ** 6
 
-Policy = Callable[[Sequence[TwinSnapshot]], np.ndarray]
+Policy = Callable[[StateRing, int, slice], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,14 @@ class PolicyDecision:
 
 
 def default_penalty_weight(
-    ch: Union[ChannelState, TwinSnapshot], grid: ResourceGrid, slot_duration: float
+    snr: np.ndarray, grid: ResourceGrid, slot_duration: float
 ) -> float:
-    """Large enough that QoS violations dominate any rate gain, from the SNRs
-    of a channel state or a snapshot. A scale, not a rate: it keeps numpy's
-    log2, not the ``block_rates`` kernel."""
-    rates = grid.rb_bandwidth * slot_duration * np.log2(1.0 + ch.snr)
+    """Large enough that QoS violations dominate any rate gain, from one run's
+    SNRs. A scale, not a rate, so it keeps numpy's ``log2``: ``perfbench/checks.py``
+    (``SlotModel.penalty_weight``) pins this formula and its oracle check
+    compares objectives bit for bit, while ``block_rates`` gives a maximum
+    one ulp off on about a quarter of random default-shape SNR matrices."""
+    rates = grid.rb_bandwidth * slot_duration * np.log2(1.0 + snr)
     return PENALTY_SCALE * float(rates.max()) if rates.size else PENALTY_SCALE
 
 
@@ -111,7 +113,7 @@ def allocation_objective(
     """
     layout = UserLayout.of(users)
     if penalty_weight is None:
-        penalty_weight = default_penalty_weight(snapshot, grid, slot_duration)
+        penalty_weight = default_penalty_weight(snapshot.snr, grid, slot_duration)
     load = qos.urllc_packet_bits * snapshot.lam
     min_rate_bits = qos.embb_min_rate * slot_duration
 
@@ -122,14 +124,6 @@ def allocation_objective(
         embb_deficit += max(0.0, min_rate_bits - rates[i])
     urllc_deficit = max(0.0, load - class_sum(rates, layout.urllc))
     return total - penalty_weight * urllc_deficit - penalty_weight * embb_deficit
-
-
-def _entry(snapshots: Sequence[TwinSnapshot]) -> tuple[StateRing, int, list[int]]:
-    """The ring and entry one slot's snapshots share, and their runs."""
-    ring, t = snapshots[0].ring, snapshots[0].t
-    if any(s.ring is not ring or s.t != t for s in snapshots):
-        raise ValueError("a policy call takes snapshots that share one ring entry")
-    return ring, snapshots[0].held(), [s.run for s in snapshots]
 
 
 def _decision(
@@ -165,9 +159,9 @@ def orthogonal_policy(
         for rows, lo, hi in ((layout.urllc, 0, split), (layout.embb, split, grid.num_rbs))
     ]
 
-    def decide(snapshots: Sequence[TwinSnapshot]) -> np.ndarray:
-        ring, i, runs = _entry(snapshots)
-        neg, rows = -ring.snr[i, runs], [[UNASSIGNED] * grid.num_rbs for _ in runs]
+    def decide(ring: StateRing, i: int, runs: slice) -> np.ndarray:
+        neg = -ring.snr[i, runs]
+        rows = [[UNASSIGNED] * grid.num_rbs for _ in neg]
         for members, blocks, rounds in partitions:
             # prefs[r][k]: run r's members on the partition's k-th block, best
             # SNR first. The stable sort keeps the lower row first among
@@ -194,7 +188,7 @@ def orthogonal_allocate(
     users: Iterable[UserTerminal], slot_duration: float,
 ) -> PolicyDecision:
     layout = UserLayout.of(users)
-    (rows,) = orthogonal_policy(cfg, grid, layout, slot_duration)([snapshot])
+    (rows,) = orthogonal_policy(cfg, grid, layout, slot_duration)(*snapshot.as_slot())
     return _decision(rows, snapshot, grid, layout, snapshot.qos, slot_duration, "orthogonal")
 
 
@@ -325,23 +319,19 @@ def oracle_policy(
     bw = grid.rb_bandwidth
     min_rate_bits = qos.embb_min_rate * slot_duration
 
-    def decide(snapshots: Sequence[TwinSnapshot]) -> np.ndarray:
-        ring, i, runs = _entry(snapshots)
-        loads = [qos.urllc_packet_bits * s.lam for s in snapshots]
-        pws = [default_penalty_weight(s, grid, slot_duration) if penalty_weight is None
-               else penalty_weight for s in snapshots]
+    def decide(ring: StateRing, i: int, runs: slice) -> np.ndarray:
+        rates = memo_rates(ring.memo[i], ring.snr[i], bw, slot_duration)[runs]
+        loads = [qos.urllc_packet_bits * lam for lam in ring.lam[i][runs]]
+        pws = [default_penalty_weight(snr, grid, slot_duration) if penalty_weight is None
+               else penalty_weight for snr in ring.snr[i, runs]]
         if mode == "exhaustive":
             return _exhaustive_oracle(
-                memo_rates(ring.memo[i], ring.snr[i], bw, slot_duration)[runs],
-                np.array(loads)[:, None], min_rate_bits, layout.is_urllc, holders, holds,
-                np.array(pws)[:, None],
+                rates, np.array(loads)[:, None], min_rate_bits, layout.is_urllc, holders,
+                holds, np.array(pws)[:, None],
             )
         return np.array([
-            _greedy_oracle(
-                snap.rates(bw, slot_duration), load, min_rate_bits, layout.is_urllc,
-                layout.urllc_rows, pw,
-            )
-            for snap, load, pw in zip(snapshots, loads, pws)
+            _greedy_oracle(r, load, min_rate_bits, layout.is_urllc, layout.urllc_rows, pw)
+            for r, load, pw in zip(rates, loads, pws)
         ], dtype=np.intp)
 
     return decide
@@ -353,7 +343,8 @@ def oracle_allocate(
     penalty_weight: Optional[float] = None,
 ) -> PolicyDecision:
     layout = UserLayout.of(users)
-    (rows,) = oracle_policy(grid, layout, qos, slot_duration, mode, penalty_weight)([snapshot])
+    decide = oracle_policy(grid, layout, qos, slot_duration, mode, penalty_weight)
+    (rows,) = decide(*snapshot.as_slot())
     return _decision(rows, snapshot, grid, layout, qos, slot_duration, "oracle", penalty_weight)
 
 
@@ -365,8 +356,9 @@ def dynamic_policy(
     scaling: FeatureScaling,
     slot_duration: float,
 ) -> Policy:
-    """Neural allocator: encode the snapshot, run the net, decode per-block
-    argmax. The decode step gives valid rows for any finite net."""
+    """Neural allocator: encode the runs' entry as one ``[R, d]`` array, run
+    the net on each row, decode per-block argmax. The decode step gives
+    valid rows for any finite net."""
     layout = UserLayout.of(users)
     if net.output_shape != (grid.num_rbs, len(layout.ids)):
         raise ValueError(
@@ -375,9 +367,8 @@ def dynamic_policy(
         )
     encode = feature_encoder(grid, layout, qos, scaling)
 
-    def decide(snapshots: Sequence[TwinSnapshot]) -> np.ndarray:
-        _entry(snapshots)
-        probs = np.array([forward(net, encode(s)).probs for s in snapshots])
+    def decide(ring: StateRing, i: int, runs: slice) -> np.ndarray:
+        probs = np.array([forward(net, x).probs for x in encode(ring, i, runs)])
         return probs.argmax(axis=2)  # decode_output's argmax: the lowest id wins ties
 
     return decide
@@ -388,7 +379,8 @@ def dynamic_allocate(
     qos: QoSRequirement, scaling: FeatureScaling, slot_duration: float,
 ) -> PolicyDecision:
     layout = UserLayout.of(users)
-    (rows,) = dynamic_policy(net, grid, layout, qos, scaling, slot_duration)([snapshot])
+    decide = dynamic_policy(net, grid, layout, qos, scaling, slot_duration)
+    (rows,) = decide(*snapshot.as_slot())
     return _decision(rows, snapshot, grid, layout, qos, slot_duration, "dnn")
 
 
@@ -416,25 +408,24 @@ def repair_policy(
     grid: ResourceGrid,
     users: Iterable[UserTerminal],
     slot_duration: float,
-) -> Callable[[np.ndarray, Sequence[TwinSnapshot]], tuple[np.ndarray, list[bool]]]:
+) -> Callable[[np.ndarray, StateRing, int, slice], tuple[np.ndarray, list[bool]]]:
     """Reassign eMBB blocks to URLLC until the predicted load constraint holds.
 
     Each move takes the eMBB-held block with the highest URLLC marginal rate
     to the URLLC user gaining most from it, and the repair stops at the
     first move after which ``predicted_urllc_rate`` exceeds the load.
-    URLLC-held blocks are never touched. Runs on the snapshot's channel
+    URLLC-held blocks are never touched. Runs on the twin's delivered channel
     deliberately, so twin staleness degrades the repair exactly as it would
-    in operation. A call takes a slot's rows and snapshots and returns the
-    repaired rows and, per run, whether the moves ran out first
+    in operation. A call ``(rows, ring, i, runs)`` takes a slot's rows and
+    returns the repaired rows and, per run, whether the moves ran out first
     (``constraint_unmet``).
     """
     layout = UserLayout.of(users)
     urllc, is_urllc = layout.urllc, layout.is_urllc.tolist()
 
-    def repair(own: list[int], snapshot: TwinSnapshot) -> tuple[list[int], bool]:
+    def repair(own: list[int], rates: np.ndarray, lam: float) -> tuple[list[int], bool]:
         idle = UNASSIGNED in own  # a move never frees or fills a block
-        rates = snapshot.rates(grid.rb_bandwidth, slot_duration)
-        target = qos.urllc_packet_bits * snapshot.lam
+        target = qos.urllc_packet_bits * lam
         moves: list[tuple[int, int]] = []  # (block, new holder) in the order made
         if urllc:
             gain = rates[urllc]
@@ -460,9 +451,9 @@ def repair_policy(
         )
         return after(k), k > len(moves)
 
-    def slot(rows: np.ndarray, snapshots: Sequence[TwinSnapshot]):
-        _entry(snapshots)
-        repaired, unmet = zip(*map(repair, rows.tolist(), snapshots))
+    def slot(rows: np.ndarray, ring: StateRing, i: int, runs: slice):
+        rates = memo_rates(ring.memo[i], ring.snr[i], grid.rb_bandwidth, slot_duration)
+        repaired, unmet = zip(*map(repair, rows.tolist(), rates[runs], ring.lam[i][runs]))
         return np.array(repaired, dtype=np.intp), list(unmet)
 
     return slot
@@ -474,6 +465,7 @@ def priority_repair(
 ) -> PolicyDecision:
     layout = UserLayout.of(users)
     rows = decision.allocation.rows_in(layout)[None]
-    (own,), (unmet,) = repair_policy(qos, grid, layout, slot_duration)(rows, [snapshot])
+    repair = repair_policy(qos, grid, layout, slot_duration)
+    (own,), (unmet,) = repair(rows, *snapshot.as_slot())
     policy_id = decision.policy_id + "+repair"
     return _decision(own, snapshot, grid, layout, qos, slot_duration, policy_id, None, unmet)

@@ -1,11 +1,12 @@
-"""Experiment orchestration: the record -> snapshot -> decide -> step loop.
+"""Experiment orchestration: the record -> deliver -> decide -> step loop.
 
 One simulated run holds a physical environment, a digital twin fed from it,
-and one policy deciding against twin snapshots. The runs of an experiment
-step in lockstep: one environment and one twin hold all of them on a
-leading run axis, each run with its own generator, and each policy decides
-the slot of its block of runs in one call. Training runs the same loop with
-the oracle in charge, harvesting (feature, label) pairs from the twin.
+and one policy deciding against the twin's delivered state. The runs of an
+experiment step in lockstep: one environment and one twin hold all of them
+on a leading run axis, each run with its own generator, and each policy
+decides the slot of its block of runs in one call on the twin's delivered
+ring entry. Training runs the same loop with the oracle in charge,
+harvesting (feature, label) pairs from the twin.
 """
 from __future__ import annotations
 
@@ -13,17 +14,16 @@ import hashlib
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from . import metrics, nn, policy as policy_mod
 from .domain import ConfigError, UserLayout
-from .envsim import SlotColumns
+from .envsim import SlotColumns, StateRing
 from .metrics import RunRecords, RunSummary, SlotMetrics
 from .nn import MLP, TrainConfig, TrainResult
 from .scenario import ExperimentSpec, Scenario, lam_tag
-from .twin import TwinSnapshot
 
 POLICY_IDS = ("orthogonal", "oracle", "dnn", "dnn+repair")
 
@@ -41,10 +41,10 @@ def derive_seed(base_seed: int, run_index: int) -> int:
 
 def _make_policy(
     policy_id: str, scenario: Scenario, net: Optional[MLP]
-) -> Callable[[Sequence[TwinSnapshot]], tuple[np.ndarray, list[bool]]]:
+) -> Callable[[StateRing, int, slice], tuple[np.ndarray, Union[bool, list[bool]]]]:
     """The policy of a block of runs: its constants are derived here, once.
-    A call returns the slot's user rows and, per run, whether the repair ran
-    out of eMBB blocks."""
+    A call ``(ring, i, runs)`` returns the slot's user rows and whether the
+    repair ran out of eMBB blocks: a flag per run, or False for them all."""
     layout = UserLayout(scenario.users())
     grid, qos, tau = scenario.grid, scenario.qos, scenario.slot_duration
     if policy_id == "orthogonal":
@@ -59,34 +59,37 @@ def _make_policy(
         decide = policy_mod.dynamic_policy(net, grid, layout, qos, scaling, tau)
         if policy_id == "dnn+repair":
             repair = policy_mod.repair_policy(qos, grid, layout, tau)
-            return lambda snaps: repair(decide(snaps), snaps)
+            return lambda ring, i, runs: repair(decide(ring, i, runs), ring, i, runs)
     else:
         raise ConfigError(f"unknown policy {policy_id!r}; known: {POLICY_IDS}")
-    return lambda snaps: (decide(snaps), [False] * len(snaps))
+    return lambda ring, i, runs: (decide(ring, i, runs), False)
 
 
 def _slots(
     scenario: Scenario, decides: Sequence[tuple[Callable, slice]],
     seeds: Sequence[Optional[int]], lams: Sequence[Optional[float]],
-) -> Iterator[tuple[int, list[TwinSnapshot], np.ndarray, list[bool], SlotColumns]]:
+) -> Iterator[tuple[int, tuple, StateRing, int, np.ndarray, np.ndarray, SlotColumns]]:
     """The slot loop of every run, the runs of one scenario in lockstep: run
     r steps on the environment of ``seeds[r]`` and ``lams[r]``, and each
     ``(decide, runs)`` of ``decides`` decides its slice of runs in one call.
-    The twin records the physical states and is asked for the snapshots
-    before the decisions are made, so the allocation applied at slot t only
-    ever depends on twin state delivered at or before t; the environment
-    then steps. Yields (t, snapshots, rows, unmet, columns): one snapshot,
-    one row of user rows and one repair flag per run, and the slot's
-    per-run columns."""
+    The twin records the physical states and delivers before the decisions
+    are made, so the allocation applied at slot t only ever depends on twin
+    state delivered at or before t; the environment then steps. Yields (t,
+    delivery, ring, i, rows, unmet, columns): the twin's ``deliver(t)``, its
+    ring and the delivered entry, the ``[R, B]`` user rows and ``[R]`` repair
+    flags (one array each, rewritten every slot) and the slot's per-run
+    columns."""
     env = scenario.environments(seeds, lams)
     twin = scenario.make_twin()
+    rows = np.empty((len(seeds), scenario.num_rbs), dtype=np.intp)
+    unmet = np.empty(len(seeds), dtype=bool)
     for t in range(scenario.horizon_slots):
         twin.record(env.state)
-        snaps = twin.snapshots(now=t)
-        decided = [decide(snaps[runs]) for decide, runs in decides]
-        rows = np.concatenate([block for block, _ in decided])
-        unmet = [flag for _, flags in decided for flag in flags]
-        yield t, snaps, rows, unmet, env.step_runs(rows)
+        delivery = twin.deliver(now=t)
+        ring, i = twin.ring, twin.ring.entry(delivery[0])
+        for decide, runs in decides:
+            rows[runs], unmet[runs] = decide(ring, i, runs)
+        yield t, delivery, ring, i, rows, unmet, env.step_runs(rows)
 
 
 @dataclass
@@ -127,14 +130,12 @@ def _simulate(
     # lambda, eMBB sum, URLLC sum and served bits of run r at slot t
     columns = np.empty((4, len(runs), horizon))
     twin_log = np.empty((horizon, 3), dtype=np.int64)
-    unmet = [0] * len(runs)  # slots whose repair ran out of eMBB blocks, per run
-    for t, snaps, _, flags, slot in _slots(
-        scenario, decides, seeds, [lam for _, lam, _ in runs]
-    ):
-        snap = snaps[0]  # the runs share the twin, so they share its log
-        twin_log[t] = snap.captured_at, snap.delivered_at, snap.stale_underflow
+    unmet = np.zeros(len(runs), dtype=int)  # slots whose repair ran out, per run
+    lams = [lam for _, lam, _ in runs]
+    for t, delivery, _, _, _, flags, slot in _slots(scenario, decides, seeds, lams):
+        twin_log[t] = delivery  # the runs share the twin, so they share its log
         columns[:, :, t].flat = slot.lam + slot.embb + slot.urllc + slot.served
-        unmet = [n + flag for n, flag in zip(unmet, flags)]
+        unmet += flags
 
     lam, embb, urllc, served = columns
     # Spectral efficiency counts delivered bits: eMBB is fully buffered so
@@ -150,7 +151,7 @@ def _simulate(
             records, policy_id, seed, scn.hash, scenario.outage_window,
             qos.urllc_outage_threshold,
         )
-        results.append(RunResult(summary, records, twin_log, unmet[r]))
+        results.append(RunResult(summary, records, twin_log, int(unmet[r])))
     return results
 
 
@@ -252,8 +253,8 @@ def collect_training_data(
     X = np.empty((scenario.horizon_slots, nn.feature_dim(len(layout.ids), grid.num_rbs)))
     labels = np.empty((scenario.horizon_slots, grid.num_rbs), dtype=int)
     slots = _slots(scenario, [(decide, slice(1))], [seed], [None])
-    for t, (snap,), rows, _, _ in slots:
-        X[t] = encode(snap)
+    for t, _, ring, i, rows, _, _ in slots:
+        X[t] = encode(ring, i, slice(1))[0]
         labels[t] = rows[0]  # a user's label is its column, which is its row
     return X, labels
 

@@ -2,9 +2,10 @@
 
 The twin copies the physical states of the runs it follows into a
 ``StateRing`` of arrays of its own, keeping the last ``history_depth``
-slots, delivers possibly stale snapshots according to a configured delay
-class, and scores its own fidelity against the live physical state. A
-snapshot is one run in a slot of that ring, read in place.
+slots, delivers a possibly stale slot of it according to a configured
+delay class, and scores its own fidelity against the live physical state.
+A delivery is the captured slot's ring entry, shared by every run; a
+snapshot is one run in it, read in place.
 """
 from __future__ import annotations
 
@@ -82,22 +83,13 @@ class TwinSnapshot(PhysicalState):
         ring = StateRing(1, qos, layout)
         snr, queue = channel.snr[None], traffic.urllc_queue[None]
         ring.put(captured_at, snr, queue, [traffic.urllc_rate])
-        self.ring, self.t, self.index, self.run = ring, captured_at, 0, 0
+        self.ring, self.t, self.run = ring, captured_at, 0
         self._channel, self._traffic = channel, traffic
         self.delivered_at, self.stale_underflow = delivered_at, stale_underflow
 
     @property
     def captured_at(self) -> int:
         return self.t
-
-
-def _capture(first: int, last: int, delay_slots: int, now: int) -> tuple[int, bool]:
-    """The slot a snapshot delivered at ``now`` captures from the consecutive
-    slots ``first..last``, and whether ``now - delay_slots`` predates them."""
-    target = now - delay_slots
-    if target < first:
-        return first, True
-    return min(target, last), False
 
 
 @dataclass(frozen=True)
@@ -144,16 +136,16 @@ class DigitalTwin:
     """Single-writer twin: the simulation loop records every slot, in order,
     and anyone may read.
 
-    ``cadence`` throttles deliveries: between due slots the previously
-    delivered snapshot is returned unchanged, so its staleness grows. The
-    twin keeps the last ``history_depth`` slots (0 means delay + 1). A
-    snapshot is served for up to ``cadence`` slots, so ``record`` copies
-    each state into the twin's own ring of ``ring_depth = history_depth +
-    cadence`` slots, sharing the state's rate memo. A state's ring entry
-    holds every run that steps in lockstep with it; ``record`` copies all
-    of them at once, and the runs share their delay and cadence, so one
-    capture slot serves them all: ``snapshots`` gives one view of it per
-    run, ``snapshot`` the view of the run recorded.
+    ``cadence`` throttles deliveries: between due slots the previous
+    delivery is returned unchanged, so its staleness grows. The twin keeps
+    the last ``history_depth`` slots (0 means delay + 1). A delivery is
+    served for up to ``cadence`` slots, so ``record`` copies each state into
+    the twin's own ring of ``ring_depth = history_depth + cadence`` slots,
+    sharing the state's rate memo. A state's ring entry holds every run that
+    steps in lockstep with it; ``record`` copies all of them at once, and
+    the runs share their delay and cadence, so one capture slot serves them
+    all: ``deliver`` names it, and policies read its entry of ``ring`` for
+    all runs at once; ``snapshot`` is the view of the run recorded.
     """
 
     def __init__(
@@ -179,8 +171,7 @@ class DigitalTwin:
         self.ring: Optional[StateRing] = None
         self._first = self._last = 0
         self._run = 0
-        self._last_snapshots: list[TwinSnapshot] = []
-        self._last_sync_slot: Optional[int] = None
+        self._delivery: Optional[tuple[int, int, bool]] = None
 
     def record(self, physical: PhysicalState) -> None:
         """Copy the state's slot, for every run of its ring entry."""
@@ -192,24 +183,24 @@ class DigitalTwin:
         self.ring.put(t, src.snr[i], src.queue[i], src.lam[i], src.memo[i])
         self._last, self._run = t, physical.run
 
-    def snapshots(self, now: int) -> list[TwinSnapshot]:
-        """Deliver the snapshots the application layer sees at slot ``now``,
-        one per run."""
+    def deliver(self, now: int) -> tuple[int, int, bool]:
+        """What the application layer sees at slot ``now``: (captured_at,
+        delivered_at, stale_underflow), the slot of ``ring`` it reads."""
         if self.ring is None:
             raise ValueError("no physical state recorded yet")
-        if self._last_sync_slot is None or now - self._last_sync_slot >= self.cadence:
-            # history_depth covers the delay, so now - delay never predates
-            # the kept slots except before the first one.
-            captured, underflow = _capture(self._first, self._last, self.delay_slots, now)
-            ring = self.ring
-            views = [TwinSnapshot.view(ring, captured, r) for r in range(ring.runs)]
-            for snap in views:
-                snap.delivered_at, snap.stale_underflow = now, underflow
-            self._last_snapshots = views
-            self._last_sync_slot = now
-        return self._last_snapshots
+        if self._delivery is None or now - self._delivery[1] >= self.cadence:
+            # now - delay, clamped to the recorded slots. history_depth covers
+            # the delay, so now - delay predates the kept slots only while it
+            # predates the first recorded one: an underflow.
+            target = now - self.delay_slots
+            captured = max(self._first, min(target, self._last))
+            self._delivery = captured, now, target < self._first
+        return self._delivery
 
     def snapshot(self, now: int) -> TwinSnapshot:
-        """Deliver the snapshot the application layer sees at slot ``now``,
-        of the run whose state was recorded."""
-        return self.snapshots(now)[self._run]
+        """The delivery at slot ``now`` (``deliver``) as a view of the run
+        whose state was recorded."""
+        captured, delivered, underflow = self.deliver(now)
+        snap = TwinSnapshot.view(self.ring, captured, self._run)
+        snap.delivered_at, snap.stale_underflow = delivered, underflow
+        return snap

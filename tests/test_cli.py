@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from twinslice import runner
@@ -384,8 +386,25 @@ def _wrong_output(path):
     save_weights(MLP.zeros([21, 8, 12], (3, 4)), path, seed=0)
 
 
+def _header_only(path, layer_sizes):
+    header = {"dtype": "<f4", "format_version": 2, "layer_sizes": layer_sizes,
+              "output_shape": [4, 3], "seed": 0}
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n")
+
+
+def _no_layer_sizes(path):
+    _header_only(path, [])
+
+
+def _huge_layer_sizes(path):
+    # 48 TB of float32 parameters: rejected before any block is read.
+    _header_only(path, [1000000000000, 12])
+
+
 @pytest.mark.parametrize(
-    "write", [_garbage_header, _truncated, _wrong_input, _wrong_output]
+    "write",
+    [_garbage_header, _truncated, _wrong_input, _wrong_output, _no_layer_sizes,
+     _huge_layer_sizes],
 )
 def test_bad_weights_are_a_config_error(tiny_cfg, tmp_path, capsys, write):
     # TINY_TEXT has 3 users on 4 blocks: 21 features, output (4, 3).
@@ -398,6 +417,24 @@ def test_bad_weights_are_a_config_error(tiny_cfg, tmp_path, capsys, write):
     assert code == EXIT_CONFIG
     assert str(weights) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "snr_db",
+    [-10, pytest.param(-30, marks=pytest.mark.xfail(
+        strict=True, reason="training diverges: non-finite layer 2 pre-activation, exit 3"
+    ))],
+)
+def test_train_at_a_low_reference_snr(repo_root_scenarios, tmp_path, snr_db):
+    """Training on tiny.cfg at a reference SNR that load accepts exits 0."""
+    text = (repo_root_scenarios / "tiny.cfg").read_text()
+    for key, old, new in (("horizon_slots", 2500, 200), ("reference_snr_db", 8.0, snr_db)):
+        assert f"{key} = {old}\n" in text
+        text = text.replace(f"{key} = {old}\n", f"{key} = {new}\n")
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["train", "--scenario", str(cfg), "--epochs", "3", "--out", str(out)]) == EXIT_OK
 
 
 def test_run_with_version_1_weights_is_a_config_error(tiny_cfg, tmp_path, capsys):

@@ -4,11 +4,12 @@ Every example draws a user set with mixed fading groups (Rayleigh, Rician,
 ``k = inf``), a twin delay and cadence, and one to four runs, each with its
 own policy, seed and lambda plan (zero included). The runs step together
 through one environment and one twin, each block of consecutive runs of
-one policy deciding in one call, and each run also steps alone through a
-one-run environment and twin of its own. Every slot's snapshot, user rows
-and repair flags, each generator's final state and, bit for bit, every
-run's columns of the lockstep step and the outcome of its own step must
-agree. The per-call forms decide as the slot forms do.
+one policy deciding in one call on the twin's delivered ring entry, and
+each run also steps alone through a one-run environment and twin of its
+own. Every slot's delivered state, user rows and repair flags, each
+generator's final state and, bit for bit, every run's columns of the
+lockstep step and the outcome of its own step must agree. The per-call
+forms decide, and the per-call encoder encodes, as the slot forms do.
 """
 import itertools
 import math
@@ -28,7 +29,7 @@ from twinslice.domain import (
 from twinslice.envsim import Environment, FadingModel, FadingParams, LinkBudget
 from twinslice.nn import FeatureScaling
 from twinslice.scenario import LambdaSchedule
-from twinslice.twin import DelayClass, DigitalTwin
+from twinslice.twin import DelayClass, DigitalTwin, TwinSnapshot
 
 FADINGS = (
     FadingParams(FadingModel.RAYLEIGH),
@@ -81,7 +82,7 @@ def cases(draw):
 
 
 def _policy(policy_id, users, grid, qos, fraction, net):
-    """A slot's snapshots -> (rows, one repair flag per run)."""
+    """A slot call (ring, i, runs) -> (rows, one repair flag per run)."""
     if policy_id == "orthogonal":
         decide = policy.orthogonal_policy(policy.OrthogonalConfig(fraction), grid, users, TAU)
     elif policy_id == "oracle":
@@ -90,8 +91,13 @@ def _policy(policy_id, users, grid, qos, fraction, net):
         decide = policy.dynamic_policy(net, grid, users, qos, FeatureScaling(), TAU)
     if policy_id == "dnn+repair":
         repair = policy.repair_policy(qos, grid, users, TAU)
-        return lambda snaps: repair(decide(snaps), snaps)
-    return lambda snaps: (decide(snaps), [False] * len(snaps))
+        return lambda ring, i, runs: repair(decide(ring, i, runs), ring, i, runs)
+
+    def slot(ring, i, runs):
+        rows = decide(ring, i, runs)
+        return rows, [False] * len(rows)
+
+    return slot
 
 
 def _blocks(policy_ids):
@@ -104,13 +110,12 @@ def _blocks(policy_ids):
         start = stop
 
 
-def _same_snapshot(a, b):
-    assert a.snr.tobytes() == b.snr.tobytes()
-    assert a.queue.tobytes() == b.queue.tobytes()
-    assert repr(a.lam) == repr(b.lam)
-    assert (a.captured_at, a.delivered_at, a.stale_underflow) == (
-        b.captured_at, b.delivered_at, b.stale_underflow
-    )
+def _same_snapshot(ring, i, r, delivery, snap):
+    """Run r of the delivered ring entry is ``snap``, delivered alike."""
+    assert ring.snr[i, r].tobytes() == snap.snr.tobytes()
+    assert ring.queue[i, r].tobytes() == snap.queue.tobytes()
+    assert repr(ring.lam[i][r]) == repr(snap.lam)
+    assert delivery == (snap.captured_at, snap.delivered_at, snap.stale_underflow)
 
 
 def _same_bits(a, b):
@@ -155,18 +160,21 @@ def test_lockstep_runs_equal_each_run_alone(case):
         )
         for (p, *_), schedule, seed in zip(runs, schedules, seeds)
     ]
+    rows = np.empty((len(runs), grid.num_rbs), dtype=np.intp)
+    unmet = np.empty(len(runs), dtype=bool)
     for t in range(n_slots):
         twin.record(env.state)
-        snaps = twin.snapshots(now=t)
-        decided = [decide(snaps[block]) for decide, block in decides]
-        rows = np.concatenate([block_rows for block_rows, _ in decided])
-        unmet = [flag for _, flags in decided for flag in flags]
+        delivery = twin.deliver(now=t)
+        ring = twin.ring
+        i = ring.entry(delivery[0])
+        for decide, block in decides:
+            rows[block], unmet[block] = decide(ring, i, block)
         columns = env.step_runs(rows)
         for r, (own_env, own_twin, own_decide) in enumerate(alone):
             own_twin.record(own_env.state)
             snap = own_twin.snapshot(now=t)
-            _same_snapshot(snaps[r], snap)
-            own_rows, (own_unmet,) = own_decide([snap])
+            _same_snapshot(ring, i, r, delivery, snap)
+            own_rows, (own_unmet,) = own_decide(*snap.as_slot())
             assert own_rows.tolist() == [rows[r].tolist()]
             assert own_unmet == unmet[r]
             outcome = own_env.step(AllocationMatrix.of_rows(own_rows[0], own_env.ring.layout))
@@ -202,15 +210,15 @@ def slot_cases(draw):
 
 
 def _forms(users, grid, qos, fraction, net):
-    """Per policy: its slot form, a slot's snapshots -> (rows, one repair
-    flag per run or None); its per-call form, one snapshot -> decision; the
+    """Per policy: its slot form, (ring, i, runs) -> (rows, one repair flag
+    per run or None); its per-call form, one snapshot -> decision; the
     penalty weight both are given; and the per-call form's policy id."""
     cfg, scaling = policy.OrthogonalConfig(fraction), FeatureScaling()
     dnn = policy.dynamic_policy(net, grid, users, qos, scaling, TAU)
     repair = policy.repair_policy(qos, grid, users, TAU)
 
     def rows_only(decide):
-        return lambda snaps: (decide(snaps), None)
+        return lambda *slot: (decide(*slot), None)
 
     def dnn_alone(snap):
         return policy.dynamic_allocate(snap, net, grid, users, qos, scaling, TAU)
@@ -220,7 +228,7 @@ def _forms(users, grid, qos, fraction, net):
          lambda snap: policy.orthogonal_allocate(snap, cfg, grid, users, TAU), None,
          "orthogonal"),
         (rows_only(dnn), dnn_alone, None, "dnn"),
-        (lambda snaps: repair(dnn(snaps), snaps),
+        (lambda *slot: repair(dnn(*slot), *slot),
          lambda snap: policy.priority_repair(dnn_alone(snap), snap, qos, grid, users, TAU),
          None, "dnn+repair"),
     ]
@@ -237,8 +245,9 @@ def _forms(users, grid, qos, fraction, net):
 
 
 def _slot_snapshots(case):
-    """(policy forms, layout, each slot's snapshots) of a ``slot_cases`` case;
-    every run idles its blocks."""
+    """(policy forms, layout, the twin's ring and delivered entry, and a
+    snapshot of each run in it) per slot of a ``slot_cases`` case; every run
+    idles its blocks."""
     users, grid, qos, fraction, lams, seeds, n_slots = case
     n = len(users)
     net = nn.MLP.glorot(
@@ -249,16 +258,19 @@ def _slot_snapshots(case):
     forms = _forms(users, grid, qos, fraction, net)
     for t in range(n_slots):
         twin.record(env.state)
-        yield forms, env.ring.layout, twin.snapshots(now=t)
+        captured, _, _ = twin.deliver(now=t)
+        ring = twin.ring
+        snaps = [TwinSnapshot.view(ring, captured, r) for r in range(len(lams))]
+        yield forms, env.ring.layout, (ring, ring.entry(captured)), snaps
         env.step_runs(np.full((len(lams), grid.num_rbs), UNASSIGNED))
 
 
 @given(slot_cases())
 def test_slot_decisions_equal_one_run_decisions(case):
     grid = case[1]
-    for forms, layout, snaps in _slot_snapshots(case):
+    for forms, layout, (ring, i), snaps in _slot_snapshots(case):
         for decide, alone, _, policy_id in forms:
-            rows, unmet = decide(snaps)
+            rows, unmet = decide(ring, i, slice(None))
             assert rows.shape == (len(snaps), grid.num_rbs)
             for r, snap in enumerate(snaps):
                 want = alone(snap)
@@ -270,12 +282,27 @@ def test_slot_decisions_equal_one_run_decisions(case):
 @given(slot_cases())
 def test_a_per_call_decision_is_its_slot_rows_and_their_objective(case):
     users, grid, qos = case[:3]
-    for forms, layout, snaps in _slot_snapshots(case):
+    for forms, layout, (ring, i), snaps in _slot_snapshots(case):
         for decide, alone, pw, _ in forms:
-            rows, _ = decide(snaps)
+            rows, _ = decide(ring, i, slice(None))
             for r, snap in enumerate(snaps):
                 got = alone(snap)
                 m = AllocationMatrix.of_rows(rows[r], layout)
                 assert got.allocation.assignment == m.assignment
                 want = policy.allocation_objective(m, snap, grid, users, qos, TAU, pw)
                 _same_bits([got.objective_estimate], [want])
+
+
+@given(slot_cases())
+def test_a_slot_encoding_is_each_run_encoded_alone(case):
+    """One to four runs, lambda 0 included, users without URLLC ones and
+    queues that fill while every block idles."""
+    users, grid, qos = case[:3]
+    scaling = FeatureScaling()
+    encode = nn.feature_encoder(grid, users, qos, scaling)
+    for _, _, (ring, i), snaps in _slot_snapshots(case):
+        X = encode(ring, i, slice(None))
+        assert X.shape == (len(snaps), nn.feature_dim(len(users), grid.num_rbs))
+        for r, snap in enumerate(snaps):
+            x = nn.encode_features(snap, grid, users, qos, scaling)
+            assert X[r].tobytes() == x.tobytes()

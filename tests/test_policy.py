@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from twinslice import policy
+from twinslice import envsim, policy
 from twinslice.domain import (
     UNASSIGNED,
     AllocationMatrix,
@@ -154,7 +154,7 @@ def test_objective_equals_plain_user_block_loop_with_idle_blocks():
     for _ in range(200):
         snap = make_snapshot(rng.exponential(2.0, (5, 8)), users, lam=rng.uniform(0, 9))
         m = AllocationMatrix(tuple(rng.choice(choices, size=8)))
-        default = default_penalty_weight(snap.channel, grid, 1e-3)
+        default = default_penalty_weight(snap.snr, grid, 1e-3)
         for given, penalty in ((None, default), (2.5, 2.5)):
             expected = _independent_objective(
                 m.assignment, snap, grid, users, qos, 1e-3, penalty
@@ -215,7 +215,7 @@ def test_oracle_exhaustive_matches_enumeration_up_to_the_cap(n_embb, n_urllc, nu
             snap, grid, users, qos, 1e-3, mode="exhaustive", penalty_weight=penalty
         )
         if penalty is None:
-            penalty = default_penalty_weight(snap.channel, grid, 1e-3)
+            penalty = default_penalty_weight(snap.snr, grid, 1e-3)
         best_obj = -math.inf
         best = None
         for combo in itertools.product(ids, repeat=num_rbs):
@@ -233,7 +233,7 @@ def _reference_greedy(snap, grid, users, qos, tau, penalty_weight):
     in (block, user) order."""
     rates = block_rates(snap.channel.snr, grid.rb_bandwidth, tau)
     if penalty_weight is None:
-        penalty_weight = default_penalty_weight(snap.channel, grid, tau)
+        penalty_weight = default_penalty_weight(snap.snr, grid, tau)
     n_users, n_rbs = rates.shape
     is_urllc = np.array([u.service is ServiceClass.URLLC for u in users])
     load = qos.urllc_packet_bits * snap.traffic.urllc_rate
@@ -523,26 +523,25 @@ def test_repair_probes_rows_and_builds_one_matrix(monkeypatch):
     snap = make_snapshot(snr, users, lam=1.0)
     base = PolicyDecision(AllocationMatrix((0, 1, 2, 0, 1, 2, 0, 1)), 0.0, "dnn")
     qos = QoSRequirement()
-    want = priority_repair(base, snap, qos, grid, users, 1e-3)
-    calls = {"of_rows": 0, "rates": 0}
-    of_rows, rates = AllocationMatrix.of_rows.__func__, type(snap).rates
+    want = priority_repair(base, snap, qos, grid, users, 1e-3)  # fills the memo
+    calls = {"of_rows": 0, "memo_rates": 0, "block_rates": 0}
+    of_rows = AllocationMatrix.of_rows.__func__
 
-    def counted_of_rows(cls, rows, layout):
-        calls["of_rows"] += 1
-        return of_rows(cls, rows, layout)
-
-    def counted_rates(self, bw, tau):
-        calls["rates"] += 1
-        return rates(self, bw, tau)
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
 
     def no_prediction(*args):
         raise AssertionError("the repair called predicted_urllc_rate")
 
-    monkeypatch.setattr(AllocationMatrix, "of_rows", classmethod(counted_of_rows))
-    monkeypatch.setattr(type(snap), "rates", counted_rates)
+    monkeypatch.setattr(AllocationMatrix, "of_rows", classmethod(counted("of_rows", of_rows)))
+    monkeypatch.setattr(policy, "memo_rates", counted("memo_rates", policy.memo_rates))
+    monkeypatch.setattr(envsim, "block_rates", counted("block_rates", envsim.block_rates))
     monkeypatch.setattr(policy, "predicted_urllc_rate", no_prediction)
     got = priority_repair(base, snap, qos, grid, users, 1e-3)
-    assert calls == {"of_rows": 1, "rates": 1}
+    assert calls == {"of_rows": 1, "memo_rates": 1, "block_rates": 0}
     assert got.allocation.assignment == want.allocation.assignment
     pairs = zip(got.allocation.assignment, base.allocation.assignment)
     assert sum(a != b for a, b in pairs) >= 2  # the bisection probed
@@ -553,10 +552,10 @@ def test_repair_probes_rows_and_builds_one_matrix(monkeypatch):
 
     monkeypatch.setattr(AllocationMatrix, "__init__", no_matrix)
     repair = repair_policy(qos, grid, users, 1e-3)
-    rows, unmet = repair(np.array([[0, 1, 2, 0, 1, 2, 0, 1]]), [snap])
+    rows, unmet = repair(np.array([[0, 1, 2, 0, 1, 2, 0, 1]]), snap.ring, snap.held(), slice(1))
     assert rows.tolist() == [list(want.allocation.assignment)]  # ids are rows here
     assert unmet == [False]
-    assert calls == {"of_rows": 1, "rates": 2}
+    assert calls == {"of_rows": 1, "memo_rates": 2, "block_rates": 0}
 
 
 def test_policy_outputs_always_validate_fuzz():
@@ -578,25 +577,3 @@ def test_policy_outputs_always_validate_fuzz():
         d4 = priority_repair(d3, snap, qos, grid, users, 1e-3)
         for d in (d1, d2, d3, d4):
             assert validate_allocation(d.allocation, grid, users)
-
-
-def test_a_policy_call_rejects_snapshots_of_two_ring_entries():
-    users = make_users(2, 1)
-    grid = ResourceGrid(4, 1e5)
-    qos = QoSRequirement()
-    net = MLP.glorot([feature_dim(3, 4), 8, 12], (4, 3), seed=0)
-    a = make_snapshot(np.full((3, 4), 2.0), users, lam=1.0)
-    b = make_snapshot(np.full((3, 4), 2.0), users, lam=1.0)
-    policies = [
-        policy.orthogonal_policy(OrthogonalConfig(0.5), grid, users, 1e-3),
-        policy.oracle_policy(grid, users, qos, 1e-3, mode="exhaustive"),
-        policy.oracle_policy(grid, users, qos, 1e-3, mode="greedy"),
-        policy.dynamic_policy(net, grid, users, qos, FeatureScaling(), 1e-3),
-    ]
-    for decide in policies:
-        assert len(decide([a])) == 1
-        with pytest.raises(ValueError, match="share one ring entry"):
-            decide([a, b])
-    repair = repair_policy(qos, grid, users, 1e-3)
-    with pytest.raises(ValueError, match="share one ring entry"):
-        repair(np.array([[0, 1, 2, 0]] * 2), [a, b])

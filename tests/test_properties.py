@@ -1,7 +1,7 @@
 """Slot invariants on generated scenarios.
 
 Every example builds a small scenario, runs a few slots of the runner's
-record -> snapshot -> decide -> step loop under one policy and checks what
+record -> deliver -> decide -> step loop under one policy and checks what
 each slot promises: queue bits are conserved, served bits stay within
 capacity and backlog, decisions validate, and at zero twin delay the twin's
 predicted URLLC rate is the realised one, bit for bit. The examples are drawn from a
@@ -10,6 +10,7 @@ fixed seed (the profile in ``conftest.py``), so every run sees the same ones.
 import math
 from functools import partial
 
+import numpy as np
 from hypothesis import example, given, strategies as st
 
 from twinslice import metrics, nn, runner
@@ -79,20 +80,22 @@ def scenarios(draw, zero_delay=False):
 
 def _slots(scen, policy_id, net_seed):
     """(snapshot, state before, the run's user rows, repair flag, outcome,
-    state after) per slot."""
+    state after) per slot. The policy decides on the twin's delivered ring
+    entry, as the runner's does; the snapshot is the run's view of it."""
     users = scen.users()
     n, b = len(users), scen.num_rbs
     net = nn.MLP.glorot([nn.feature_dim(n, b), 8, b * n], (b, n), seed=net_seed)
     env = scen.environment()
     twin = scen.make_twin()
     decide = runner._make_policy(policy_id, scen, net)
+    unmet = np.empty(1, dtype=bool)
     for t in range(SLOTS):
         before = env.state
         twin.record(before)
-        snap = twin.snapshot(now=t)
-        rows, (unmet,) = decide([snap])
+        captured, _, _ = twin.deliver(now=t)
+        rows, unmet[:] = decide(twin.ring, twin.ring.entry(captured), slice(1))
         outcome = env.step_runs(rows).outcome(env.ring.layout)
-        yield snap, before, rows[0], unmet, outcome, env.state
+        yield twin.snapshot(now=t), before, rows[0], unmet[0], outcome, env.state
 
 
 @given(scenarios(), st.sampled_from(POLICIES), st.integers(0, 100))

@@ -391,8 +391,9 @@ def test_the_slot_loop_builds_no_matrix_decision_or_partial(
     repo_root_scenarios, tmp_path, monkeypatch
 ):
     """The runs of every policy and the oracle labels decide in user-row
-    arrays: ``AllocationMatrix``, ``PolicyDecision`` and the lazy objective's
-    ``partial`` belong to the per-call forms only."""
+    arrays on the twin's ring entry: ``AllocationMatrix``, ``PolicyDecision``,
+    the lazy objective's ``partial`` and ``TwinSnapshot`` views belong to
+    the per-call forms only."""
     scen = replace(load_scenario(repo_root_scenarios / "tiny.cfg"), horizon_slots=100)
     net = nn.MLP.glorot([nn.feature_dim(3, 4), 8, 12], (4, 3), seed=0).astype(np.float32)
     weights = str(tmp_path / "weights.bin")
@@ -404,6 +405,7 @@ def test_the_slot_loop_builds_no_matrix_decision_or_partial(
     monkeypatch.setattr(domain.AllocationMatrix, "__init__", built)
     monkeypatch.setattr(policy.PolicyDecision, "__init__", built)
     monkeypatch.setattr(policy, "partial", built)
+    monkeypatch.setattr(twin.TwinSnapshot, "view", classmethod(built))
     spec = ExperimentSpec(
         scenario=scen, policies=runner.POLICY_IDS, out_dir=str(tmp_path / "out"),
         lambdas=(1.0, 4.0), weights_path=weights,
@@ -414,3 +416,7 @@ def test_the_slot_loop_builds_no_matrix_decision_or_partial(
     snap = make_snapshot(np.ones((3, 4)), scen.users(), lam=2.0)
     with pytest.raises(AssertionError, match="per-call object"):  # the patch bites
         policy.oracle_allocate(snap, scen.grid, scen.users(), scen.qos, scen.slot_duration)
+    digital = scen.make_twin()
+    digital.record(scen.environment().state)
+    with pytest.raises(AssertionError, match="per-call object"):
+        digital.snapshot(now=0)

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from twinslice import runner
 from twinslice.domain import (
+    UNASSIGNED,
     AllocationMatrix,
     ChannelState,
     QoSRequirement,
@@ -14,7 +18,7 @@ from twinslice.policy import (
     oracle_allocate,
     orthogonal_allocate,
 )
-from twinslice.scenario import load_scenario
+from twinslice.scenario import ExperimentSpec, load_scenario
 from twinslice.twin import (
     CalibrationTolerances,
     DelayClass,
@@ -260,3 +264,33 @@ def test_a_kept_decision_objective_raises_once_its_slot_left_the_ring(
     assert isinstance(decisions[-1].objective_estimate, float)
     with pytest.raises(LookupError, match="slot 0 has left the state ring"):
         decisions[0].objective_estimate
+
+
+def test_deliver_is_the_dumped_twin_log_and_the_snapshot(repo_root_scenarios, tmp_path):
+    # The golden "cadence" settings: a 2-slot delay delivered every third
+    # slot from a history of exactly delay + 1 states.
+    scen = replace(
+        load_scenario(repo_root_scenarios / "tiny.cfg"), horizon_slots=60, outage_window=20,
+        twin_delay=DelayClass.MODERATE, twin_cadence=3, history_depth=3,
+    )
+    spec = ExperimentSpec(
+        scenario=scen, policies=("orthogonal",), out_dir=str(tmp_path), lambdas=(2.0,),
+        dump_twin=True,
+    )
+    runner.run_experiment(spec)
+    (log,) = tmp_path.glob("*.twin.csv")
+    lines = log.read_text().splitlines()
+    assert lines[0] == "t,captured_at,delivered_at,staleness,stale_underflow"
+    rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(rows) == 60
+    env, twin = scen.environment(), scen.make_twin()
+    for t, (slot, captured, delivered, staleness, underflow) in enumerate(rows):
+        twin.record(env.state)
+        delivery = twin.deliver(now=t)
+        assert (slot, staleness) == (t, t - captured)
+        assert delivery == (captured, delivered, underflow)
+        snap = twin.snapshot(now=t)
+        assert (snap.captured_at, snap.delivered_at, snap.stale_underflow) == delivery
+        env.step_runs(np.full((1, scen.num_rbs), UNASSIGNED))
+    assert sum(delivered < t for t, (_, _, delivered, _, _) in enumerate(rows)) == 40
+    assert [underflow for *_, underflow in rows[:3]] == [1, 1, 1]
