@@ -12,7 +12,7 @@ or float64. Inputs are cast to it, so a net trains and serves in one
 precision. ``MLP.glorot``/``MLP.zeros`` build float64 nets, which the
 finite-difference check needs; ``MLP.astype`` converts.
 The encoder reads a slot's runs from the twin's ring entry as one ``[R, d]``
-array; the forward pass serves one row at a time.
+array; the forward pass serves it as an ``[R, 1, d]`` stack, one gemv per row.
 """
 from __future__ import annotations
 

@@ -5,9 +5,10 @@ orthogonal split, the oracle's search space, the encoder's positions); each
 call ``(ring, i, runs)`` reads entry ``i`` of the twin's ``StateRing`` for
 the ``slice`` of runs ``runs`` in place and returns their user rows as an
 ``[R, B]`` array: run r's row per block, UNASSIGNED for an idle block, bit
-for bit the rows of that run alone. ``repair_policy`` takes a slot's rows
-too and also returns one ``constraint_unmet`` flag per run. ``*_allocate``
-and ``priority_repair`` are one call on one snapshot's run
+for bit the rows of that run alone. The dnn policy serves the runs in one
+forward call, one gemv per row. ``repair_policy`` takes a slot's rows too,
+probes in Python floats and returns one ``constraint_unmet`` flag per run.
+``*_allocate`` and ``priority_repair`` are one call on one snapshot's run
 (``PhysicalState.as_slot``): they return a ``PolicyDecision``, whose
 objective is computed when first read. ``users`` may be a ``UserLayout``.
 Tie-breaking is lowest block index then lowest user id everywhere.
@@ -30,8 +31,8 @@ from .domain import (
     UserLayout,
     UserTerminal,
 )
-from .envsim import StateRing, _user_rates, class_sum, memo_rates, user_rates
-from .nn import MLP, FeatureScaling, feature_encoder, forward
+from .envsim import StateRing, class_sum, memo_rates, user_rates
+from .nn import MLP, FeatureScaling, _forward_batch, feature_encoder
 from .twin import TwinSnapshot
 
 #: Penalty multiplier applied to the largest per-block rate in the snapshot.
@@ -349,16 +350,12 @@ def oracle_allocate(
 
 
 def dynamic_policy(
-    net: MLP,
-    grid: ResourceGrid,
-    users: Iterable[UserTerminal],
-    qos: QoSRequirement,
-    scaling: FeatureScaling,
-    slot_duration: float,
+    net: MLP, grid: ResourceGrid, users: Iterable[UserTerminal], qos: QoSRequirement,
+    scaling: FeatureScaling, slot_duration: float,
 ) -> Policy:
     """Neural allocator: encode the runs' entry as one ``[R, d]`` array, run
-    the net on each row, decode per-block argmax. The decode step gives
-    valid rows for any finite net."""
+    it through the net in one call, decode per-block argmax. The decode step
+    gives valid rows for any finite net."""
     layout = UserLayout.of(users)
     if net.output_shape != (grid.num_rbs, len(layout.ids)):
         raise ValueError(
@@ -368,8 +365,9 @@ def dynamic_policy(
     encode = feature_encoder(grid, layout, qos, scaling)
 
     def decide(ring: StateRing, i: int, runs: slice) -> np.ndarray:
-        probs = np.array([forward(net, x).probs for x in encode(ring, i, runs)])
-        return probs.argmax(axis=2)  # decode_output's argmax: the lowest id wins ties
+        # An [R, 1, d] stack: matmul gives each (1, d) row forward's gemv and bits,
+        # which an (R, d) gemm would not. decode_output's argmax: lowest id wins ties.
+        return _forward_batch(net, encode(ring, i, runs)[:, None])[0].argmax(axis=2)
 
     return decide
 
@@ -384,30 +382,31 @@ def dynamic_allocate(
     return _decision(rows, snapshot, grid, layout, qos, slot_duration, "dnn")
 
 
-def _urllc_sum(rows: np.ndarray, idle: bool, rates: np.ndarray, urllc: list) -> float:
-    """Sum URLLC rate of user rows ``rows``, added as the slot kernel adds it."""
-    return class_sum(_user_rates(rows, rates[None], idle)[0].tolist(), urllc)
+def _urllc_sum(blocks: list[int], rows: list[int], rates: list[float], urllc: list) -> float:
+    """Sum rate of the URLLC-held ``blocks`` (block order), held by ``rows[b]``
+    at ``rates[b]``, added as the slot kernel adds it: each user's blocks in
+    block order (``_user_rates``), then the users in id order (``class_sum``)."""
+    sums = dict.fromkeys(urllc, 0.0)
+    for b in blocks:
+        sums[rows[b]] += rates[b]
+    return class_sum(sums, urllc)
 
 
 def predicted_urllc_rate(
-    m: AllocationMatrix,
-    snapshot: TwinSnapshot,
-    grid: ResourceGrid,
-    users: Iterable[UserTerminal],
-    slot_duration: float,
+    m: AllocationMatrix, snapshot: TwinSnapshot, grid: ResourceGrid,
+    users: Iterable[UserTerminal], slot_duration: float,
 ) -> float:
     """Sum URLLC capacity that a (possibly stale) snapshot predicts for ``m``;
     at zero twin delay it equals the realised rate bit for bit."""
     layout = UserLayout.of(users)
-    rates = snapshot.rates(grid.rb_bandwidth, slot_duration)
-    return _urllc_sum(m.rows_in(layout), m.idle, rates, layout.urllc)
+    rows = m.rows_in(layout)
+    rates = snapshot.rates(grid.rb_bandwidth, slot_duration)[rows, range(len(rows))]
+    blocks = [b for b, r in enumerate(rows) if r in layout.urllc]
+    return _urllc_sum(blocks, rows.tolist(), rates.tolist(), layout.urllc)
 
 
 def repair_policy(
-    qos: QoSRequirement,
-    grid: ResourceGrid,
-    users: Iterable[UserTerminal],
-    slot_duration: float,
+    qos: QoSRequirement, grid: ResourceGrid, users: Iterable[UserTerminal], slot_duration: float,
 ) -> Callable[[np.ndarray, StateRing, int, slice], tuple[np.ndarray, list[bool]]]:
     """Reassign eMBB blocks to URLLC until the predicted load constraint holds.
 
@@ -422,38 +421,39 @@ def repair_policy(
     """
     layout = UserLayout.of(users)
     urllc, is_urllc = layout.urllc, layout.is_urllc.tolist()
+    blocks = np.arange(grid.num_rbs)
 
-    def repair(own: list[int], rates: np.ndarray, lam: float) -> tuple[list[int], bool]:
-        idle = UNASSIGNED in own  # a move never frees or fills a block
-        target = qos.urllc_packet_bits * lam
-        moves: list[tuple[int, int]] = []  # (block, new holder) in the order made
-        if urllc:
-            gain = rates[urllc]
-            top, best = gain.max(axis=0).tolist(), gain.argmax(axis=0).tolist()
-            embb = [b for b, r in enumerate(own) if r != UNASSIGNED and not is_urllc[r]]
-            # A move leaves the other blocks' rates as they are, so the order is
-            # fixed: highest rate first, then the lowest block, then the lowest id.
-            moves = [(b, urllc[best[b]]) for b in sorted(embb, key=lambda b: -top[b])]
-
-        def after(k: int) -> list[int]:
-            moved = own.copy()
-            for b, r in moves[:k]:
-                moved[b] = r
-            return moved
-
+    def repair(own: list, held: list, top: list, best: list, lam: float) -> tuple[list, bool]:
+        kept = [b for b, r in enumerate(own) if r != UNASSIGNED and is_urllc[r]]
+        embb = [b for b, r in enumerate(own) if r != UNASSIGNED and not is_urllc[r]]
+        # A move leaves the other blocks' rates as they are, so the order is
+        # fixed: highest rate first, then the lowest block, then the lowest id.
+        moves = sorted(embb, key=top.__getitem__, reverse=True) if urllc else []
+        rows, rates = own.copy(), held.copy()  # as held once every move is made
+        for b in moves:
+            rows[b], rates[b] = urllc[best[b]], top[b]
         # R <= load is an outage (metrics.outage_event), so an exact hit is
         # repaired too: at zero load, URLLC still gets a block. A move adds a
         # rate >= 0 to one user's sum, which never lowers the prediction, so
         # bisection finds the first move count that clears the load.
+        target = qos.urllc_packet_bits * lam
         k = bisect_left(
             range(len(moves) + 1), True,
-            key=lambda k: _urllc_sum(np.array(after(k)), idle, rates, urllc) > target,
+            key=lambda k: _urllc_sum(sorted(kept + moves[:k]), rows, rates, urllc) > target,
         )
-        return after(k), k > len(moves)
+        for b in moves[k:]:
+            rows[b] = own[b]
+        return rows, k > len(moves)
 
     def slot(rows: np.ndarray, ring: StateRing, i: int, runs: slice):
-        rates = memo_rates(ring.memo[i], ring.snr[i], grid.rb_bandwidth, slot_duration)
-        repaired, unmet = zip(*map(repair, rows.tolist(), rates[runs], ring.lam[i][runs]))
+        rates = memo_rates(ring.memo[i], ring.snr[i], grid.rb_bandwidth, slot_duration)[runs]
+        # All runs at once: each block's rate for its holder, its top URLLC rate and user.
+        held = rates[np.arange(len(rows))[:, None], rows, blocks].tolist()
+        top = best = [None] * len(rows)  # an [R, 0, B] gain has no max, and no move
+        if urllc:
+            gain = rates[:, layout.urllc_rows]
+            top, best = gain.max(axis=1).tolist(), gain.argmax(axis=1).tolist()
+        repaired, unmet = zip(*map(repair, rows.tolist(), held, top, best, ring.lam[i][runs]))
         return np.array(repaired, dtype=np.intp), list(unmet)
 
     return slot

@@ -31,6 +31,8 @@ from .twin import DelayClass, DigitalTwin
 #: The largest feature scale max(1, mean SNR) / reference: the float32 maximum
 #: over 1e9, 1e3 for fading gains above the mean times 1e6 for the first layer.
 FEATURE_SCALE_MAX = 3.4028234663852886e38 / 1e9
+#: The largest Poisson rate numpy's ``Generator.poisson`` draws at.
+POISSON_LAM_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
 class ScenarioError(ConfigError):
@@ -147,6 +149,10 @@ class Scenario:
         self.make_twin()  # checks the [twin] keys
         if not self.reference_lambda > 0:
             raise ValueError("reference_lambda must be > 0")
+        n, lam = self.n_urllc, max(self.lambda_schedule.values)
+        if n and not lam / n <= POISSON_LAM_MAX:  # each URLLC user's rate; none if n = 0
+            raise ConfigError(f"urllc_lambda {lam:g} over {n} URLLC users gives each a "
+                              f"Poisson rate over numpy's limit {POISSON_LAM_MAX:g}")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden sizes must be >= 1")
         # Exercise the constituent type invariants now, not at first use.
@@ -295,6 +301,8 @@ class ExperimentSpec:
         lambdas = self.lambdas or ()
         if not all(0 <= v < math.inf for v in lambdas):
             raise ConfigError(f"sweep values must be finite and >= 0, got {lambdas}")
+        for lam in lambdas:
+            self.scenario.with_lambda(lam)  # the run's scenario checks it
         stems = [stem for _, _, stem in self.runs()]
         clash = sorted({stem for stem in stems if stems.count(stem) > 1})
         if clash:

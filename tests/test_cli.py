@@ -1,10 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from twinslice import runner
 from twinslice.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from twinslice.nn import MLP, save_weights
+from twinslice.scenario import POISSON_LAM_MAX
 
 from conftest import write_v1_weights
 
@@ -435,6 +441,95 @@ def test_train_at_a_low_reference_snr(repo_root_scenarios, tmp_path, snr_db):
     cfg.write_text(text)
     out = tmp_path / "o"
     assert main(["train", "--scenario", str(cfg), "--epochs", "3", "--out", str(out)]) == EXIT_OK
+
+
+#: Just over the Poisson rate numpy draws at, for tiny's one URLLC user.
+OVER_POISSON_LIMIT = repr(math.nextafter(POISSON_LAM_MAX, math.inf))
+
+
+@pytest.mark.parametrize("verb", ["run", "train"])
+@pytest.mark.parametrize("lam", ["1e300", "9.3e18", OVER_POISSON_LIMIT])
+def test_an_undrawable_lambda_is_a_config_error(tiny_cfg, tmp_path, capsys, verb, lam):
+    """Each URLLC user draws Poisson(lambda / n_urllc) arrivals, which numpy
+    refuses over POISSON_LAM_MAX: load rejects such a lambda, naming it."""
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(TINY_TEXT.replace("urllc_lambda = 2.0", f"urllc_lambda = {lam}"))
+    out = tmp_path / "o"
+    assert main([verb, "--scenario", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "urllc_lambda" in err and f"{float(lam):g}" in err
+    assert not out.exists()
+
+
+def test_an_undrawable_sweep_value_is_a_config_error(tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(
+        ["sweep", "--scenario", tiny_cfg, "--policy", "orthogonal",
+         "--lambdas", f"2,{OVER_POISSON_LIMIT}", "--out", str(out)]
+    )
+    assert code == EXIT_CONFIG
+    assert f"{float(OVER_POISSON_LIMIT):g}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_largest_drawable_lambda_runs(tiny_cfg, tmp_path):
+    """numpy draws at POISSON_LAM_MAX itself, as a scenario's rate and as a
+    sweep value; a scenario without URLLC users draws nothing, so any finite
+    rate runs."""
+    limit = repr(POISSON_LAM_MAX)
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text(TINY_TEXT.replace("urllc_lambda = 2.0", f"urllc_lambda = {limit}"))
+    assert main(["run", "--scenario", str(cfg), "--policy", "orthogonal",
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert main(["sweep", "--scenario", tiny_cfg, "--policy", "orthogonal",
+                 "--lambdas", limit, "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    cfg.write_text(
+        TINY_TEXT.replace("urllc_lambda = 2.0", "urllc_lambda = 1e300")
+        .replace("urllc = 1\n", "urllc = 0\n")
+    )
+    assert main(["run", "--scenario", str(cfg), "--policy", "oracle",
+                 "--out", str(tmp_path / "none")]) == EXIT_OK
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="OpenBLAS runs one thread on one CPU")
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="default-shape products round differently on 1 and 2 OpenBLAS threads",
+)
+def test_default_scale_artifacts_do_not_depend_on_the_blas_thread_count(
+    repo_root_scenarios, tmp_path
+):
+    """README "Determinism": a run is the scenario bytes and the seed. Train
+    a default-shape net for one step on 64 slots, then run dnn+repair on it,
+    once with one OpenBLAS thread and once with two, and compare every file."""
+    text = (repo_root_scenarios / "default.cfg").read_text()
+    assert "horizon_slots = 5000\n" in text
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(text.replace("horizon_slots = 5000\n", "horizon_slots = 64\n"))
+    src = Path(__file__).resolve().parent.parent / "src"
+    cli = "import sys; from twinslice.cli import main; sys.exit(main(sys.argv[1:]))"
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        for argv in (
+            ["train", "--scenario", str(cfg), "--epochs", "1", "--out", str(out)],
+            ["run", "--scenario", str(cfg), "--policy", "dnn+repair",
+             "--weights", str(out / "weights.bin"), "--out", str(out / "run")],
+        ):
+            subprocess.run([sys.executable, "-c", cli, *argv], env=env, check=True,
+                           capture_output=True)
+        files.append({p.relative_to(out).as_posix(): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert files[0].keys() == files[1].keys()
+    differ = [name for name in files[0] if files[0][name] != files[1][name]]
+    assert not differ, f"files that differ between 1 and 2 threads: {differ}"
 
 
 def test_run_with_version_1_weights_is_a_config_error(tiny_cfg, tmp_path, capsys):

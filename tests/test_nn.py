@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from twinslice.domain import ConfigError, QoSRequirement, ResourceGrid
 from twinslice.nn import (
@@ -11,6 +13,7 @@ from twinslice.nn import (
     FeatureScaling,
     OutputTensor,
     TrainConfig,
+    _forward_batch,
     accuracy,
     decode_output,
     encode_features,
@@ -40,6 +43,35 @@ def test_row_sums_are_one_for_random_nets():
         y = forward(net, rng.standard_normal(7))
         assert np.all(np.abs(y.probs.sum(axis=1) - 1.0) <= 1e-6)
         assert np.all(y.probs >= 0.0)
+
+
+@functools.cache
+def _stack_net(shape: str) -> MLP:
+    """The default scenario's float32 1043 -> 1024 -> 1000 net, or a small
+    float64 one."""
+    if shape == "default":
+        return MLP.glorot([1043, 1024, 1000], (50, 20), seed=4).astype(np.float32)
+    return MLP.glorot([7, 9, 12], (3, 4), seed=4)
+
+
+@given(
+    shape=st.sampled_from(["default", "small"]),
+    runs=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+)
+def test_a_stacked_forward_row_is_that_row_alone(shape, runs, seed, scale):
+    """The dnn policy serves a slot's runs as one [R, 1, d] stack; row r is
+    ``forward`` of run r's features alone, byte for byte."""
+    net = _stack_net(shape)
+    X = np.random.default_rng(seed).standard_normal((runs, net.input_dim)) * scale
+    probs = _forward_batch(net, X[:, None, :])[0]
+    for r, x in enumerate(X):
+        assert probs[r].tobytes() == forward(net, x).probs.tobytes(), (
+            f"row {r} of a stack of {runs} differs from its own forward pass "
+            f"({shape} net) under numpy {np.__version__}; a numpy whose matmul "
+            "gives stacked rows another BLAS call breaks the dnn policy's exactness"
+        )
 
 
 def test_softmax_shift_invariance_per_row():

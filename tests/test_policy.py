@@ -4,16 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from twinslice import envsim, policy
+from twinslice import envsim, nn, policy
 from twinslice.domain import (
     UNASSIGNED,
     AllocationMatrix,
     QoSRequirement,
     ResourceGrid,
     ServiceClass,
+    UserLayout,
     validate_allocation,
 )
-from twinslice.envsim import block_rates
+from twinslice.envsim import StateRing, block_rates
 from twinslice.nn import MLP, FeatureScaling, feature_dim
 from twinslice.policy import (
     EXHAUSTIVE_CAP,
@@ -22,6 +23,7 @@ from twinslice.policy import (
     allocation_objective,
     default_penalty_weight,
     dynamic_allocate,
+    dynamic_policy,
     oracle_allocate,
     orthogonal_allocate,
     predicted_urllc_rate,
@@ -482,6 +484,9 @@ def _stepwise_repair(decision, snap, qos, grid, users, tau):
 
 
 def test_repair_equals_stepwise_reference():
+    """The per-call form on one run, and the slot form on 1-5 runs at once,
+    each run with its own rows, SNRs and load: every run is repaired as the
+    one-move-at-a-time reference repairs it alone."""
     rng = np.random.default_rng(71)
     grid = ResourceGrid(7, 1e5)
     qos = QoSRequirement(urllc_packet_bits=64)
@@ -489,6 +494,7 @@ def test_repair_equals_stepwise_reference():
     for n_embb, n_urllc in ((2, 1), (2, 2), (1, 3), (3, 0), (0, 2)):
         users = make_users(n_embb, n_urllc)
         choices = [u.id for u in users] + [UNASSIGNED]
+        runs = []  # (snr, assignment, lam, repaired, unmet) of each case
         for i in range(60):
             shape = (len(users), 7)
             if i % 3:
@@ -510,7 +516,48 @@ def test_repair_equals_stepwise_reference():
             assert got.allocation.assignment == want
             assert got.constraint_unmet == unmet
             cases += want != m.assignment
+            runs.append((snr, m.assignment, lam, want, unmet))
+
+        # The same cases as slots of 1, 2, ..., 5 runs; ids are rows here.
+        repair = repair_policy(qos, grid, users, 1e-3)
+        start = 0
+        for n in itertools.cycle(range(1, 6)):
+            block = runs[start : start + n]
+            if not block:
+                break
+            start += n
+            snr, own, lams, want, unmet = zip(*block)
+            ring = StateRing(1, qos, UserLayout(users))
+            ring.put(0, np.array(snr), np.zeros((len(block), n_urllc)), list(lams))
+            rows, flags = repair(np.array(own), ring, 0, slice(None))
+            assert [tuple(r) for r in rows.tolist()] == list(want)
+            assert flags == list(unmet)
     assert cases > 100
+
+
+def test_the_dnn_policy_serves_each_run_as_its_own_forward_pass(monkeypatch):
+    # The slot's runs go through the net in one call, and each run's probs
+    # are the bytes of its own forward pass: one-row gemvs, not the (R, d)
+    # gemm, which rounds the default float32 shape otherwise.
+    users, grid, qos = make_users(10, 10), ResourceGrid(50, 1e6), QoSRequirement()
+    net = MLP.glorot([feature_dim(20, 50), 1024, 1000], (50, 20), seed=2).astype(np.float32)
+    rng = np.random.default_rng(9)
+    ring = StateRing(1, qos, UserLayout(users))
+    lams = [0.0, 50.0, 100.0, 150.0, 200.0]
+    ring.put(0, rng.exponential(3.0, (5, 20, 50)), rng.uniform(0, 3e3, (5, 10)), lams)
+    served = []
+
+    def spy(net, X):
+        out = nn._forward_batch(net, X)
+        served.append((X, out[0]))
+        return out
+
+    monkeypatch.setattr(policy, "_forward_batch", spy)
+    rows = dynamic_policy(net, grid, users, qos, FeatureScaling(), 1e-3)(ring, 0, slice(None))
+    ((X, probs),) = served
+    for r, x in enumerate(X.reshape(5, -1)):
+        assert probs[r].tobytes() == nn.forward(net, x).probs.tobytes()
+    assert rows.tolist() == probs.argmax(axis=2).tolist()
 
 
 def test_repair_probes_rows_and_builds_one_matrix(monkeypatch):
