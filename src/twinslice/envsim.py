@@ -248,6 +248,22 @@ class StateRing:
         self.snr[i], self.queue[i], self.lam[i], self.slot[i] = snr, queue, lam, t
         self.memo[i] = {} if memo is None else memo
 
+    def gather(self, entries: list, runs: slice, bw: float, slot_duration: float) -> StateRing:
+        """The ``runs`` of ``entries``, slot-major (run k * R + r is run r of
+        ``entries[k]``), as the one entry of a depth-1 ring whose rate memo
+        stacks each entry's ``memo_rates``: one ``block_rates`` per state."""
+        snr, queue = self.snr[entries, runs], self.queue[entries, runs]
+        n = snr.shape[0] * snr.shape[1]
+        out = StateRing(1, self.qos, self.layout)
+        out.snr, out.queue = snr.reshape(1, n, *snr.shape[2:]), queue.reshape(1, n, queue.shape[2])
+        out.lam, out.slot = [[lam for i in entries for lam in self.lam[i][runs]]], [0]
+        rates = np.concatenate(
+            [memo_rates(self.memo[i], self.snr[i], bw, slot_duration)[runs] for i in entries]
+        )
+        rates.setflags(write=False)
+        out.memo = [{(bw, slot_duration): rates}]
+        return out
+
 
 class PhysicalState:
     """Everything the physical network knows at the start of slot ``t`` in

@@ -88,14 +88,16 @@ class PolicyDecision:
 
 def default_penalty_weight(
     snr: np.ndarray, grid: ResourceGrid, slot_duration: float
-) -> float:
+) -> Union[float, np.ndarray]:
     """Large enough that QoS violations dominate any rate gain, from one run's
-    SNRs. A scale, not a rate, so it keeps numpy's ``log2``: ``perfbench/checks.py``
-    (``SlotModel.penalty_weight``) pins this formula and its oracle check
-    compares objectives bit for bit, while ``block_rates`` gives a maximum
-    one ulp off on about a quarter of random default-shape SNR matrices."""
+    SNRs (or, over a leading run axis, each run's). A scale, not a rate, so it
+    keeps numpy's ``log2``: ``perfbench/checks.py`` (``SlotModel.penalty_weight``)
+    pins this formula and its oracle check compares objectives bit for bit,
+    while ``block_rates`` gives a maximum one ulp off on about a quarter of
+    random default-shape SNR matrices."""
     rates = grid.rb_bandwidth * slot_duration * np.log2(1.0 + snr)
-    return PENALTY_SCALE * float(rates.max()) if rates.size else PENALTY_SCALE
+    peak = rates.max(axis=(-2, -1)) if rates.size else np.ones(snr.shape[:-2])
+    return PENALTY_SCALE * (peak if peak.ndim else float(peak))
 
 
 def allocation_objective(
@@ -323,16 +325,16 @@ def oracle_policy(
     def decide(ring: StateRing, i: int, runs: slice) -> np.ndarray:
         rates = memo_rates(ring.memo[i], ring.snr[i], bw, slot_duration)[runs]
         loads = [qos.urllc_packet_bits * lam for lam in ring.lam[i][runs]]
-        pws = [default_penalty_weight(snr, grid, slot_duration) if penalty_weight is None
-               else penalty_weight for snr in ring.snr[i, runs]]
+        pws = (default_penalty_weight(ring.snr[i, runs], grid, slot_duration)
+               if penalty_weight is None else np.full(len(loads), penalty_weight))
         if mode == "exhaustive":
             return _exhaustive_oracle(
                 rates, np.array(loads)[:, None], min_rate_bits, layout.is_urllc, holders,
-                holds, np.array(pws)[:, None],
+                holds, pws[:, None],
             )
         return np.array([
             _greedy_oracle(r, load, min_rate_bits, layout.is_urllc, layout.urllc_rows, pw)
-            for r, load, pw in zip(rates, loads, pws)
+            for r, load, pw in zip(rates, loads, pws.tolist())
         ], dtype=np.intp)
 
     return decide

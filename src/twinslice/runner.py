@@ -4,9 +4,9 @@ One simulated run holds a physical environment, a digital twin fed from it,
 and one policy deciding against the twin's delivered state. The runs of an
 experiment step in lockstep: one environment and one twin hold all of them
 on a leading run axis, each run with its own generator, and each policy
-decides the slot of its block of runs in one call on the twin's delivered
-ring entry. Training runs the same loop with the oracle in charge,
-harvesting (feature, label) pairs from the twin.
+decides its block of runs in one call per window of d + 1 slots, whose
+deliveries a twin of d slots' delay has fixed. Training runs the same loop
+with the oracle in charge, harvesting (feature, label) pairs from the twin.
 """
 from __future__ import annotations
 
@@ -71,25 +71,44 @@ def _slots(
 ) -> Iterator[tuple[int, tuple, StateRing, int, np.ndarray, np.ndarray, SlotColumns]]:
     """The slot loop of every run, the runs of one scenario in lockstep: run
     r steps on the environment of ``seeds[r]`` and ``lams[r]``, and each
-    ``(decide, runs)`` of ``decides`` decides its slice of runs in one call.
-    The twin records the physical states and delivers before the decisions
-    are made, so the allocation applied at slot t only ever depends on twin
-    state delivered at or before t; the environment then steps. Yields (t,
-    delivery, ring, i, rows, unmet, columns): the twin's ``deliver(t)``, its
-    ring and the delivered entry, the ``[R, B]`` user rows and ``[R]`` repair
-    flags (one array each, rewritten every slot) and the slot's per-run
-    columns."""
+    ``(decide, runs)`` of ``decides`` decides its slice of runs. Once slot t
+    is recorded, a twin of d slots' delay has fixed the deliveries of slots
+    t ... t + d: that window is decided in one call per block, on the
+    delivered entries gathered slot-major (``StateRing.gather``), and the
+    environment steps through it. A policy decides each run of a call as
+    that run alone, so the rows are those of one call per slot, bit for bit.
+    At zero delay a window is one slot, decided on the twin's own ring.
+    Yields (t, delivery, ring, i, rows, unmet, columns): ``deliver(t)``, the
+    twin's ring and the delivered entry, the ``[R, B]`` user rows and ``[R]``
+    repair flags (views rewritten every window) and the per-run columns."""
     env = scenario.environments(seeds, lams)
     twin = scenario.make_twin()
-    rows = np.empty((len(seeds), scenario.num_rbs), dtype=np.intp)
-    unmet = np.empty(len(seeds), dtype=bool)
-    for t in range(scenario.horizon_slots):
+    horizon, ahead, n_rbs = scenario.horizon_slots, twin.delay_slots, scenario.num_rbs
+    rows = np.empty((ahead + 1, len(seeds), n_rbs), dtype=np.intp)
+    unmet = np.empty((ahead + 1, len(seeds)), dtype=bool)
+    if not ahead:
+        rows, unmet = rows[0], unmet[0]
+        for t in range(horizon):
+            twin.record(env.state)
+            delivery = twin.deliver(now=t)
+            ring, i = twin.ring, twin.ring.entry(delivery[0])
+            for decide, runs in decides:
+                rows[runs], unmet[runs] = decide(ring, i, runs)
+            yield t, delivery, ring, i, rows, unmet, env.step_runs(rows)
+        return
+    bw, tau = scenario.rb_bandwidth, scenario.slot_duration
+    for t in range(horizon):
         twin.record(env.state)
-        delivery = twin.deliver(now=t)
-        ring, i = twin.ring, twin.ring.entry(delivery[0])
-        for decide, runs in decides:
-            rows[runs], unmet[runs] = decide(ring, i, runs)
-        yield t, delivery, ring, i, rows, unmet, env.step_runs(rows)
+        k = t % (ahead + 1)
+        if not k:  # a window starts: its slots' deliveries are fixed now
+            window = [twin.deliver(now=s) for s in range(t, min(t + ahead + 1, horizon))]
+            ring, n = twin.ring, len(window)
+            entries = [ring.entry(captured) for captured, _, _ in window]
+            for decide, runs in decides:
+                own, flags = decide(ring.gather(entries, runs, bw, tau), 0, slice(None))
+                rows[:n, runs] = own.reshape(n, -1, n_rbs)
+                unmet[:n, runs].flat = flags
+        yield t, window[k], ring, entries[k], rows[k], unmet[k], env.step_runs(rows[k])
 
 
 @dataclass

@@ -229,10 +229,10 @@ class Scenario:
         seeds: Sequence[Optional[int]],
         lam_overrides: Sequence[Optional[float]],
     ) -> Environment:
-        """Runs in lockstep, one per (seed, lambda override); a seed of None
-        is the scenario's, a lambda of None its schedule."""
+        """Runs in lockstep, one per (seed, lambda override); None is the
+        scenario's seed or schedule, and an override passes ``with_lambda``."""
         schedules = [
-            self.lambda_schedule if lam is None else LambdaSchedule.constant(lam)
+            self.lambda_schedule if lam is None else self.with_lambda(lam).lambda_schedule
             for lam in lam_overrides
         ]
         return Environment(

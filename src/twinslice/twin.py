@@ -145,7 +145,8 @@ class DigitalTwin:
     steps in lockstep with it; ``record`` copies all of them at once, and
     the runs share their delay and cadence, so one capture slot serves them
     all: ``deliver`` names it, and policies read its entry of ``ring`` for
-    all runs at once; ``snapshot`` is the view of the run recorded.
+    all runs at once; ``snapshot`` is the view of the run recorded. Once
+    slot t is recorded, the deliveries up to slot t + ``delay_slots`` are fixed.
     """
 
     def __init__(
@@ -185,16 +186,18 @@ class DigitalTwin:
 
     def deliver(self, now: int) -> tuple[int, int, bool]:
         """What the application layer sees at slot ``now``: (captured_at,
-        delivered_at, stale_underflow), the slot of ``ring`` it reads."""
+        delivered_at, stale_underflow), the slot of ``ring`` it reads; up to
+        ``delay_slots`` past the last recorded slot, a ValueError beyond."""
         if self.ring is None:
             raise ValueError("no physical state recorded yet")
         if self._delivery is None or now - self._delivery[1] >= self.cadence:
-            # now - delay, clamped to the recorded slots. history_depth covers
-            # the delay, so now - delay predates the kept slots only while it
-            # predates the first recorded one: an underflow.
+            # now - delay, raised to the first recorded slot. history_depth
+            # covers the delay, so now - delay predates the kept slots only
+            # while it predates the first recorded one: an underflow.
             target = now - self.delay_slots
-            captured = max(self._first, min(target, self._last))
-            self._delivery = captured, now, target < self._first
+            if target > self._last:
+                raise ValueError(f"slot {now} delivers slot {target}, not recorded yet")
+            self._delivery = max(self._first, target), now, target < self._first
         return self._delivery
 
     def snapshot(self, now: int) -> TwinSnapshot:

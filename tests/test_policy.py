@@ -1,8 +1,13 @@
+import functools
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twinslice import envsim, nn, policy
 from twinslice.domain import (
@@ -163,6 +168,46 @@ def test_objective_equals_plain_user_block_loop_with_idle_blocks():
             )
             got = allocation_objective(m, snap, grid, users, qos, 1e-3, given)
             assert got == expected
+
+
+@functools.cache
+def _perfbench_checks():
+    """``perfbench/checks.py``, which re-derives the objective without the
+    package's code, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@given(
+    snr=st.tuples(st.integers(1, 40), st.integers(1, 6), st.integers(1, 12)).flatmap(
+        lambda shape: arrays(float, shape, elements=st.one_of(
+            st.just(0.0), st.floats(0.0, 1e4), st.floats(0.0, 1e300),
+        ))
+    ),
+    bw=st.sampled_from([1e5, 1.8e5, 1e6]),
+    tau=st.sampled_from([1e-3, 0.37]),
+)
+@settings(phases=[Phase.explicit, Phase.generate])
+def test_run_axis_penalty_weights_are_each_runs_own_bit_for_bit(snr, bw, tau):
+    """One call over ``[R, U, B]`` SNRs, as the oracle makes for a slot's
+    runs, gives each run the weight of its own call, and that weight is the
+    one ``perfbench/checks.py`` re-derives."""
+    grid = ResourceGrid(snr.shape[2], bw)
+    weights = default_penalty_weight(snr, grid, tau)
+    own = [default_penalty_weight(run, grid, tau) for run in snr]
+    assert weights.shape == (len(snr),)
+    bad = [r for r, (a, b) in enumerate(zip(weights.tolist(), own)) if a.hex() != b.hex()]
+    assert not bad, (
+        f"run-axis penalty weights differ from each run's own call on {len(bad)} of "
+        f"{len(snr)} runs (first run {bad[0]}) under numpy {np.__version__}; a numpy "
+        "whose log2 results depend on the array's length breaks the run axis"
+    )
+    model = _perfbench_checks().SlotModel(range(snr.shape[1]), [False] * snr.shape[1],
+                                          bw, tau, 256, 0.0)
+    assert own == [model.penalty_weight(run) for run in snr]
 
 
 def test_oracle_exhaustive_matches_independent_enumeration():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -167,6 +168,22 @@ def test_dnn_requires_weights():
     )
     with pytest.raises(ValueError, match="weights"):
         runner.run_experiment(spec)
+
+
+@pytest.mark.parametrize("lam", [1e300, 9.3e18])
+def test_an_undrawable_lambda_override_is_a_config_error(lam, monkeypatch):
+    """A lambda numpy cannot draw, given through the Python API, is the
+    scenario's ``ConfigError`` naming it, raised before anything is drawn."""
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("an environment was built")
+
+    monkeypatch.setattr(scenario, "Environment", drawn)
+    named = re.escape(f"urllc_lambda {lam:g} ")
+    with pytest.raises(domain.ConfigError, match=named):
+        runner.simulate(tiny_scenario(horizon=5), "orthogonal", lam=lam)
+    with pytest.raises(domain.ConfigError, match=named):
+        tiny_scenario().environments([None, 1], [2.0, lam])
 
 
 def test_unknown_policy_is_rejected():

@@ -110,6 +110,38 @@ def test_sync_underflow_returns_oldest_and_flags():
     assert snap.captured_at == 0
 
 
+@pytest.mark.parametrize("delay", list(DelayClass))
+@pytest.mark.parametrize("cadence", [1, 2, 3])
+def test_a_delivery_taken_ahead_is_the_one_taken_at_its_slot(delay, cadence):
+    """Once slot t is recorded the deliveries up to slot t + delay_slots are
+    fixed: taken ahead, a window at a time as the runner takes them, they
+    equal those taken at their own slots. One slot further asks for a
+    capture not recorded yet, which raises instead of serving another slot."""
+
+    def make():
+        return DigitalTwin(delay, moderate_slots=2, significant_slots=5, cadence=cadence)
+
+    env, own, ahead = _env(), make(), make()
+    span = own.delay_slots + 1
+    want, got = [], []
+    for t in range(23):
+        own.record(env.state)
+        ahead.record(env.state)
+        want.append(own.deliver(now=t))
+        if t % span == 0:
+            got += [ahead.deliver(now=s) for s in range(t, t + span)]
+        env.step(AllocationMatrix((0, 1, 2, 2)))
+    assert got[: len(want)] == want
+    last = env.state.t
+    fresh = make()
+    fresh.record(env.state)
+    assert fresh.deliver(now=last + span - 1) == (last, last + span - 1, False)
+    fresh = make()
+    fresh.record(env.state)
+    with pytest.raises(ValueError, match="not recorded yet"):
+        fresh.deliver(now=last + span)
+
+
 def test_snapshot_is_isolated_from_later_steps():
     # Snapshots share the recorded read-only states instead of copying them.
     env = _env()
