@@ -76,8 +76,8 @@ def _slots(
     t ... t + d: that window is decided in one call per block, on the
     delivered entries gathered slot-major (``StateRing.gather``), and the
     environment steps through it. A policy decides each run of a call as
-    that run alone, so the rows are those of one call per slot, bit for bit.
-    At zero delay a window is one slot, decided on the twin's own ring.
+    that run alone, so slot t's rows are bit for bit those decided at t on
+    ``deliver(t)`` alone. At zero delay a window is one slot, on the twin's ring.
     Yields (t, delivery, ring, i, rows, unmet, columns): ``deliver(t)``, the
     twin's ring and the delivered entry, the ``[R, B]`` user rows and ``[R]``
     repair flags (views rewritten every window) and the per-run columns."""
