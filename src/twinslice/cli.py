@@ -12,12 +12,13 @@ Exit codes:
   scenario file (parse error, unknown key, value out of range or not
   finite), a dnn policy without --weights, a weights file that is
   missing, malformed, truncated, of another format version or dtype, or
-  shaped for another scenario, or an
-  orthogonal run whose urllc_fraction gives blocks to a class without users.
+  shaped for another scenario, an
+  orthogonal run whose urllc_fraction gives blocks to a class without users,
+  or an output directory that is empty or is, or lies under, a file.
 * 3: a runtime failure while simulating, training or writing outputs,
   such as a non-finite training loss, a run whose mean rates or spectral
-  efficiency are not finite (it writes no files), or an unwritable output
-  directory.
+  efficiency are not finite (it writes no files), or an output directory
+  that cannot be written, for example for lack of permission.
 """
 from __future__ import annotations
 
@@ -123,6 +124,12 @@ def _out_dir(args) -> str:
     out = os.environ.get("TWINSLICE_OUT", args.out)
     if not out:
         raise ConfigError("the output directory (--out or TWINSLICE_OUT) is empty")
+    found = os.path.abspath(out)
+    while not os.path.exists(found):  # the nearest existing path, maybe out itself
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ConfigError(f"the output directory (--out or TWINSLICE_OUT) {out!r} "
+                          f"is or lies under {found!r}, which is not a directory")
     return out
 
 

@@ -9,15 +9,15 @@ for bit the rows of that run alone. The dnn policy serves the runs in one
 forward call, one gemv per row. ``repair_policy`` takes a slot's rows too,
 probes in Python floats and returns one ``constraint_unmet`` flag per run.
 ``*_allocate`` and ``priority_repair`` are one call on one snapshot's run
-(``PhysicalState.as_slot``): they return a ``PolicyDecision``, whose
-objective is computed when first read. ``users`` may be a ``UserLayout``.
+(``PhysicalState.as_slot``): they return a ``PolicyDecision`` scored by
+``allocation_objective``, whose terms the exhaustive oracle shares
+(``_objective``). ``users`` may be a ``UserLayout``.
 Tie-breaking is lowest block index then lowest user id everywhere.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, partial
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -72,18 +72,12 @@ class OrthogonalConfig:
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """``objective`` is the decision's objective value, or a zero-argument
-    callable that computes it from the snapshot on the first read of
-    ``objective_estimate``, which raises LookupError once that slot is reused."""
+    """An allocation and its objective value on the snapshot it was decided on."""
 
     allocation: AllocationMatrix
-    objective: Union[float, Callable[[], float]]
+    objective_estimate: float
     policy_id: str
     constraint_unmet: bool = False
-
-    @cached_property
-    def objective_estimate(self) -> float:
-        return self.objective() if callable(self.objective) else self.objective
 
 
 def default_penalty_weight(
@@ -100,6 +94,22 @@ def default_penalty_weight(
     return PENALTY_SCALE * (peak if peak.ndim else float(peak))
 
 
+def _objective(sums, is_urllc, load, min_rate_bits, penalty_weight):
+    """The objective of per-user rate sums ``sums[u]`` (users in ascending id
+    order, each entry a float or an array of candidates): total rate minus
+    penalty x URLLC deficit minus penalty x the eMBB deficits, each term
+    added in user order, so every caller gets the same floats."""
+    total = urllc_rate = embb_deficit = 0.0
+    for r, urllc in zip(sums, is_urllc):
+        total = total + r
+        if urllc:
+            urllc_rate = urllc_rate + r
+        else:
+            embb_deficit = embb_deficit + np.maximum(0.0, min_rate_bits - r)
+    urllc_deficit = np.maximum(0.0, load - urllc_rate)
+    return total - penalty_weight * urllc_deficit - penalty_weight * embb_deficit
+
+
 def allocation_objective(
     m: AllocationMatrix,
     snapshot: TwinSnapshot,
@@ -109,24 +119,16 @@ def allocation_objective(
     slot_duration: float,
     penalty_weight: Optional[float] = None,
 ) -> float:
-    """Sum rate minus penalised URLLC and eMBB QoS deficits.
-
-    Each user's rate accumulates in block order (``user_rates``) and the
-    totals in user order, so independent re-derivations agree exactly.
-    """
+    """Sum rate minus penalised URLLC and eMBB QoS deficits: ``_objective`` of
+    each user's rate, accumulated in block order (``user_rates``)."""
     layout = UserLayout.of(users)
     if penalty_weight is None:
         penalty_weight = default_penalty_weight(snapshot.snr, grid, slot_duration)
-    load = qos.urllc_packet_bits * snapshot.lam
-    min_rate_bits = qos.embb_min_rate * slot_duration
-
-    rates = snapshot.rates(grid.rb_bandwidth, slot_duration)
-    rates = user_rates(m, layout, rates).tolist()
-    total, embb_deficit = class_sum(rates, range(len(rates))), 0.0
-    for i in layout.embb:
-        embb_deficit += max(0.0, min_rate_bits - rates[i])
-    urllc_deficit = max(0.0, load - class_sum(rates, layout.urllc))
-    return total - penalty_weight * urllc_deficit - penalty_weight * embb_deficit
+    rates = user_rates(m, layout, snapshot.rates(grid.rb_bandwidth, slot_duration))
+    return float(_objective(
+        rates.tolist(), layout.is_urllc, qos.urllc_packet_bits * snapshot.lam,
+        qos.embb_min_rate * slot_duration, penalty_weight,
+    ))
 
 
 def _decision(
@@ -135,11 +137,9 @@ def _decision(
     penalty_weight: Optional[float] = None, constraint_unmet: bool = False,
 ) -> PolicyDecision:
     """A per-call form's result: one run's ``rows`` as an ``AllocationMatrix``,
-    scored by ``allocation_objective`` on ``snapshot`` when first read."""
+    scored by ``allocation_objective`` on ``snapshot`` before it returns."""
     m = AllocationMatrix.of_rows(rows.tolist(), layout)
-    objective = partial(
-        allocation_objective, m, snapshot, grid, layout, qos, slot_duration, penalty_weight
-    )
+    objective = allocation_objective(m, snapshot, grid, layout, qos, slot_duration, penalty_weight)
     return PolicyDecision(m, objective, policy_id, constraint_unmet)
 
 
@@ -211,18 +211,7 @@ def _exhaustive_oracle(
     sums = 0.0
     for b, held in enumerate(holds):
         sums = sums + np.where(held, rates[:, :, b, None], 0.0)
-
-    # allocation_objective's terms, accumulated in user order.
-    total = urllc_rate = embb_deficit = 0.0
-    for i in range(rates.shape[1]):
-        r = sums[:, i]
-        total = total + r
-        if is_urllc[i]:
-            urllc_rate = urllc_rate + r
-        else:
-            embb_deficit = embb_deficit + np.maximum(0.0, min_rate_bits - r)
-    urllc_deficit = np.maximum(0.0, load - urllc_rate)
-    obj = total - penalty_weight * urllc_deficit - penalty_weight * embb_deficit
+    obj = _objective(sums.swapaxes(0, 1), is_urllc, load, min_rate_bits, penalty_weight)
     # The first maximum is the lexicographically first optimal assignment:
     # lowest block index, then lowest user id.
     return holders[:, obj.argmax(axis=1)].T
@@ -294,7 +283,7 @@ def oracle_policy(
 
     Exhaustive mode (only when num_users ** num_rbs <= EXHAUSTIVE_CAP)
     scores every assignment at once, in ``itertools.product`` order, with
-    the floats of ``allocation_objective``, and keeps the first best one.
+    ``allocation_objective``'s scorer, and keeps the first best one.
 
     Greedy mode, which exhaustive search dominates, assigns blocks one at a
     time to the best (block, user) marginal gain: the rate plus the penalty

@@ -193,24 +193,35 @@ def test_empty_lambdas_is_a_config_error(tiny_cfg, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("verb", ["run", "train"])
-@pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize(
+    "via_env,verb,out",
+    [  # an empty path, an existing file, and a path under that file
+        pytest.param(via_env, verb, out, id="-".join([str(via_env), verb, *tag]))
+        for out, tag in (("", ()), ("afile", ("file",)), ("afile/sub", ("under-file",)))
+        for via_env in (False, True)
+        for verb in ("run", "train")
+    ],
+)
 def test_empty_output_dir_is_a_config_error_before_any_work(
-    tiny_cfg, monkeypatch, capsys, verb, via_env
+    tiny_cfg, tmp_path, monkeypatch, capsys, verb, via_env, out
 ):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output directory was checked")
 
     monkeypatch.setattr(runner, "_simulate", no_work)
     monkeypatch.setattr(runner, "collect_training_data", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
     argv = [verb, "--scenario", tiny_cfg]
     if via_env:
-        monkeypatch.setenv("TWINSLICE_OUT", "")
+        monkeypatch.setenv("TWINSLICE_OUT", out)
     else:
-        argv += ["--out", ""]
+        argv += ["--out", out]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "--out" in err and "TWINSLICE_OUT" in err
+    assert not out or repr(out) in err
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 def test_dump_twin_flag_writes_the_side_log(tiny_cfg, tmp_path):

@@ -74,6 +74,24 @@ def test_a_stacked_forward_row_is_that_row_alone(shape, runs, seed, scale):
         )
 
 
+def test_product_rows_do_not_depend_on_how_many_rows_share_it():
+    """One forward product per slot for all runs is exact only if row r of
+    ``X[:M] @ W`` is the same bits for every M >= 2. A property of the BLAS
+    build, not of numpy's contract, pinned here on the default.cfg first
+    layer's shape (1043 features, 1024 hidden, float32). One row (M = 1) is
+    a gemv, whose bits differ, and is not pinned."""
+    rng = np.random.default_rng(11)
+    W = rng.standard_normal((1043, 1024)).astype(np.float32)
+    X = rng.standard_normal((64, 1043)).astype(np.float32)
+    full = X @ W
+    for m in (2, 5):
+        assert (X[:m] @ W).tobytes() == full[:m].tobytes(), (
+            f"the first {m} rows of a product differ from those rows in a product "
+            f"of 64 under numpy {np.__version__}; with this BLAS a batched forward "
+            "would depend on how many runs share a slot"
+        )
+
+
 def test_softmax_shift_invariance_per_row():
     rng = np.random.default_rng(1)
     logits = rng.standard_normal((4, 5))

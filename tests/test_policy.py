@@ -156,18 +156,20 @@ def test_objective_equals_plain_user_block_loop_with_idle_blocks():
     rng = np.random.default_rng(19)
     grid = ResourceGrid(8, 1e5)
     qos = QoSRequirement(embb_min_rate=3e5)
-    users = make_users(3, 2)
-    choices = [u.id for u in users] + [UNASSIGNED]
-    for _ in range(200):
-        snap = make_snapshot(rng.exponential(2.0, (5, 8)), users, lam=rng.uniform(0, 9))
-        m = AllocationMatrix(tuple(rng.choice(choices, size=8)))
-        default = default_penalty_weight(snap.snr, grid, 1e-3)
-        for given, penalty in ((None, default), (2.5, 2.5)):
-            expected = _independent_objective(
-                m.assignment, snap, grid, users, qos, 1e-3, penalty
-            )
-            got = allocation_objective(m, snap, grid, users, qos, 1e-3, given)
-            assert got == expected
+    # Mixed classes, then no URLLC and no eMBB users: each class term empty.
+    for users in (make_users(3, 2), make_users(3, 0), make_users(0, 3)):
+        choices = [u.id for u in users] + [UNASSIGNED]
+        for _ in range(200):
+            snr = rng.exponential(2.0, (len(users), 8))
+            snap = make_snapshot(snr, users, lam=rng.uniform(0, 9))
+            m = AllocationMatrix(tuple(rng.choice(choices, size=8)))
+            default = default_penalty_weight(snap.snr, grid, 1e-3)
+            for given, penalty in ((None, default), (2.5, 2.5)):
+                expected = _independent_objective(
+                    m.assignment, snap, grid, users, qos, 1e-3, penalty
+                )
+                got = allocation_objective(m, snap, grid, users, qos, 1e-3, given)
+                assert got == expected
 
 
 @functools.cache

@@ -404,13 +404,13 @@ def test_run_records_hold_no_per_slot_objects(repo_root_scenarios):
     assert held <= 64 * 5 * 2000, f"{held / (5 * 2000):.0f} B per run-slot"
 
 
-def test_the_slot_loop_builds_no_matrix_decision_or_partial(
+def test_the_slot_loop_builds_no_matrix_decision_or_objective(
     repo_root_scenarios, tmp_path, monkeypatch
 ):
     """The runs of every policy and the oracle labels decide in user-row
     arrays on the twin's ring entry: ``AllocationMatrix``, ``PolicyDecision``,
-    the lazy objective's ``partial`` and ``TwinSnapshot`` views belong to
-    the per-call forms only."""
+    ``allocation_objective`` and ``TwinSnapshot`` views belong to the
+    per-call forms only."""
     scen = replace(load_scenario(repo_root_scenarios / "tiny.cfg"), horizon_slots=100)
     net = nn.MLP.glorot([nn.feature_dim(3, 4), 8, 12], (4, 3), seed=0).astype(np.float32)
     weights = str(tmp_path / "weights.bin")
@@ -421,7 +421,7 @@ def test_the_slot_loop_builds_no_matrix_decision_or_partial(
 
     monkeypatch.setattr(domain.AllocationMatrix, "__init__", built)
     monkeypatch.setattr(policy.PolicyDecision, "__init__", built)
-    monkeypatch.setattr(policy, "partial", built)
+    monkeypatch.setattr(policy, "allocation_objective", built)
     monkeypatch.setattr(twin.TwinSnapshot, "view", classmethod(built))
     spec = ExperimentSpec(
         scenario=scen, policies=runner.POLICY_IDS, out_dir=str(tmp_path / "out"),
@@ -431,9 +431,14 @@ def test_the_slot_loop_builds_no_matrix_decision_or_partial(
     X, labels = runner.collect_training_data(scen)
     assert X.shape[0] == labels.shape[0] == 100
     snap = make_snapshot(np.ones((3, 4)), scen.users(), lam=2.0)
-    with pytest.raises(AssertionError, match="per-call object"):  # the patch bites
-        policy.oracle_allocate(snap, scen.grid, scen.users(), scen.qos, scen.slot_duration)
+    args = (snap, scen.grid, scen.users(), scen.qos, scen.slot_duration)
+    with pytest.raises(AssertionError, match="per-call object"):  # the patches bite
+        policy.oracle_allocate(*args)
     digital = scen.make_twin()
     digital.record(scen.environment().state)
     with pytest.raises(AssertionError, match="per-call object"):
         digital.snapshot(now=0)
+    monkeypatch.undo()
+    monkeypatch.setattr(policy, "allocation_objective", built)
+    with pytest.raises(AssertionError, match="per-call object"):  # and this one alone
+        policy.oracle_allocate(*args)

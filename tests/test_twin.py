@@ -15,6 +15,7 @@ from twinslice.domain import (
 from twinslice.nn import FeatureScaling, encode_features
 from twinslice.policy import (
     OrthogonalConfig,
+    allocation_objective,
     oracle_allocate,
     orthogonal_allocate,
 )
@@ -277,25 +278,28 @@ def test_zero_delay_fidelity_over_a_run():
         env.step(AllocationMatrix((0, 1, 2, 2)))
 
 
-def test_a_kept_decision_objective_raises_once_its_slot_left_the_ring(
+def test_a_kept_decision_holds_its_objective_after_its_slot_left_the_ring(
     repo_root_scenarios,
 ):
-    # A lazy objective reads its snapshot when first read: after the twin
-    # has reused the snapshot's slot, that read raises instead of scoring
-    # the allocation on a later slot's channel.
+    # A decision is scored when the per-call form returns: after the twin
+    # has reused the snapshot's slot, the snapshot can no longer be scored,
+    # but the decision still holds the objective of its own slot's channel.
     scen = load_scenario(repo_root_scenarios / "tiny.cfg")
     env, twin = scen.environment(), scen.make_twin()
-    decisions = []
+    args = (scen.grid, scen.users(), scen.qos, scen.slot_duration)
+    kept = []
     for t in range(4):
         twin.record(env.state)
-        decisions.append(oracle_allocate(
-            twin.snapshot(now=t), scen.grid, scen.users(), scen.qos,
-            scen.slot_duration, mode="greedy",
-        ))
-        env.step(decisions[-1].allocation)
-    assert isinstance(decisions[-1].objective_estimate, float)
+        snap = twin.snapshot(now=t)
+        decision = oracle_allocate(snap, *args, mode="greedy")
+        kept.append((decision, snap, allocation_objective(decision.allocation, snap, *args)))
+        env.step(decision.allocation)
+    for decision, _, objective in kept:
+        assert type(decision.objective_estimate) is float
+        assert decision.objective_estimate.hex() == objective.hex()
+    decision, snap, _ = kept[0]
     with pytest.raises(LookupError, match="slot 0 has left the state ring"):
-        decisions[0].objective_estimate
+        allocation_objective(decision.allocation, snap, *args)
 
 
 def test_deliver_is_the_dumped_twin_log_and_the_snapshot(repo_root_scenarios, tmp_path):
