@@ -7,7 +7,7 @@ determines the trajectory. Runs that share their users step in lockstep:
 their recent states live in one ``StateRing`` of preallocated arrays with a
 leading run axis, and ``PhysicalState`` is a view of one run in one of its
 slots. A run's trajectory is the same bit for bit whether it steps alone or
-beside others.
+beside others, and one slot or a stale twin's window of slots at a time.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -376,12 +376,12 @@ class SlotColumns(NamedTuple):
 
 class Environment:
     """Owns the physical trajectories of runs that share their users, grid,
-    QoS and slot length and step in lockstep: a ``StateRing`` of their two
-    latest states (so that the state a step leaves stays readable), and per
-    run a generator and a lambda plan. Run r follows
-    ``lambda_schedules[r]`` and draws from a generator seeded with
-    ``seeds[r]`` (a Generator is used as it is); its trajectory is the one
-    it has alone."""
+    QoS and slot length and step in lockstep: a ``StateRing`` of their
+    ``delay_slots + 2`` latest states (a step takes up to the twin delay + 1
+    slots, whose states stay readable), and per run a generator and a lambda
+    plan. Run r follows ``lambda_schedules[r]`` and draws from a generator
+    seeded with ``seeds[r]`` (a Generator is used as it is); its trajectory
+    is the one it has alone."""
 
     def __init__(
         self,
@@ -391,14 +391,14 @@ class Environment:
         slot_duration: float,
         lambda_schedules: Sequence[Callable[[int], float]],
         seeds: Sequence,
+        delay_slots: int = 0,
     ):
         layout = UserLayout.of(users)
         self.lambda_schedules = list(lambda_schedules)
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.draw = ChannelDraw(layout, grid)
         self.grid, self.slot_duration = grid, slot_duration
-        self.ring = StateRing(2, qos, layout)
-        self.now = 0
+        self.ring, self.now = StateRing(delay_slots + 2, qos, layout), 0
         snr = np.empty((len(self.rngs), len(layout.ids), grid.num_rbs))
         self.draw(self.rngs, snr)
         queue = np.zeros((len(self.rngs), len(layout.urllc)))
@@ -416,25 +416,30 @@ class Environment:
         layout = self.ring.layout
         return self.step_runs(decision.rows_in(layout)[None]).outcome(layout)
 
-    def step_runs(self, rows: np.ndarray) -> SlotColumns:
-        """The slot kernel: apply run r's user rows ``rows[r]``, one per
-        block with UNASSIGNED for an idle block, to the current slot, write
-        the next slot of every run into the ring, move to it and return the
-        slot's columns. Rows of another shape or outside the users are a
-        ValueError, raised before anything is drawn.
+    def step_runs(self, rows: np.ndarray) -> Union[SlotColumns, list[SlotColumns]]:
+        """The slot kernel: apply the user rows of n consecutive slots,
+        ``rows[k, r]`` run r's at slot now + k, one per block with UNASSIGNED
+        for an idle block; write each next slot of every run into the ring,
+        move past them and return each slot's columns (rows ``[R, B]``: one
+        slot, its columns alone). Rows of another shape, of more than
+        ``delay_slots + 1`` slots or outside the users are a ValueError,
+        raised before anything is drawn.
 
-        Order of events within the slot: realise rates against the current
-        channel, drain URLLC queues by served bits, add the slot's new
-        arrivals (packet count times packet size), then tick the clock and
-        draw a fresh channel with the next slot's lambda. Each run draws from
-        its own generator, its arrivals before its next channel.
+        Order of events within a slot: realise rates against its channel,
+        drain URLLC queues by served bits, add the slot's new arrivals
+        (packet count times packet size), then tick the clock and draw a
+        fresh channel with the next slot's lambda. Each run draws from its
+        own generator, slot after slot, its arrivals before its next channel;
+        one ``block_rates`` call then rates the states that have no memo yet.
         """
         ring, t, rngs = self.ring, self.now, self.rngs
-        layout, n_rbs = ring.layout, self.grid.num_rbs
-        if rows.shape != (len(rngs), n_rbs):
+        layout, n_rbs, n_runs = ring.layout, self.grid.num_rbs, len(rngs)
+        one = rows.ndim == 2
+        n = 1 if one else len(rows)
+        if rows.shape[-2:] != (n_runs, n_rbs) or rows.ndim > 3 or not 0 < n < ring.depth:
             raise ValueError(
-                f"invalid allocation: rows of shape {rows.shape} for "
-                f"{len(rngs)} runs of {n_rbs} blocks"
+                f"invalid allocation: rows of shape {rows.shape} for {n_runs} runs "
+                f"of {n_rbs} blocks and at most {ring.depth - 1} slots"
             )
         lo = rows.min()
         if lo < UNASSIGNED or rows.max() >= len(layout.ids):
@@ -442,35 +447,49 @@ class Environment:
                 f"invalid allocation: rows {rows.tolist()} outside the "
                 f"{len(layout.ids)} users"
             )
-        i, j = t % ring.depth, (t + 1) % ring.depth
-        matrix = memo_rates(
-            ring.memo[i], ring.snr[i], self.grid.rb_bandwidth, self.slot_duration
-        )
-        rates = _user_rates(rows, matrix, lo == UNASSIGNED).tolist()
-
-        urllc, bits, lams = layout.urllc, ring.qos.urllc_packet_bits, ring.lam[i]
-        n_urllc = len(urllc)
-        served_bits, arrivals, queues = [], [], []
-        for rng, lam, queue, own in zip(rngs, lams, ring.queue[i].tolist(), rates):
-            served = [min(q, own[r]) for q, r in zip(queue, urllc)]
+        urllc, n_urllc, depth = layout.urllc, len(layout.urllc), ring.depth
+        held, arrivals = [t % depth], []  # the entries of slots t ... t + n
+        for ahead in range(t + 1, t + n + 1):
             # Independent per-user Poisson(lam/n) streams in one draw; the
             # aggregate stays Poisson(lam). At lam = 0 nothing is drawn.
-            if n_urllc > 0 and lam > 0:
-                drawn = rng.poisson(lam / n_urllc, size=n_urllc).tolist()
-            else:
-                drawn = [0] * n_urllc
-            served_bits.append(served)
-            arrivals.append(drawn)
-            queues.append([q - s + a * bits for q, s, a in zip(queue, served, drawn)])
-        ring.queue[j] = queues
-        ring.lam[j] = [float(schedule(t + 1)) for schedule in self.lambda_schedules]
-        ring.slot[j], ring.memo[j] = t + 1, {}
-        self.draw(rngs, ring.snr[j])
-        self.now = t + 1
-        embb, every = layout.embb, range(n_urllc)
-        return SlotColumns(
-            t, lams, [class_sum(own, embb) for own in rates],
-            [class_sum(own, urllc) for own in rates],
-            [class_sum(served, every) for served in served_bits], rates, served_bits,
-            arrivals,
-        )
+            arrivals.append([
+                rng.poisson(lam / n_urllc, size=n_urllc).tolist()
+                if n_urllc > 0 and lam > 0 else [0] * n_urllc
+                for rng, lam in zip(rngs, ring.lam[held[-1]])
+            ])
+            j = ahead % depth
+            ring.lam[j] = [float(schedule(ahead)) for schedule in self.lambda_schedules]
+            ring.slot[j], ring.memo[j] = ahead, {}
+            self.draw(rngs, ring.snr[j])
+            held.append(j)
+
+        key = (self.grid.rb_bandwidth, self.slot_duration)
+        if n == 1:
+            matrix = memo_rates(ring.memo[held[0]], ring.snr[held[0]], *key)
+        else:  # one call for the window's states that have no rate memo yet
+            fresh = held[1:n] if key in ring.memo[held[0]] else held[:n]
+            matrices = block_rates(ring.snr[fresh], *key)
+            matrices.setflags(write=False)
+            for i, matrix in zip(fresh, matrices):
+                ring.memo[i][key] = matrix
+            matrix = np.concatenate([ring.memo[i][key] for i in held[:n]])
+        rates = _user_rates(rows, matrix, lo == UNASSIGNED).tolist()
+
+        bits, embb, every = ring.qos.urllc_packet_bits, layout.embb, range(n_urllc)
+        queues, out = ring.queue[held[0]].tolist(), []
+        for k, drawn in enumerate(arrivals):
+            slot_rates = rates[k * n_runs : (k + 1) * n_runs]
+            served_bits, next_queues = [], []
+            for queue, own, got in zip(queues, slot_rates, drawn):
+                served = [min(q, own[r]) for q, r in zip(queue, urllc)]
+                served_bits.append(served)
+                next_queues.append([q - s + a * bits for q, s, a in zip(queue, served, got)])
+            ring.queue[held[k + 1]] = queues = next_queues
+            out.append(SlotColumns(
+                t + k, ring.lam[held[k]], [class_sum(own, embb) for own in slot_rates],
+                [class_sum(own, urllc) for own in slot_rates],
+                [class_sum(served, every) for served in served_bits], slot_rates,
+                served_bits, drawn,
+            ))
+        self.now = t + n
+        return out[0] if one else out

@@ -5,8 +5,9 @@ and one policy deciding against the twin's delivered state. The runs of an
 experiment step in lockstep: one environment and one twin hold all of them
 on a leading run axis, each run with its own generator, and each policy
 decides its block of runs in one call per window of d + 1 slots, whose
-deliveries a twin of d slots' delay has fixed. Training runs the same loop
-with the oracle in charge, harvesting (feature, label) pairs from the twin.
+deliveries a twin of d slots' delay has fixed; the environment steps the
+window in one call. Training runs the same loop with the oracle in charge,
+harvesting (feature, label) pairs from the twin.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import metrics, nn, policy as policy_mod
 from .domain import ConfigError, UserLayout
-from .envsim import SlotColumns, StateRing
+from .envsim import PhysicalState, SlotColumns, StateRing
 from .metrics import RunRecords, RunSummary, SlotMetrics
 from .nn import MLP, TrainConfig, TrainResult
 from .scenario import ExperimentSpec, Scenario, lam_tag
@@ -74,10 +75,11 @@ def _slots(
     ``(decide, runs)`` of ``decides`` decides its slice of runs. Once slot t
     is recorded, a twin of d slots' delay has fixed the deliveries of slots
     t ... t + d: that window is decided in one call per block, on the
-    delivered entries gathered slot-major (``StateRing.gather``), and the
-    environment steps through it. A policy decides each run of a call as
-    that run alone, so slot t's rows are bit for bit those decided at t on
-    ``deliver(t)`` alone. At zero delay a window is one slot, on the twin's ring.
+    delivered entries gathered slot-major (``StateRing.gather``); the
+    environment steps it in one ``step_runs`` call, and the twin records its
+    states in order from the environment's ring. A policy decides each run
+    of a call as that run alone, so slot t's rows are bit for bit those
+    decided at t on ``deliver(t)`` alone. At zero delay a window is one slot.
     Yields (t, delivery, ring, i, rows, unmet, columns): ``deliver(t)``, the
     twin's ring and the delivered entry, the ``[R, B]`` user rows and ``[R]``
     repair flags (views rewritten every window) and the per-run columns."""
@@ -97,18 +99,19 @@ def _slots(
             yield t, delivery, ring, i, rows, unmet, env.step_runs(rows)
         return
     bw, tau = scenario.rb_bandwidth, scenario.slot_duration
-    for t in range(horizon):
-        twin.record(env.state)
-        k = t % (ahead + 1)
-        if not k:  # a window starts: its slots' deliveries are fixed now
-            window = [twin.deliver(now=s) for s in range(t, min(t + ahead + 1, horizon))]
-            ring, n = twin.ring, len(window)
-            entries = [ring.entry(captured) for captured, _, _ in window]
-            for decide, runs in decides:
-                own, flags = decide(ring.gather(entries, runs, bw, tau), 0, slice(None))
-                rows[:n, runs] = own.reshape(n, -1, n_rbs)
-                unmet[:n, runs].flat = flags
-        yield t, window[k], ring, entries[k], rows[k], unmet[k], env.step_runs(rows[k])
+    for start in range(0, horizon, ahead + 1):
+        twin.record(env.state)  # a window starts: its slots' deliveries are fixed now
+        window = [twin.deliver(now=s) for s in range(start, min(start + ahead + 1, horizon))]
+        ring, n = twin.ring, len(window)
+        entries = [ring.entry(captured) for captured, _, _ in window]
+        for decide, runs in decides:
+            own, flags = decide(ring.gather(entries, runs, bw, tau), 0, slice(None))
+            rows[:n, runs] = own.reshape(n, -1, n_rbs)
+            unmet[:n, runs].flat = flags
+        for k, columns in enumerate(env.step_runs(rows[:n])):
+            if k:  # the window's states, still in the environment's ring
+                twin.record(PhysicalState.view(env.ring, start + k))
+            yield start + k, window[k], ring, entries[k], rows[k], unmet[k], columns
 
 
 @dataclass
@@ -259,22 +262,29 @@ class TrainArtifacts:
 def collect_training_data(
     scenario: Scenario, seed: Optional[int] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roll the oracle through the twin loop and harvest imitation targets.
+    """Roll the oracle through the twin loop and harvest imitation targets:
+    a window's features in one row-wise encoder call on the oracle's entries.
 
     Returns (features [n, d], labels [n, num_rbs]) where each label is the
     user column index the oracle chose for that block.
     """
-    layout = UserLayout(scenario.users())
-    grid = scenario.grid
+    layout, grid = UserLayout(scenario.users()), scenario.grid
     decide = _make_policy("oracle", scenario, None)
     encode = nn.feature_encoder(grid, layout, scenario.qos, scenario.scaling())
 
     X = np.empty((scenario.horizon_slots, nn.feature_dim(len(layout.ids), grid.num_rbs)))
     labels = np.empty((scenario.horizon_slots, grid.num_rbs), dtype=int)
-    slots = _slots(scenario, [(decide, slice(1))], [seed], [None])
-    for t, _, ring, i, rows, _, _ in slots:
-        X[t] = encode(ring, i, slice(1))[0]
-        labels[t] = rows[0]  # a user's label is its column, which is its row
+    done = 0
+
+    def harvest(ring: StateRing, i: int, runs: slice):
+        nonlocal done  # a user's label is its column, which is its row
+        x, (rows, unmet) = encode(ring, i, runs), decide(ring, i, runs)
+        X[done : done + len(x)], labels[done : done + len(x)] = x, rows
+        done += len(x)
+        return rows, unmet
+
+    for _ in _slots(scenario, [(harvest, slice(1))], [seed], [None]):
+        pass
     return X, labels
 
 

@@ -242,6 +242,7 @@ class Scenario:
             slot_duration=self.slot_duration,
             lambda_schedules=[schedule.at for schedule in schedules],
             seeds=[self.seed if seed is None else seed for seed in seeds],
+            delay_slots=self.make_twin().delay_slots,
         )
 
     def make_twin(self) -> DigitalTwin:

@@ -1,6 +1,7 @@
 import ast
 import math
 import sys
+from unittest import mock
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import twinslice
 
+from twinslice import envsim
 from twinslice.domain import (
     UNASSIGNED,
     AllocationMatrix,
@@ -333,12 +335,20 @@ def test_advance_rejects_invalid_allocation():
         [[0, 1], [2, 0]],  # two blocks of three
         [[0, 1, 2], [2, 3, 0]],  # a row >= the three users
         [[0, 1, 2], [-2, 0, 1]],  # a row below UNASSIGNED
+        [[[0, 1, 2], [2, 1, 0]], [[0, 1, 2], [2, 3, 0]]],  # slot 2 of a window: >= users
+        [[[0, 1, 2]] * 2, [[0, 1, 2]] * 2, [[0, 1, 2], [-2, 0, 1]]],  # slot 3: below
+        [[[0, 1, 2]] * 2] * 4,  # four slots, where a twin delay of 2 fixes three
+        [[[0, 1, 2]]] * 2,  # a window of one run's rows for two runs
+        np.zeros((0, 2, 3), dtype=int),  # a window of no slots
+        [[[[0, 1, 2]] * 2] * 2],  # a window of windows
     ],
 )
 def test_step_runs_rejects_bad_rows_before_drawing(rows):
+    """Bad rows in any slot of a window raise before any generator moves."""
     users = make_users(2, 1)
     env = Environment(
-        users, ResourceGrid(3, 1e5), QoSRequirement(), 1e-3, [lambda t: 5.0] * 2, [1, 2]
+        users, ResourceGrid(3, 1e5), QoSRequirement(), 1e-3, [lambda t: 5.0] * 2, [1, 2],
+        delay_slots=2,
     )
     before = [rng.bit_generator.state for rng in env.rngs]
     with pytest.raises(ValueError, match="invalid allocation"):
@@ -347,6 +357,78 @@ def test_step_runs_rejects_bad_rows_before_drawing(rows):
     assert [rng.bit_generator.state for rng in env.rngs] == before
     env.step_runs(np.array([[0, 1, 2], [UNASSIGNED, 2, 1]]))  # still steps
     assert env.now == 1
+    assert len(env.step_runs(np.array([[[0, 1, 2], [UNASSIGNED, 2, 1]]] * 3))) == 3
+    assert env.now == 4
+
+
+def _same_bits(a, b):
+    assert np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+@st.composite
+def windowed_runs(draw):
+    """Users (none of them URLLC at times), 1-5 blocks, 1-3 runs, a delay
+    of 0-6 slots and 1-30 slots, so that the last window may be cut short;
+    per slot each run's lambda (0 included) and rows (idle blocks included)."""
+    n_embb, n_urllc = draw(st.sampled_from([(1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (1, 3)]))
+    users = make_users(
+        n_embb, n_urllc, fading=draw(st.sampled_from([RAYLEIGH, RICIAN, NO_FADING]))
+    )
+    n_rbs, n_runs = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    delay, horizon = draw(st.integers(0, 6)), draw(st.integers(1, 30))
+    lams = draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, 3.0, 40.0]), min_size=horizon + 1, max_size=horizon + 1),
+        min_size=n_runs, max_size=n_runs,
+    ))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32))).integers(
+        UNASSIGNED, len(users), size=(horizon, n_runs, n_rbs)
+    )
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=n_runs, max_size=n_runs))
+    return users, n_rbs, delay, lams, rows, seeds, draw(st.booleans())
+
+
+@given(windowed_runs())
+def test_a_window_step_is_its_slots_stepped_one_by_one(case):
+    """Stepping the d + 1 slots of a window in one call equals stepping them
+    one call each, bit for bit: every slot's columns, the ring's SNRs,
+    queues, lambdas and rate memos, and every generator's state. ``rated``
+    computes each window's first state's rates first, as a policy does; the
+    window then computes the rest in one ``block_rates`` call."""
+    users, n_rbs, delay, lams, rows, seeds, rated = case
+    grid, key = ResourceGrid(n_rbs, 1e5), (1e5, 1e-3)
+    schedules = [lambda t, lam=lam: lam[t] for lam in lams]
+    windowed, alone = (
+        Environment(users, grid, QoSRequirement(), 1e-3, schedules, seeds, delay_slots=delay)
+        for _ in range(2)
+    )
+    for start in range(0, len(rows), delay + 1):
+        window = rows[start : start + delay + 1]
+        if rated:
+            for env in (windowed, alone):
+                env.state.rates(*key)
+        with mock.patch.object(envsim, "block_rates", wraps=envsim.block_rates) as kernel:
+            got = windowed.step_runs(window)
+        assert kernel.call_count == (len(window) > 1 or not rated)
+        want = [alone.step_runs(slot) for slot in window]
+        assert len(got) == len(want) == len(window)
+        for columns, expected in zip(got, want):
+            assert columns.t == expected.t
+            for name in ("lam", "embb", "urllc", "served", "rates", "served_bits", "arrivals"):
+                _same_bits(getattr(columns, name), getattr(expected, name))
+        assert windowed.now == alone.now == start + len(window)
+        for t in range(start, windowed.now + 1):
+            a, b = windowed.ring, alone.ring
+            i, j = a.entry(t), b.entry(t)
+            assert a.snr[i].tobytes() == b.snr[j].tobytes()
+            assert a.queue[i].tobytes() == b.queue[j].tobytes()
+            _same_bits(a.lam[i], b.lam[j])
+            assert a.memo[i].keys() == b.memo[j].keys() == ({key} if t < windowed.now else set())
+            for k in a.memo[i]:
+                assert a.memo[i][k].tobytes() == b.memo[j][k].tobytes()
+                assert not a.memo[i][k].flags.writeable
+        assert [rng.bit_generator.state for rng in windowed.rngs] == [
+            rng.bit_generator.state for rng in alone.rngs
+        ]
 
 
 def test_a_view_raises_once_its_ring_entry_is_reused():

@@ -232,6 +232,44 @@ def test_schedule_lambda_varies_in_logged_metrics():
     assert lams == {1.0, 3.0}
 
 
+def _labels_slot_by_slot(scen):
+    """Reference harvest from the per-call forms: every slot records,
+    snapshots the delivery, asks ``oracle_allocate`` and encodes the
+    snapshot alone, then steps the environment one slot."""
+    env, digital = scen.environment(), scen.make_twin()
+    users, grid, qos, tau = scen.users(), scen.grid, scen.qos, scen.slot_duration
+    col = {u.id: c for c, u in enumerate(users)}
+    X, labels = [], []
+    for t in range(scen.horizon_slots):
+        digital.record(env.state)
+        snap = digital.snapshot(now=t)
+        decision = policy.oracle_allocate(snap, grid, users, qos, tau)
+        X.append(nn.encode_features(snap, grid, users, qos, scen.scaling()))
+        labels.append([col[uid] for uid in decision.allocation.assignment])
+        env.step(decision.allocation)
+    return np.array(X), np.array(labels)
+
+
+@pytest.mark.parametrize(
+    "delay, cadence, history_depth",
+    [(DelayClass.SIGNIFICANT, 1, 0), (DelayClass.MODERATE, 3, 3)],
+)
+def test_stale_label_harvest_is_the_slot_by_slot_harvest(
+    delay, cadence, history_depth, repo_root_scenarios
+):
+    """Behind a stale twin, ``collect_training_data``'s features and labels
+    are bit for bit those of a harvest that decides and encodes one
+    snapshot per slot."""
+    scen = replace(
+        load_scenario(repo_root_scenarios / "tiny.cfg"), horizon_slots=400,
+        twin_delay=delay, twin_cadence=cadence, history_depth=history_depth,
+    )
+    X, labels = runner.collect_training_data(scen)
+    want_X, want_labels = _labels_slot_by_slot(scen)
+    assert X.tobytes() == want_X.tobytes()
+    assert labels.tobytes() == want_labels.astype(labels.dtype).tobytes()
+
+
 @pytest.mark.parametrize(
     "cfg,delay,policy_id",
     [
@@ -247,7 +285,8 @@ def test_one_rate_matrix_per_physical_state(
     cfg, delay, policy_id, repo_root_scenarios, monkeypatch
 ):
     """The environment, the twin's snapshots and the policy share each
-    state's rate matrix: 100 slots compute 100 matrices, one per state."""
+    state's rate matrix: 100 slots compute 100 matrices, one per state,
+    whether a call computes one state or a window's states."""
     scen = replace(
         load_scenario(repo_root_scenarios / cfg), horizon_slots=100, twin_delay=delay
     )
@@ -261,20 +300,20 @@ def test_one_rate_matrix_per_physical_state(
     kernel = envsim.block_rates
 
     def counted(snr, bw, tau):
-        computed.append(snr)
+        computed.extend(snr.reshape(-1, *snr.shape[-3:]).copy())  # one [R, U, B] per state
         return kernel(snr, bw, tau)
 
     monkeypatch.setattr(envsim, "block_rates", counted)
     runner.simulate(scen, policy_id, lam=100.0, net=net)
     assert len(computed) == 100
-    assert len({id(snr) for snr in computed}) == 100
+    assert len({snr.tobytes() for snr in computed}) == 100
 
 
 def test_lockstep_experiment_computes_one_rate_matrix_per_slot_for_all_runs(
     repo_root_scenarios, tmp_path, monkeypatch
 ):
     """``run_experiment`` steps its 2 policies x 3 lambdas in lockstep: 100
-    slots compute 100 rate matrices, each over the states of all 6 runs."""
+    slots compute 100 rate matrices, one per state, each over all 6 runs."""
     scen = replace(
         load_scenario(repo_root_scenarios / "tiny.cfg"),
         horizon_slots=100,
@@ -284,7 +323,7 @@ def test_lockstep_experiment_computes_one_rate_matrix_per_slot_for_all_runs(
     kernel = envsim.block_rates
 
     def counted(snr, bw, tau):
-        computed.append(snr)
+        computed.extend(snr.reshape(-1, *snr.shape[-3:]).copy())  # one [R, U, B] per state
         return kernel(snr, bw, tau)
 
     monkeypatch.setattr(envsim, "block_rates", counted)
@@ -298,7 +337,7 @@ def test_lockstep_experiment_computes_one_rate_matrix_per_slot_for_all_runs(
     )
     assert len(computed) == 100
     assert {snr.shape for snr in computed} == {(6, 3, 4)}
-    assert len({id(snr) for snr in computed}) == 100
+    assert len({snr.tobytes() for snr in computed}) == 100
 
 
 @pytest.mark.parametrize("policies", [("orthogonal", "oracle"), ("oracle", "orthogonal")])
