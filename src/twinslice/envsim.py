@@ -434,8 +434,7 @@ class Environment:
         """
         ring, t, rngs = self.ring, self.now, self.rngs
         layout, n_rbs, n_runs = ring.layout, self.grid.num_rbs, len(rngs)
-        one = rows.ndim == 2
-        n = 1 if one else len(rows)
+        n = len(rows) if rows.ndim == 3 else 1
         if rows.shape[-2:] != (n_runs, n_rbs) or rows.ndim > 3 or not 0 < n < ring.depth:
             raise ValueError(
                 f"invalid allocation: rows of shape {rows.shape} for {n_runs} runs "
@@ -450,35 +449,37 @@ class Environment:
         urllc, n_urllc, depth = layout.urllc, len(layout.urllc), ring.depth
         held, arrivals = [t % depth], []  # the entries of slots t ... t + n
         for ahead in range(t + 1, t + n + 1):
-            # Independent per-user Poisson(lam/n) streams in one draw; the
-            # aggregate stays Poisson(lam). At lam = 0 nothing is drawn.
-            arrivals.append([
-                rng.poisson(lam / n_urllc, size=n_urllc).tolist()
-                if n_urllc > 0 and lam > 0 else [0] * n_urllc
-                for rng, lam in zip(rngs, ring.lam[held[-1]])
-            ])
+            drawn = []
+            for rng, lam in zip(rngs, ring.lam[held[-1]]):
+                # Independent per-user Poisson(lam/n) streams in one draw; the
+                # aggregate stays Poisson(lam). At lam = 0 nothing is drawn.
+                if n_urllc > 0 and lam > 0:
+                    drawn.append(rng.poisson(lam / n_urllc, size=n_urllc).tolist())
+                else:
+                    drawn.append([0] * n_urllc)
+            arrivals.append(drawn)
             j = ahead % depth
             ring.lam[j] = [float(schedule(ahead)) for schedule in self.lambda_schedules]
             ring.slot[j], ring.memo[j] = ahead, {}
             self.draw(rngs, ring.snr[j])
             held.append(j)
 
-        key = (self.grid.rb_bandwidth, self.slot_duration)
+        bw, tau = self.grid.rb_bandwidth, self.slot_duration
         if n == 1:
-            matrix = memo_rates(ring.memo[held[0]], ring.snr[held[0]], *key)
+            matrix = memo_rates(ring.memo[held[0]], ring.snr[held[0]], bw, tau)
         else:  # one call for the window's states that have no rate memo yet
-            fresh = held[1:n] if key in ring.memo[held[0]] else held[:n]
-            matrices = block_rates(ring.snr[fresh], *key)
+            fresh = held[1:n] if (bw, tau) in ring.memo[held[0]] else held[:n]
+            matrices = block_rates(ring.snr[fresh], bw, tau)
             matrices.setflags(write=False)
-            for i, matrix in zip(fresh, matrices):
-                ring.memo[i][key] = matrix
-            matrix = np.concatenate([ring.memo[i][key] for i in held[:n]])
+            for i, rated in zip(fresh, matrices):
+                ring.memo[i][bw, tau] = rated
+            matrix = np.concatenate([ring.memo[i][bw, tau] for i in held[:n]])
         rates = _user_rates(rows, matrix, lo == UNASSIGNED).tolist()
 
         bits, embb, every = ring.qos.urllc_packet_bits, layout.embb, range(n_urllc)
         queues, out = ring.queue[held[0]].tolist(), []
         for k, drawn in enumerate(arrivals):
-            slot_rates = rates[k * n_runs : (k + 1) * n_runs]
+            slot_rates = rates if n == 1 else rates[k * n_runs : (k + 1) * n_runs]
             served_bits, next_queues = [], []
             for queue, own, got in zip(queues, slot_rates, drawn):
                 served = [min(q, own[r]) for q, r in zip(queue, urllc)]
@@ -492,4 +493,4 @@ class Environment:
                 served_bits, drawn,
             ))
         self.now = t + n
-        return out[0] if one else out
+        return out if rows.ndim == 3 else out[0]

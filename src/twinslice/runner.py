@@ -5,9 +5,8 @@ and one policy deciding against the twin's delivered state. The runs of an
 experiment step in lockstep: one environment and one twin hold all of them
 on a leading run axis, each run with its own generator, and each policy
 decides its block of runs in one call per window of d + 1 slots, whose
-deliveries a twin of d slots' delay has fixed; the environment steps the
-window in one call. Training runs the same loop with the oracle in charge,
-harvesting (feature, label) pairs from the twin.
+deliveries a twin of d slots' delay has fixed, and one kernel call steps it.
+Training runs this loop with the oracle, harvesting (feature, label) pairs.
 """
 from __future__ import annotations
 
