@@ -116,7 +116,6 @@ class Scenario:
     moderate_slots: int = 2
     significant_slots: int = 20
     twin_cadence: int = 1
-    history_depth: int = 0  # 0 = sized automatically from the delay
     seed: int = 1
     horizon_slots: int = 5000
     outage_window: int = 100
@@ -251,7 +250,6 @@ class Scenario:
             moderate_slots=self.moderate_slots,
             significant_slots=self.significant_slots,
             cadence=self.twin_cadence,
-            history_depth=self.history_depth,
         )
 
     def with_lambda(self, lam: float) -> "Scenario":
@@ -373,7 +371,6 @@ _KEYS: dict[tuple[str, str], tuple[Callable, str]] = {
     ("twin", "moderate_slots"): (int, "moderate_slots"),
     ("twin", "significant_slots"): (int, "significant_slots"),
     ("twin", "cadence"): (int, "twin_cadence"),
-    ("twin", "history_depth"): (int, "history_depth"),
     ("run", "seed"): (int, "seed"),
     ("run", "horizon_slots"): (int, "horizon_slots"),
     ("run", "outage_window"): (int, "outage_window"),

@@ -1,7 +1,7 @@
 """Digital twin of the physical network state.
 
 The twin copies the physical states of the runs it follows into a
-``StateRing`` of arrays of its own, keeping the last ``history_depth``
+``StateRing`` of arrays of its own, keeping the last delay + 1 + cadence
 slots, delivers a possibly stale slot of it according to a configured
 delay class, and scores its own fidelity against the live physical state.
 A delivery is the captured slot's ring entry, shared by every run; a
@@ -137,16 +137,16 @@ class DigitalTwin:
     and anyone may read.
 
     ``cadence`` throttles deliveries: between due slots the previous
-    delivery is returned unchanged, so its staleness grows. The twin keeps
-    the last ``history_depth`` slots (0 means delay + 1). A delivery is
-    served for up to ``cadence`` slots, so ``record`` copies each state into
-    the twin's own ring of ``ring_depth = history_depth + cadence`` slots,
-    sharing the state's rate memo. A state's ring entry holds every run that
-    steps in lockstep with it; ``record`` copies all of them at once, and
-    the runs share their delay and cadence, so one capture slot serves them
-    all: ``deliver`` names it, and policies read its entry of ``ring`` for
-    all runs at once; ``snapshot`` is the view of the run recorded. Once
-    slot t is recorded, the deliveries up to slot t + ``delay_slots`` are fixed.
+    delivery is returned unchanged, so its staleness grows. A delivery
+    reaches back ``delay_slots`` slots and is served for up to ``cadence``
+    slots, so ``record`` copies each state into the twin's own ring of
+    ``ring_depth = delay_slots + 1 + cadence`` slots, sharing the state's
+    rate memo. A state's ring entry holds every run that steps in lockstep
+    with it; ``record`` copies all of them at once, and the runs share their
+    delay and cadence, so one capture slot serves them all: ``deliver``
+    names it, and policies read its entry of ``ring`` for all runs at once;
+    ``snapshot`` is the view of the run recorded. Once slot t is recorded,
+    the deliveries up to slot t + ``delay_slots`` are fixed.
     """
 
     def __init__(
@@ -155,20 +155,12 @@ class DigitalTwin:
         moderate_slots: int = 2,
         significant_slots: int = 20,
         cadence: int = 1,
-        history_depth: int = 0,
     ):
         if cadence < 1:
             raise ValueError(f"twin cadence must be >= 1, got {cadence}")
-        self.delay = delay
         self.delay_slots = delay_to_slots(delay, moderate_slots, significant_slots)
         self.cadence = cadence
-        depth = history_depth or self.delay_slots + 1
-        if depth < self.delay_slots + 1:
-            raise ValueError(
-                f"history_depth must be >= {self.delay_slots + 1} to cover "
-                f"the twin delay of {self.delay_slots} slots, got {depth}"
-            )
-        self.ring_depth = depth + cadence
+        self.ring_depth = self.delay_slots + 1 + cadence
         self.ring: Optional[StateRing] = None
         self._first = self._last = 0
         self._run = 0
@@ -191,7 +183,7 @@ class DigitalTwin:
         if self.ring is None:
             raise ValueError("no physical state recorded yet")
         if self._delivery is None or now - self._delivery[1] >= self.cadence:
-            # now - delay, raised to the first recorded slot. history_depth
+            # now - delay, raised to the first recorded slot. The ring
             # covers the delay, so now - delay predates the kept slots only
             # while it predates the first recorded one: an underflow.
             target = now - self.delay_slots

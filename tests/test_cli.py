@@ -377,12 +377,13 @@ def test_failing_experiment_writes_nothing(tmp_path, capsys):
 
 
 def test_short_history_depth_is_a_config_error(tmp_path, capsys):
+    # The twin sizes its history itself; the former key, short or not, is unknown.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_TEXT + "[twin]\ndelay = moderate\nhistory_depth = 2\n")
     out = tmp_path / "o"
     code = main(["run", "--scenario", str(cfg), "--out", str(out)])
     assert code == EXIT_CONFIG
-    assert "history_depth" in capsys.readouterr().err
+    assert "unknown key 'history_depth' in section [twin]" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -174,19 +174,16 @@ def test_zero_delay_repaired_slot_is_never_an_outage(scen, net_seed):
 @given(
     st.sampled_from(tuple(DelayClass)),
     st.integers(1, 5),
-    st.sampled_from((None, 0, 1, 3)),
     st.integers(0, 2**32 - 1),
 )
-def test_snapshot_is_the_state_recorded_at_its_capture_slot(
-    delay, cadence, extra_depth, seed
-):
-    """Every delay class and cadence, with the history sized automatically
-    (None) or explicitly (delay + 1 + extra_depth): each slot's snapshot
-    holds the SNR, queue and lambda of the physical state at ``captured_at``
-    bit for bit, and is flagged exactly when its target slot predates the
-    oldest kept one. The features read the snapshot where policies read it."""
+def test_snapshot_is_the_state_recorded_at_its_capture_slot(delay, cadence, seed):
+    """Every delay class and cadence: each slot's snapshot holds the SNR,
+    queue and lambda of the physical state at ``captured_at`` bit for bit,
+    and is flagged exactly when its target slot predates the oldest of the
+    delay + 1 slots kept for it. The features read the snapshot where
+    policies read it."""
     delay_slots = {DelayClass.MINIMAL: 0, DelayClass.MODERATE: 2}.get(delay, 4)
-    depth = delay_slots + 1 + (extra_depth or 0)
+    depth = delay_slots + 1
     scen = Scenario(
         n_embb=2,
         n_urllc=2,
@@ -198,7 +195,6 @@ def test_snapshot_is_the_state_recorded_at_its_capture_slot(
         moderate_slots=2,
         significant_slots=4,
         twin_cadence=cadence,
-        history_depth=0 if extra_depth is None else depth,
         seed=seed,
     )
     env = scen.environment()

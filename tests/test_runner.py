@@ -251,18 +251,15 @@ def _labels_slot_by_slot(scen):
 
 
 @pytest.mark.parametrize(
-    "delay, cadence, history_depth",
-    [(DelayClass.SIGNIFICANT, 1, 0), (DelayClass.MODERATE, 3, 3)],
+    "delay, cadence", [(DelayClass.SIGNIFICANT, 1), (DelayClass.MODERATE, 3)]
 )
-def test_stale_label_harvest_is_the_slot_by_slot_harvest(
-    delay, cadence, history_depth, repo_root_scenarios
-):
+def test_stale_label_harvest_is_the_slot_by_slot_harvest(delay, cadence, repo_root_scenarios):
     """Behind a stale twin, ``collect_training_data``'s features and labels
     are bit for bit those of a harvest that decides and encodes one
     snapshot per slot."""
     scen = replace(
         load_scenario(repo_root_scenarios / "tiny.cfg"), horizon_slots=400,
-        twin_delay=delay, twin_cadence=cadence, history_depth=history_depth,
+        twin_delay=delay, twin_cadence=cadence,
     )
     X, labels = runner.collect_training_data(scen)
     want_X, want_labels = _labels_slot_by_slot(scen)

@@ -1,10 +1,12 @@
+import hashlib
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
 
+from twinslice import nn, runner
 from twinslice.domain import ConfigError
 from twinslice.scenario import (
     _KEYS,
@@ -150,12 +152,22 @@ def test_semantic_errors_from_run_section():
         ("cadence = 0\n", "cadence"),
         ("moderate_slots = 5\nsignificant_slots = 2\n", "moderate_slots"),
         ("moderate_slots = -1\n", "moderate_slots"),
-        ("delay = moderate\nhistory_depth = 2\n", "history_depth"),
-        ("history_depth = -1\n", "history_depth"),
     ],
 )
 def test_twin_section_errors_name_the_key(text, key):
     with pytest.raises(ScenarioSemanticError, match=key):
+        parse_scenario_text("[twin]\n" + text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["delay = moderate\nhistory_depth = 2\n", "history_depth = -1\n"],
+    ids=["short", "negative"],
+)
+def test_history_depth_is_an_unknown_twin_key(text):
+    # The twin keeps delay + 1 + cadence slots; there is no depth to set.
+    unknown = r"unknown key 'history_depth' in section \[twin\]"
+    with pytest.raises(ScenarioParseError, match=unknown):
         parse_scenario_text("[twin]\n" + text)
 
 
@@ -182,9 +194,9 @@ def test_shipped_scenarios_load(repo_root_scenarios):
 
 def test_scenario_hashes_are_pinned(repo_root_scenarios):
     # Every run's .summary carries the hash; a change here re-keys old runs.
-    assert Scenario().hash == "2595e16a582b2909"
-    assert load_scenario(repo_root_scenarios / "default.cfg").hash == "b70ba1880bf7290c"
-    assert load_scenario(repo_root_scenarios / "tiny.cfg").hash == "30e9a397674938a2"
+    assert Scenario().hash == "b050120a0ef80f14"
+    assert load_scenario(repo_root_scenarios / "default.cfg").hash == "fcadeb4b09332cb2"
+    assert load_scenario(repo_root_scenarios / "tiny.cfg").hash == "a1d340804298e4c1"
 
 
 #: Every key set away from its default.
@@ -213,7 +225,6 @@ delay = moderate
 moderate_slots = 3
 significant_slots = 25
 cadence = 2
-history_depth = 6
 [run]
 seed = 7
 horizon_slots = 300
@@ -252,7 +263,6 @@ twin.delay=moderate
 twin.moderate_slots=3
 twin.significant_slots=25
 twin.cadence=2
-twin.history_depth=6
 run.seed=7
 run.horizon_slots=300
 run.outage_window=50
@@ -282,3 +292,86 @@ def test_readme_key_table_names_every_key():
             section = header.group(1)
         named.setdefault(section, set()).update(re.findall(r"\w+", line))
     assert [key for key in _KEYS if key[1] not in named.get(key[0], ())] == []
+
+
+#: One other value for every key of ``_KEYS``, and the keys it acts under:
+#: (section, key) -> (value, {(section, key): value, or None to drop it}).
+OTHER_VALUES = {
+    ("users", "embb"): ("3", {}),
+    ("users", "urllc"): ("2", {}),
+    ("users", "embb_mean_snr_db"): ("10", {}),
+    ("users", "urllc_mean_snr_db"): ("6", {}),
+    ("channel", "fading"): ("rician", {}),
+    ("channel", "rician_k"): ("1", {("channel", "fading"): "rician"}),
+    ("grid", "num_rbs"): ("5", {}),
+    ("grid", "rb_bandwidth_hz"): ("500000", {}),
+    ("grid", "slot_duration_s"): ("0.0005", {}),
+    ("traffic", "urllc_lambda"): ("4", {}),
+    ("traffic", "urllc_lambda_values"): ("2,8", {("traffic", "urllc_lambda"): None}),
+    ("traffic", "urllc_lambda_dwell"): (
+        "10", {("traffic", "urllc_lambda"): None, ("traffic", "urllc_lambda_values"): "2,8"}
+    ),
+    ("qos", "embb_min_rate_bps"): ("1e6", {}),
+    ("qos", "urllc_packet_bits"): ("512", {}),
+    ("qos", "urllc_outage_threshold"): ("0.2", {}),
+    ("twin", "delay"): ("moderate", {}),
+    ("twin", "moderate_slots"): ("3", {("twin", "delay"): "moderate"}),
+    ("twin", "significant_slots"): ("9", {("twin", "delay"): "significant"}),
+    ("twin", "cadence"): ("2", {}),
+    ("run", "seed"): ("4", {}),
+    ("run", "horizon_slots"): ("30", {}),
+    ("run", "outage_window"): ("10", {}),
+    ("run", "urllc_fraction"): ("0.25", {}),
+    ("features", "reference_snr_db"): ("10", {}),
+    ("features", "reference_lambda"): ("4", {}),
+    ("train", "epochs"): ("2", {}),
+    ("train", "learning_rate"): ("0.1", {}),
+    ("train", "batch_size"): ("16", {}),
+    ("train", "hidden_sizes"): ("16", {}),
+    ("train", "seed"): ("1", {}),
+}
+
+
+def _result_digest(values: dict) -> str:
+    """Load the scenario file of ``values``, then digest its oracle labels,
+    the net trained on them (weights and loss curve) and a run of every
+    policy with it: records, twin log and every summary field but the
+    scenario hash."""
+    sections = dict.fromkeys(section for section, _ in values)
+    scen = parse_scenario_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
+        for section in sections
+    ))
+    X, labels = runner.collect_training_data(scen)
+    trained = nn.train(runner.build_net(scen, scen.train), X, labels, scen.train)
+    digest = hashlib.sha256(labels.tobytes())
+    for array in trained.net.weights + trained.net.biases:
+        digest.update(array.tobytes())
+    digest.update(repr(trained.loss_curve).encode())
+    runs = [(policy_id, None, None) for policy_id in runner.POLICY_IDS]
+    for run in runner._simulate(scen, runs, trained.net):
+        for column in run.records + (run.twin_log,):
+            digest.update(column.tobytes())
+        digest.update(repr(astuple(replace(run.summary, scenario_hash=""))).encode())
+    return digest.hexdigest()
+
+
+def test_every_key_changes_a_result(repo_root_scenarios):
+    """Each key, set to another value on tiny.cfg (40 slots, 1 epoch), changes
+    the labels, the trained net or a run of some policy: no key is inert."""
+    assert OTHER_VALUES.keys() == _KEYS.keys()
+    tiny, section = {}, None
+    for line in (repo_root_scenarios / "tiny.cfg").read_text().splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            key, _, value = line.partition("=")
+            tiny[section, key.strip()] = value.strip()
+    tiny[("run", "horizon_slots")], tiny[("train", "epochs")] = "40", "1"
+    inert = []
+    for key, (value, context) in OTHER_VALUES.items():
+        base = {k: v for k, v in (tiny | context).items() if v is not None}
+        if _result_digest(base | {key: value}) == _result_digest(base):
+            inert.append(key)
+    assert inert == []

@@ -52,9 +52,10 @@ def test_delay_class_mapping_is_ordered():
 
 
 @pytest.mark.parametrize("delay", list(DelayClass))
-def test_a_history_depth_of_0_covers_the_delay(delay):
-    auto = DigitalTwin(delay, history_depth=0)
-    assert auto.ring_depth == DigitalTwin(delay).ring_depth == auto.delay_slots + 2
+def test_the_ring_covers_the_delay_and_the_cadence(delay):
+    for cadence in (1, 3):
+        twin = DigitalTwin(delay, cadence=cadence)
+        assert twin.ring_depth == twin.delay_slots + 1 + cadence
 
 
 def test_minimal_delay_snapshot_equals_physical():
@@ -180,7 +181,7 @@ def test_delayed_snapshots_keep_their_slot_over_many_steps():
 
 @pytest.mark.parametrize("decide", ["orthogonal", "oracle", "encode"])
 def test_an_expired_snapshot_raises_instead_of_reading_another_slot(decide):
-    env, twin = _env(), DigitalTwin()  # a ring of history_depth + cadence = 2
+    env, twin = _env(), DigitalTwin()  # a ring of delay + 1 + cadence = 2
     twin.record(env.state)
     snap = twin.snapshot(now=0)
     for _ in range(2):  # slot 2 takes slot 0's entry
@@ -303,11 +304,10 @@ def test_a_kept_decision_holds_its_objective_after_its_slot_left_the_ring(
 
 
 def test_deliver_is_the_dumped_twin_log_and_the_snapshot(repo_root_scenarios, tmp_path):
-    # The golden "cadence" settings: a 2-slot delay delivered every third
-    # slot from a history of exactly delay + 1 states.
+    # The golden "cadence" settings: a 2-slot delay delivered every third slot.
     scen = replace(
         load_scenario(repo_root_scenarios / "tiny.cfg"), horizon_slots=60, outage_window=20,
-        twin_delay=DelayClass.MODERATE, twin_cadence=3, history_depth=3,
+        twin_delay=DelayClass.MODERATE, twin_cadence=3,
     )
     spec = ExperimentSpec(
         scenario=scen, policies=("orthogonal",), out_dir=str(tmp_path), lambdas=(2.0,),
