@@ -159,18 +159,6 @@ def test_twin_section_errors_name_the_key(text, key):
         parse_scenario_text("[twin]\n" + text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["delay = moderate\nhistory_depth = 2\n", "history_depth = -1\n"],
-    ids=["short", "negative"],
-)
-def test_history_depth_is_an_unknown_twin_key(text):
-    # The twin keeps delay + 1 + cadence slots; there is no depth to set.
-    unknown = r"unknown key 'history_depth' in section \[twin\]"
-    with pytest.raises(ScenarioParseError, match=unknown):
-        parse_scenario_text("[twin]\n" + text)
-
-
 def test_an_empty_sweep_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="lambdas is empty"):
         ExperimentSpec(Scenario(), ("orthogonal",), str(tmp_path), lambdas=())
