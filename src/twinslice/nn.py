@@ -12,7 +12,8 @@ or float64. Inputs are cast to it, so a net trains and serves in one
 precision. ``MLP.glorot``/``MLP.zeros`` build float64 nets, which the
 finite-difference check needs; ``MLP.astype`` converts.
 The encoder reads a slot's runs from the twin's ring entry as one ``[R, d]``
-array; the forward pass serves it as an ``[R, 1, d]`` stack, one gemv per row.
+array; the forward pass serves it to the output-major net (``served``) as an
+``[R, 1, d]`` stack, one gemv per row. Training computes in C order.
 """
 from __future__ import annotations
 
@@ -131,11 +132,11 @@ class MLP:
         return cls(layer_sizes, output_shape, weights, biases)
 
     def astype(self, dtype) -> "MLP":
-        """A copy of the net with its parameters cast to ``dtype``."""
+        """A C-order copy of the net with its parameters cast to ``dtype``."""
         return MLP(
             list(self.layer_sizes),
             self.output_shape,
-            [w.astype(dtype) for w in self.weights],
+            [w.astype(dtype, order="C") for w in self.weights],
             [b.astype(dtype) for b in self.biases],
         )
 
@@ -169,12 +170,22 @@ def _forward_batch(net: MLP, X: np.ndarray) -> tuple[np.ndarray, list, list]:
     return softmax_rows(logits), zs, acts
 
 
+def served(net: MLP) -> MLP:
+    """The net with output-major (Fortran-order) weights, as ``load_weights``
+    reads them: a row's ``(1, d) @ W`` is then the dot-product gemv
+    (``gemv_t``), which streams W faster than C order's axpy form."""
+    if all(w.flags.f_contiguous for w in net.weights):
+        return net
+    weights = [np.asfortranarray(w) for w in net.weights]
+    return MLP(net.layer_sizes, net.output_shape, weights, net.biases)
+
+
 def forward(net: MLP, x: np.ndarray) -> OutputTensor:
-    """Single-sample inference; deterministic for a fixed (net, x)."""
+    """Single-sample inference, ``served``; deterministic for a fixed (net, x)."""
     x = np.asarray(x)
     if x.shape != (net.input_dim,):
         raise ValueError(f"expected input of shape ({net.input_dim},), got {x.shape}")
-    probs, _, _ = _forward_batch(net, x[None, :])
+    probs, _, _ = _forward_batch(served(net), x[None, :])
     return OutputTensor(probs=probs[0])
 
 
@@ -346,9 +357,10 @@ def train(
 
     Deterministic for a fixed config: shuffling comes from a generator
     seeded with ``cfg.seed``. Raises on non-finite loss instead of
-    continuing with poisoned parameters. Trains in the net's dtype; ``X``
-    is cast to it once. The update ``g *= lr; w -= g`` rounds exactly as
-    ``w -= lr * g`` does, without a parameter-sized temporary.
+    continuing with poisoned parameters. Trains a C-order copy in the net's
+    dtype, as sgemm rounds Fortran order another way; ``X`` is cast to it
+    once. The update ``g *= lr; w -= g`` rounds exactly as ``w -= lr * g``
+    does, without a parameter-sized temporary.
     """
     if X.ndim != 2 or labels.ndim != 2 or X.shape[0] != labels.shape[0]:
         raise ValueError("X and labels must be aligned 2-D arrays")
@@ -433,7 +445,8 @@ def save_weights(net: MLP, path, seed: int) -> None:
 
 
 def load_weights(path) -> tuple[MLP, int]:
-    """Inverse of save_weights; the net comes back in the stored dtype. A
+    """Inverse of save_weights; the net comes back in the stored dtype, each
+    weight in Fortran order, the layout it is ``served`` in. A
     file that cannot be read, that is not a whole weights file of this
     format version, or that names another dtype, raises ConfigError naming
     the file and the key; its layer sizes must declare exactly the bytes
@@ -459,7 +472,7 @@ def load_weights(path) -> tuple[MLP, int]:
             weights, biases = [], []
             for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
                 w = np.frombuffer(f.read(dtype.itemsize * fan_in * fan_out), stored)
-                weights.append(w.reshape(fan_in, fan_out).astype(dtype))
+                weights.append(np.array(w.reshape(fan_in, fan_out), dtype, order="F"))
                 b = np.frombuffer(f.read(dtype.itemsize * fan_out), stored)
                 biases.append(b.astype(dtype))
         net = MLP(layer_sizes, output_shape, weights, biases)  # type: ignore[arg-type]

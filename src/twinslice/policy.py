@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -32,7 +33,7 @@ from .domain import (
     UserTerminal,
 )
 from .envsim import StateRing, class_sum, memo_rates, user_rates
-from .nn import MLP, FeatureScaling, _forward_batch, feature_encoder
+from .nn import MLP, FeatureScaling, _forward_batch, feature_encoder, served
 from .twin import TwinSnapshot
 
 #: Penalty multiplier applied to the largest per-block rate in the snapshot.
@@ -353,11 +354,11 @@ def dynamic_policy(
             f"net output shape {net.output_shape} does not match "
             f"({grid.num_rbs}, {len(layout.ids)})"
         )
-    encode = feature_encoder(grid, layout, qos, scaling)
+    encode, net = feature_encoder(grid, layout, qos, scaling), served(net)
 
     def decide(ring: StateRing, i: int, runs: slice) -> np.ndarray:
-        # An [R, 1, d] stack: matmul gives each (1, d) row forward's gemv and bits,
-        # which an (R, d) gemm would not. decode_output's argmax: lowest id wins ties.
+        # An [R, 1, d] stack on output-major weights: each (1, d) row gets forward's
+        # gemv_t and bits, which an (R, d) gemm would not. Argmax: lowest id wins ties.
         return _forward_batch(net, encode(ring, i, runs)[:, None])[0].argmax(axis=2)
 
     return decide
@@ -425,13 +426,16 @@ def repair_policy(
             rows[b], rates[b] = urllc[best[b]], top[b]
         # R <= load is an outage (metrics.outage_event), so an exact hit is
         # repaired too: at zero load, URLLC still gets a block. A move adds a
-        # rate >= 0 to one user's sum, which never lowers the prediction, so
-        # bisection finds the first move count that clears the load.
+        # rate >= 0 to one user's sum, so the prediction never falls as k
+        # grows. The running sum in move order estimates the first k that
+        # clears the load; exact probes at k - 1 and k confirm it, and
+        # bisection runs only if they do not. k > len(moves): none clears.
         target = qos.urllc_packet_bits * lam
-        k = bisect_left(
-            range(len(moves) + 1), True,
-            key=lambda k: _urllc_sum(sorted(kept + moves[:k]), rows, rates, urllc) > target,
-        )
+        clears = lambda k: _urllc_sum(sorted(kept + moves[:k]), rows, rates, urllc) > target
+        sums = accumulate((top[b] for b in moves), initial=_urllc_sum(kept, rows, rates, urllc))
+        k = next((k for k, s in enumerate(sums) if s > target), len(moves) + 1)
+        if k and clears(k - 1) or 0 < k <= len(moves) and not clears(k):
+            k = bisect_left(range(len(moves) + 1), True, key=clears)
         for b in moves[k:]:
             rows[b] = own[b]
         return rows, k > len(moves)

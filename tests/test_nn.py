@@ -1,7 +1,11 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from twinslice.nn import (
     load_weights,
     loss_and_grads,
     save_weights,
+    served,
     softmax_rows,
     train,
 )
@@ -48,10 +53,10 @@ def test_row_sums_are_one_for_random_nets():
 @functools.cache
 def _stack_net(shape: str) -> MLP:
     """The default scenario's float32 1043 -> 1024 -> 1000 net, or a small
-    float64 one."""
+    float64 one, served: output-major, transposed once and kept."""
     if shape == "default":
-        return MLP.glorot([1043, 1024, 1000], (50, 20), seed=4).astype(np.float32)
-    return MLP.glorot([7, 9, 12], (3, 4), seed=4)
+        return served(MLP.glorot([1043, 1024, 1000], (50, 20), seed=4).astype(np.float32))
+    return served(MLP.glorot([7, 9, 12], (3, 4), seed=4))
 
 
 @given(
@@ -61,9 +66,11 @@ def _stack_net(shape: str) -> MLP:
     scale=st.sampled_from([1e-3, 1.0, 30.0]),
 )
 def test_a_stacked_forward_row_is_that_row_alone(shape, runs, seed, scale):
-    """The dnn policy serves a slot's runs as one [R, 1, d] stack; row r is
-    ``forward`` of run r's features alone, byte for byte."""
+    """The dnn policy serves a slot's runs as one [R, 1, d] stack on the
+    output-major net; row r is ``forward`` of run r's features alone, byte
+    for byte."""
     net = _stack_net(shape)
+    assert all(w.flags.f_contiguous for w in net.weights)
     X = np.random.default_rng(seed).standard_normal((runs, net.input_dim)) * scale
     probs = _forward_batch(net, X[:, None, :])[0]
     for r, x in enumerate(X):
@@ -72,6 +79,31 @@ def test_a_stacked_forward_row_is_that_row_alone(shape, runs, seed, scale):
             f"({shape} net) under numpy {np.__version__}; a numpy whose matmul "
             "gives stacked rows another BLAS call breaks the dnn policy's exactness"
         )
+
+
+_SERVED_FORWARD = """
+import hashlib, numpy as np
+from twinslice.nn import MLP, _forward_batch, served
+net = served(MLP.glorot([1043, 1024, 1000], (50, 20), seed=4).astype(np.float32))
+X = np.random.default_rng(8).standard_normal((5, 1, 1043))
+print(hashlib.sha256(_forward_batch(net, X)[0].tobytes()).hexdigest())
+"""
+
+
+def test_the_served_forward_does_not_depend_on_the_blas_thread_count():
+    """The default shape's served stack, one gemv_t per row, gives the same
+    bytes at one and at two OpenBLAS threads."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", _SERVED_FORWARD], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1], (
+        f"the served forward differs between 1 and 2 BLAS threads under numpy "
+        f"{np.__version__}"
+    )
 
 
 def test_product_rows_do_not_depend_on_how_many_rows_share_it():
@@ -349,6 +381,9 @@ def test_weights_round_trip_exactly_in_both_dtypes(tmp_path, dtype):
     assert loaded.dtype == np.dtype(dtype)
     for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    # Read straight into the served layout: served() of it is the net itself.
+    assert all(w.flags.f_contiguous and w.flags.writeable for w in loaded.weights)
+    assert served(loaded) is loaded
     save_weights(loaded, again, seed=4)
     assert again.read_bytes() == path.read_bytes()
 
@@ -440,6 +475,32 @@ def test_float32_net_computes_in_float32():
     assert np.array_equal(
         forward(res.net, X[0]).probs, forward(res.net, X[0].astype(np.float32)).probs
     )
+
+
+@pytest.mark.parametrize(
+    "sizes,shape,batch",
+    [([21, 128, 64, 12], (4, 3), 32), ([1043, 16, 1000], (50, 20), 16)],
+    ids=["tiny", "default_features"],
+)
+def test_training_a_loaded_net_equals_training_the_net_it_saved(tmp_path, sizes, shape, batch):
+    """``load_weights`` gives an output-major net, and sgemm rounds Fortran-
+    order operands another way at these shapes (the backward 32x128 @ 128x21,
+    the forward 16x1043 @ 1043x16). Training it gives the weights bytes and
+    loss curve of training the in-memory net it was saved from, and a C-order
+    net."""
+    rng = np.random.default_rng(17)
+    net = MLP.glorot(sizes, shape, seed=6).astype(np.float32)
+    X = rng.standard_normal((96, sizes[0]))
+    labels = rng.integers(0, shape[1], size=(96, shape[0]))
+    save_weights(net, tmp_path / "weights.bin", seed=6)
+    loaded, _ = load_weights(tmp_path / "weights.bin")
+    cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=batch, seed=1)
+    want, got = train(net, X, labels, cfg), train(loaded, X, labels, cfg)
+    assert got.loss_curve == want.loss_curve
+    assert all(w.flags.c_contiguous for w in got.net.weights)
+    save_weights(want.net, tmp_path / "want.bin", seed=6)
+    save_weights(got.net, tmp_path / "got.bin", seed=6)
+    assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -2,11 +2,12 @@ import functools
 import importlib.util
 import itertools
 import math
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twinslice import envsim, nn, policy
@@ -580,6 +581,129 @@ def test_repair_equals_stepwise_reference():
             assert [tuple(r) for r in rows.tolist()] == list(want)
             assert flags == list(unmet)
     assert cases > 100
+
+
+def _bisected_repair(own, rates, target, urllc):
+    """The repair with a plain bisection over the move count: each move takes
+    the eMBB-held block with the highest URLLC rate (lowest block first among
+    ties) to its best URLLC row (lowest row first), and the repair keeps the
+    first k moves after which ``_urllc_sum`` exceeds ``target``. Returns the
+    rows, the unmet flag, and the exact and running (move order) sums after
+    0, 1, ... moves."""
+    kept = [b for b, r in enumerate(own) if r in urllc]
+    embb = [b for b, r in enumerate(own) if r != UNASSIGNED and r not in urllc]
+    top = {b: max(rates[u][b] for u in urllc) for b in embb} if urllc else {}
+    moves = sorted(top, key=lambda b: -top[b])
+    rows, held = list(own), [rates[r][b] for b, r in enumerate(own)]
+    for b in moves:
+        rows[b] = next(u for u in urllc if rates[u][b] == top[b])
+        held[b] = top[b]
+    exact = [policy._urllc_sum(sorted(kept + moves[:k]), rows, held, urllc)
+             for k in range(len(moves) + 1)]
+    running = list(itertools.accumulate((top[b] for b in moves), initial=exact[0]))
+    k = bisect_left(range(len(moves) + 1), True, key=lambda k: exact[k] > target)
+    for b in moves[k:]:
+        rows[b] = own[b]
+    return rows, k > len(moves), exact, running
+
+
+#: Rates whose sums round differently when grouped by user and when added in
+#: move order: 1 + 0.75 ulp rounds up, 1 + 0.5 ulp rounds to even.
+_ROUNDING_RATES = [0.0, 1.0, 2.0**-53, 0.75 * 2.0**-52, 0.1, 0.3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_embb=st.integers(0, 3),
+    n_urllc=st.integers(0, 4),
+    n_rbs=st.integers(1, 12),
+    n_runs=st.integers(1, 3),
+    held_by=st.sampled_from(["anyone", "no eMBB", "eMBB only"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_repair_search_equals_a_plain_bisection(
+    n_embb, n_urllc, n_rbs, n_runs, held_by, seed
+):
+    """The running-sum estimate and its two exact probes find the move count
+    a plain bisection finds, rows and flags, on each run of a slot: at zero
+    load, at targets equal to an exact or a running sum after some move or
+    next to one, and where every move together falls short."""
+    assume(n_embb + n_urllc > 0)
+    rng = np.random.default_rng(seed)
+    users = make_users(n_embb, n_urllc)
+    grid, qos, tau = ResourceGrid(n_rbs, 1e5), QoSRequirement(urllc_packet_bits=1), 1e-3
+    layout = UserLayout(users)
+    choices = {
+        "anyone": [*range(len(users)), UNASSIGNED],
+        "no eMBB": [*layout.urllc, UNASSIGNED],
+        "eMBB only": list(range(n_embb)) or [UNASSIGNED],
+    }[held_by]
+    shape = (n_runs, len(users), n_rbs)
+    if rng.integers(2):
+        rates = rng.choice(_ROUNDING_RATES, shape, p=[0.2, 0.2, 0.25, 0.25, 0.05, 0.05])
+    else:
+        rates = rng.uniform(0, 1, shape) * 10.0 ** rng.integers(-3, 4, shape)
+    own = rng.choice(choices, (n_runs, n_rbs))
+    want, lams = [], []
+    for r in range(n_runs):
+        own_r, rates_r = own[r].tolist(), rates[r].tolist()
+        *_, exact, running = _bisected_repair(own_r, rates_r, 0.0, layout.urllc)
+        k = int(rng.integers(len(exact)))
+        sums = exact if rng.integers(2) else running
+        lam = [
+            0.0,
+            sums[k],
+            np.nextafter(sums[k], 0.0),
+            np.nextafter(sums[k], np.inf),
+            exact[-1],  # every move together only reaches it: unmet
+            2.0 * exact[-1] + 1.0,
+            rng.uniform(0.0, 1.2 * exact[-1]),
+        ][rng.integers(7)]
+        lams.append(float(lam))
+        rows, unmet, *_ = _bisected_repair(own_r, rates_r, lam, layout.urllc)
+        want.append((rows, unmet))
+    ring = StateRing(1, qos, layout)
+    ring.put(0, np.zeros(shape), np.zeros((n_runs, n_urllc)), lams,
+             memo={(grid.rb_bandwidth, tau): rates})
+    rows, flags = repair_policy(qos, grid, users, tau)(own, ring, 0, slice(None))
+    assert [(r, f) for r, f in zip(rows.tolist(), flags)] == want
+
+
+@pytest.mark.parametrize(
+    "small,lam,moved,unmet",
+    [
+        # Move order adds 1 + 2^-53 + 2^-53 + 2^-53 = 1 (ties to even); the
+        # exact sum groups the small rates first: 1 + 2^-52 > 1 after 2 moves.
+        (2.0**-53, 1.0, 2, False),
+        # Move order rounds up three times, 1 + 3 ulp; the exact sum is
+        # 1 + 2.25 ulp, rounded to 1 + 2 ulp, which does not exceed it.
+        (0.75 * 2.0**-52, 1.0 + 2 * 2.0**-52, 3, True),
+    ],
+    ids=["estimate_short", "estimate_over"],
+)
+def test_the_repair_bisects_when_its_estimate_misses(monkeypatch, small, lam, moved, unmet):
+    """URLLC row 1 keeps block 0 at rate 1; blocks 1-3 are eMBB-held and
+    worth ``small`` to URLLC row 2 only. The running sum misses the exact
+    move count, a probe sees it, and bisection finds the count."""
+    users = make_users(1, 2)
+    grid, qos, tau = ResourceGrid(4, 1e5), QoSRequirement(urllc_packet_bits=1), 1e-3
+    rates = np.zeros((1, 3, 4))
+    rates[0, 1, 0] = 1.0
+    rates[0, 2, 1:] = small
+    ring = StateRing(1, qos, UserLayout(users))
+    memo = {(grid.rb_bandwidth, tau): rates}
+    ring.put(0, np.zeros((1, 3, 4)), np.zeros((1, 2)), [lam], memo=memo)
+    bisections = []
+
+    def counted(*args, **kwargs):
+        bisections.append(1)
+        return bisect_left(*args, **kwargs)
+
+    monkeypatch.setattr(policy, "bisect_left", counted)
+    repair = repair_policy(qos, grid, users, tau)
+    rows, flags = repair(np.array([[1, 0, 0, 0]]), ring, 0, slice(None))
+    assert rows.tolist() == [[1] + [2] * moved + [0] * (3 - moved)]
+    assert flags == [unmet] and bisections == [1]
 
 
 def test_the_dnn_policy_serves_each_run_as_its_own_forward_pass(monkeypatch):
