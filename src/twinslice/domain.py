@@ -1,14 +1,15 @@
 """Core vocabulary types shared by the environment, twin, policies and metrics.
 
 The value objects here are immutable and validated when built: they are
-what a caller hands in (scenario pieces, hand-built channel and traffic
-states) and what a state is read as. A run keeps its slot state in arrays
-instead (``envsim.StateRing``) and builds ``ChannelState`` and
-``TrafficState`` only when someone reads them; those two copy their arrays
-on construction and mark them read-only. ``UserLayout`` holds a user set's
-per-run constants. A slot policy decides user rows in an array
-(``policy``); ``AllocationMatrix`` holds one allocation's user ids, for the
-calls that take or return a single allocation.
+what a caller hands in (scenario pieces) and what a state is read as. A run
+keeps its slot state in arrays (``envsim.StateRing``); physical states and
+twin snapshots are views of them, never built from these values, and build
+``ChannelState`` and ``TrafficState`` only when someone reads their
+``channel`` or ``traffic``. Those two copy their arrays and mark them
+read-only. ``UserLayout`` holds a user set's per-run constants. A slot
+policy decides user rows in an array (``policy``); ``AllocationMatrix``
+holds one allocation's user ids, for the calls that take or return a
+single allocation.
 """
 from __future__ import annotations
 

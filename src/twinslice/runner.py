@@ -127,11 +127,6 @@ class RunResult:
         """The run's per-slot records, built on each read."""
         return self.records.slots()
 
-    @property
-    def staleness_log(self) -> np.ndarray:
-        """Staleness of the snapshot used at each slot, for loop-order checks."""
-        return self.records.t - self.twin_log[:, 0]
-
 
 def _simulate(
     scenario: Scenario, runs: Sequence[tuple[str, Optional[float], Optional[int]]],
@@ -258,11 +253,10 @@ class TrainArtifacts:
     dataset_size: int
 
 
-def collect_training_data(
-    scenario: Scenario, seed: Optional[int] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Roll the oracle through the twin loop and harvest imitation targets:
-    a window's features in one row-wise encoder call on the oracle's entries.
+def collect_training_data(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Roll the oracle through the twin loop on the scenario's seed
+    (``Scenario.with_seed`` picks another) and harvest imitation targets: a
+    window's features in one row-wise encoder call on the oracle's entries.
 
     Returns (features [n, d], labels [n, num_rbs]) where each label is the
     user column index the oracle chose for that block.
@@ -282,7 +276,7 @@ def collect_training_data(
         done += len(x)
         return rows, unmet
 
-    for _ in _slots(scenario, [(harvest, slice(1))], [seed], [None]):
+    for _ in _slots(scenario, [(harvest, slice(1))], [None], [None]):
         pass
     return X, labels
 

@@ -15,14 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import (
-    ChannelState,
-    QoSRequirement,
-    ServiceClass,
-    TrafficState,
-    UserLayout,
-    UserTerminal,
-)
 from .envsim import PhysicalState, StateRing
 
 
@@ -49,43 +41,11 @@ def delay_to_slots(
 
 class TwinSnapshot(PhysicalState):
     """One run's (channel, traffic, QoS) as of ``captured_at``, delivered at
-    ``delivered_at``: a view of the run in the captured slot of a
+    ``delivered_at``: a view of the run in the captured slot of the twin's
     ``StateRing``, read in place, with ``channel`` and ``traffic`` built on
-    their first read."""
+    their first read. Only ``DigitalTwin.snapshot`` makes one."""
 
     __slots__ = ("delivered_at", "stale_underflow")
-
-    def __init__(
-        self,
-        captured_at: int,
-        delivered_at: int,
-        channel: ChannelState,
-        traffic: TrafficState,
-        qos: QoSRequirement,
-        stale_underflow: bool = False,
-    ):
-        """A hand-built snapshot: a one-slot, one-run ring holding these
-        values, which are also what ``channel`` and ``traffic`` read. Its
-        users are the channel's ids; the traffic's ids must be its URLLC
-        users, in ascending order. A snapshot knows no link budgets."""
-        if delivered_at < captured_at:
-            raise ValueError("delivered_at must be >= captured_at")
-        urllc = set(traffic.urllc_user_ids)
-        layout = UserLayout(
-            UserTerminal(i, ServiceClass.URLLC if i in urllc else ServiceClass.EMBB, None)
-            for i in channel.user_ids
-        )
-        if traffic.urllc_user_ids != layout.urllc_ids:
-            raise ValueError(
-                f"traffic ids {traffic.urllc_user_ids} are not the channel's "
-                f"URLLC users {layout.urllc_ids} in ascending order"
-            )
-        ring = StateRing(1, qos, layout)
-        snr, queue = channel.snr[None], traffic.urllc_queue[None]
-        ring.put(captured_at, snr, queue, [traffic.urllc_rate])
-        self.ring, self.t, self.run = ring, captured_at, 0
-        self._channel, self._traffic = channel, traffic
-        self.delivered_at, self.stale_underflow = delivered_at, stale_underflow
 
     @property
     def captured_at(self) -> int:

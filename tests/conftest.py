@@ -5,14 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from twinslice.domain import (
-    ChannelState,
-    QoSRequirement,
-    ServiceClass,
-    TrafficState,
-    UserTerminal,
-)
-from twinslice.envsim import Environment, FadingModel, FadingParams, LinkBudget
+from twinslice.domain import QoSRequirement, ServiceClass, UserLayout, UserTerminal
+from twinslice.envsim import Environment, FadingModel, FadingParams, LinkBudget, StateRing
 from twinslice.scenario import LambdaSchedule, Scenario
 from twinslice.twin import TwinSnapshot
 
@@ -45,20 +39,18 @@ def make_users(n_embb, n_urllc, embb_snr=10.0, urllc_snr=2.0, fading=RAYLEIGH):
 
 
 def make_snapshot(snr, users, lam=0.0, queue=None, qos=None, captured_at=0):
-    """Hand-built twin snapshot for policy and encoder unit tests."""
+    """A twin snapshot of these values, made as the twin makes one: they go
+    into slot ``captured_at`` of a one-run ``StateRing`` on the users'
+    layout, as ``put_state`` writes a physical state, and the snapshot is
+    the ring's view (``DigitalTwin.snapshot``), delivered when captured."""
+    layout = UserLayout(users)
     snr = np.asarray(snr, dtype=float)
-    urllc_ids = tuple(u.id for u in users if u.service is ServiceClass.URLLC)
-    if queue is None:
-        queue = np.zeros(len(urllc_ids))
-    return TwinSnapshot(
-        captured_at=captured_at,
-        delivered_at=captured_at,
-        channel=ChannelState(snr=snr, user_ids=tuple(u.id for u in users)),
-        traffic=TrafficState(
-            urllc_rate=lam, urllc_queue=queue, urllc_user_ids=urllc_ids
-        ),
-        qos=qos or QoSRequirement(),
-    )
+    queue = np.zeros(len(layout.urllc)) if queue is None else np.asarray(queue, dtype=float)
+    ring = StateRing(1, qos or QoSRequirement(), layout)
+    ring.put(captured_at, snr[None], queue[None], [lam])
+    snap = TwinSnapshot.view(ring, captured_at)
+    snap.delivered_at, snap.stale_underflow = captured_at, False
+    return snap
 
 
 def make_env(users, grid, lam=0.0, seed=0, qos=None, slot_duration=1e-3):

@@ -22,7 +22,14 @@ from twinslice.domain import (
     validate_allocation,
 )
 from twinslice.envsim import FadingModel, FadingParams
-from twinslice.policy import predicted_urllc_rate
+from twinslice.policy import (
+    OrthogonalConfig,
+    dynamic_allocate,
+    oracle_allocate,
+    orthogonal_allocate,
+    predicted_urllc_rate,
+    priority_repair,
+)
 from twinslice.scenario import LambdaSchedule, Scenario
 from twinslice.twin import DelayClass
 
@@ -180,8 +187,9 @@ def test_snapshot_is_the_state_recorded_at_its_capture_slot(delay, cadence, seed
     """Every delay class and cadence: each slot's snapshot holds the SNR,
     queue and lambda of the physical state at ``captured_at`` bit for bit,
     and is flagged exactly when its target slot predates the oldest of the
-    delay + 1 slots kept for it. The features read the snapshot where
-    policies read it."""
+    delay + 1 slots kept for it. The features and every per-call decision
+    read the snapshot where policies read it, so ``make_snapshot`` of the
+    same values is the twin's snapshot to each of them."""
     delay_slots = {DelayClass.MINIMAL: 0, DelayClass.MODERATE: 2}.get(delay, 4)
     depth = delay_slots + 1
     scen = Scenario(
@@ -201,9 +209,26 @@ def test_snapshot_is_the_state_recorded_at_its_capture_slot(delay, cadence, seed
     twin = scen.make_twin()
     users = scen.users()
     ids = [u.id for u in users]
+    grid, qos, tau = scen.grid, scen.qos, scen.slot_duration
     features = partial(
-        nn.encode_features, grid=scen.grid, users=users, qos=scen.qos, scaling=scen.scaling()
+        nn.encode_features, grid=grid, users=users, qos=qos, scaling=scen.scaling()
     )
+    net = nn.MLP.glorot([nn.feature_dim(4, 3), 8, 12], (3, 4), seed=0).astype(np.float32)
+
+    def decisions(snap):
+        """Rows, flag and objective bits of each per-call decision on ``snap``."""
+        dnn = dynamic_allocate(snap, net, grid, users, qos, scen.scaling(), tau)
+        made = (
+            orthogonal_allocate(snap, OrthogonalConfig(), grid, users, tau),
+            oracle_allocate(snap, grid, users, qos, tau),
+            dnn,
+            priority_repair(dnn, snap, qos, grid, users, tau),
+        )
+        return [
+            (d.allocation.assignment, d.constraint_unmet, d.objective_estimate.hex())
+            for d in made
+        ]
+
     recorded = []
     for t in range(depth + 3 * cadence + 4):
         state = env.state
@@ -217,8 +242,9 @@ def test_snapshot_is_the_state_recorded_at_its_capture_slot(delay, cadence, seed
         twin.record(state)
         snap = twin.snapshot(now=t)
         snr, queue, lam = recorded[snap.captured_at]
-        held = make_snapshot(snr, users, lam=lam, queue=queue)
+        held = make_snapshot(snr, users, lam=lam, queue=queue, qos=qos)
         assert features(snap).tobytes() == features(held).tobytes()
+        assert decisions(snap) == decisions(held)
         assert snap.channel.snr.tobytes() == snr.tobytes()
         assert snap.traffic.urllc_queue.tobytes() == queue.tobytes()
         assert snap.traffic.urllc_rate == lam

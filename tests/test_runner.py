@@ -96,10 +96,39 @@ def test_loop_order_decision_uses_past_twin_state_only():
 
     delayed = replace(scen, twin_delay=DelayClass.MODERATE, moderate_slots=2)
     run = runner.simulate(delayed, "orthogonal")
-    assert len(run.staleness_log) == 80
-    assert all(s >= 0 for s in run.staleness_log)
+    staleness = run.records.t - run.twin_log[:, 0]
+    assert len(staleness) == 80
+    assert all(s >= 0 for s in staleness)
     # steady state: the applied snapshot is exactly the configured delay old
-    assert all(s == 2 for s in run.staleness_log[2:])
+    assert all(s == 2 for s in staleness[2:])
+
+
+@pytest.mark.parametrize("lam", [0.0, 40.0])
+def test_repair_exhausted_slots_counts_the_slots_whose_repair_ran_out(lam, repo_root_scenarios):
+    """Behind a moderate twin: none at zero load; at lambda 40 some slots but
+    not all, and exactly the per-call repair's flags on the twin's snapshots."""
+    scen = replace(
+        load_scenario(repo_root_scenarios / "tiny.cfg"), horizon_slots=200,
+        twin_delay=DelayClass.MODERATE,
+    )
+    net = nn.MLP.glorot([nn.feature_dim(3, 4), 8, 12], (4, 3), seed=0).astype(np.float32)
+    run = runner.simulate(scen, "dnn+repair", lam=lam, net=net)
+    scen = scen.with_lambda(lam)
+    env, digital, users = scen.environment(), scen.make_twin(), scen.users()
+    grid, qos, tau = scen.grid, scen.qos, scen.slot_duration
+    unmet = 0
+    for t in range(scen.horizon_slots):
+        digital.record(env.state)
+        snap = digital.snapshot(now=t)
+        dnn = policy.dynamic_allocate(snap, net, grid, users, qos, scen.scaling(), tau)
+        repaired = policy.priority_repair(dnn, snap, qos, grid, users, tau)
+        unmet += repaired.constraint_unmet
+        env.step(repaired.allocation)
+    assert run.repair_exhausted_slots == unmet
+    if lam:
+        assert 0 < unmet < scen.horizon_slots
+    else:
+        assert unmet == 0
 
 
 def test_train_command_artifacts(tiny_weights):
@@ -452,6 +481,8 @@ def test_the_slot_loop_builds_no_matrix_decision_or_objective(
     weights = str(tmp_path / "weights.bin")
     nn.save_weights(net, weights, seed=0)
 
+    snap = make_snapshot(np.ones((3, 4)), scen.users(), lam=2.0)  # before the patches
+
     def built(*args, **kwargs):
         raise AssertionError("the slot loop built a per-call object")
 
@@ -466,7 +497,6 @@ def test_the_slot_loop_builds_no_matrix_decision_or_objective(
     assert len(runner.run_experiment(spec)) == 8
     X, labels = runner.collect_training_data(scen)
     assert X.shape[0] == labels.shape[0] == 100
-    snap = make_snapshot(np.ones((3, 4)), scen.users(), lam=2.0)
     args = (snap, scen.grid, scen.users(), scen.qos, scen.slot_duration)
     with pytest.raises(AssertionError, match="per-call object"):  # the patches bite
         policy.oracle_allocate(*args)

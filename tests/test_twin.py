@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from twinslice import runner
-from twinslice.domain import (
-    UNASSIGNED,
-    AllocationMatrix,
-    ChannelState,
-    QoSRequirement,
-    ResourceGrid,
-    TrafficState,
-)
+from twinslice.domain import UNASSIGNED, AllocationMatrix, QoSRequirement, ResourceGrid
 from twinslice.nn import FeatureScaling, encode_features
 from twinslice.policy import (
     OrthogonalConfig,
@@ -24,12 +17,11 @@ from twinslice.twin import (
     CalibrationTolerances,
     DelayClass,
     DigitalTwin,
-    TwinSnapshot,
     calibrate,
     delay_to_slots,
 )
 
-from conftest import make_env, make_users
+from conftest import make_env, make_snapshot, make_users
 
 
 def _env(seed=0, lam=20.0):
@@ -208,15 +200,6 @@ def test_record_takes_every_slot_in_order():
         twin.record(env.state)
 
 
-def test_hand_built_snapshot_traffic_ids_must_be_the_channel_urllc_users():
-    channel = ChannelState(snr=np.ones((3, 2)), user_ids=(0, 1, 2))
-    TwinSnapshot(0, 0, channel, TrafficState(0.0, np.zeros(2), (1, 2)), QoSRequirement())
-    for ids in ((2, 1), (1, 5), (5,)):
-        traffic = TrafficState(0.0, np.zeros(len(ids)), ids)
-        with pytest.raises(ValueError, match="are not the channel's URLLC users"):
-            TwinSnapshot(0, 0, channel, traffic, QoSRequirement())
-
-
 def test_calibrate_identity_is_exactly_zero():
     env = _env()
     twin = DigitalTwin()
@@ -232,14 +215,8 @@ def test_calibrate_constant_offset_is_measured_exactly():
     twin = DigitalTwin()
     twin.record(env.state)
     snap = twin.snapshot(now=0)
-    shifted = TwinSnapshot(
-        captured_at=0,
-        delivered_at=0,
-        channel=ChannelState(
-            snr=np.array(snap.channel.snr) + 0.5, user_ids=snap.channel.user_ids
-        ),
-        traffic=snap.traffic,
-        qos=snap.qos,
+    shifted = make_snapshot(
+        snap.snr + 0.5, make_users(2, 1), lam=snap.lam, queue=snap.queue, qos=snap.qos
     )
     report = calibrate(shifted, env.state)
     assert report.mean_abs_snr_error == pytest.approx(0.5)
