@@ -7,12 +7,7 @@ import numpy as np
 
 from twinslice.domain import AllocationMatrix
 from twinslice.scenario import Scenario
-from twinslice.twin import (
-    CalibrationTolerances,
-    DelayClass,
-    DigitalTwin,
-    calibrate,
-)
+from twinslice.twin import DelayClass, DigitalTwin, calibrate
 
 scen = Scenario(n_embb=2, n_urllc=1, num_rbs=4, horizon_slots=40)
 decision = AllocationMatrix((0, 1, 2, 2))
@@ -32,7 +27,7 @@ for delay, slots in (
         twin.record(env.state)
         snap = twin.snapshot(now=t)
         ages.append(t - snap.captured_at)  # the snapshot's staleness
-        report = calibrate(snap, env.state, CalibrationTolerances())
+        report = calibrate(snap, env.state)
         errors.append(report.mean_abs_snr_error)
         env.step(decision)
     print(

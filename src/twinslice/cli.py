@@ -17,8 +17,9 @@ Exit codes:
   or an output directory that is empty or is, or lies under, a file.
 * 3: a runtime failure while simulating, training or writing outputs,
   such as a non-finite training loss, a run whose mean rates or spectral
-  efficiency are not finite (it writes no files), or an output directory
-  that cannot be written, for example for lack of permission.
+  efficiency are not finite (it writes no files), an output directory
+  that cannot be written, for example for lack of permission, or a run too
+  large for the memory (``runtime error: out of memory: ...``).
 """
 from __future__ import annotations
 
@@ -220,6 +221,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"runtime error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

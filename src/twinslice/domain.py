@@ -4,9 +4,9 @@ The value objects here are immutable and validated when built: they are
 what a caller hands in (scenario pieces) and what a state is read as. A run
 keeps its slot state in arrays (``envsim.StateRing``); physical states and
 twin snapshots are views of them, never built from these values, and build
-``ChannelState`` and ``TrafficState`` only when someone reads their
-``channel`` or ``traffic``. Those two copy their arrays and mark them
-read-only. ``UserLayout`` holds a user set's per-run constants. A slot
+a ``ChannelState`` or ``TrafficState`` on each read of their ``channel`` or
+``traffic``, which copies the ring's arrays and marks them read-only.
+``UserLayout`` holds a user set's per-run constants. A slot
 policy decides user rows in an array (``policy``); ``AllocationMatrix``
 holds one allocation's user ids, for the calls that take or return a
 single allocation.
@@ -108,23 +108,10 @@ class UserLayout:
     order (a user's row), their ids, and the rows of each service class.
     Functions that take users also take a layout (``UserLayout.of``)."""
 
-    #: The last users tuple ``of`` built a layout from, and that layout.
-    _last: tuple[object, Optional["UserLayout"]] = (object(), None)
-
     @classmethod
     def of(cls, users: Iterable[UserTerminal]) -> "UserLayout":
-        """``users`` if it is a layout, else its layout. The layout of the
-        last tuple given is kept, with the tuple, and returned when the same
-        tuple object comes again: a tuple of frozen users cannot change."""
-        if isinstance(users, UserLayout):
-            return users
-        last, layout = UserLayout._last
-        if users is last:
-            return layout
-        layout = cls(users)
-        if type(users) is tuple:
-            UserLayout._last = (users, layout)
-        return layout
+        """``users`` if it is a layout, else a layout built from them."""
+        return users if isinstance(users, UserLayout) else cls(users)
 
     def __init__(self, users: Iterable[UserTerminal]):
         self.users = canonical_users(users)

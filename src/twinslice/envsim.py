@@ -270,16 +270,15 @@ class PhysicalState:
     one run: a view of that slot's entry in a ``StateRing`` and of the run's
     place on its run axis. Every read checks that the ring still holds the
     slot, and raises LookupError once the ring has reused the entry;
-    ``channel`` and ``traffic`` copy the run's values on their first read
-    and keep them."""
+    ``channel`` and ``traffic`` build a read-only copy of the run's values
+    on each read."""
 
-    __slots__ = ("ring", "t", "run", "_channel", "_traffic")
+    __slots__ = ("ring", "t", "run")
 
     @classmethod
     def view(cls, ring: StateRing, t: int, run: int = 0) -> "PhysicalState":
         state = cls.__new__(cls)
         state.ring, state.t, state.run = ring, t, run
-        state._channel = state._traffic = None
         return state
 
     def held(self) -> int:
@@ -310,19 +309,11 @@ class PhysicalState:
 
     @property
     def channel(self) -> ChannelState:
-        if self._channel is None:
-            self._channel = ChannelState(snr=self.snr, user_ids=self.ring.layout.ids)
-        return self._channel
+        return ChannelState(snr=self.snr, user_ids=self.ring.layout.ids)
 
     @property
     def traffic(self) -> TrafficState:
-        if self._traffic is None:
-            self._traffic = TrafficState(
-                urllc_rate=self.lam,
-                urllc_queue=self.queue,
-                urllc_user_ids=self.ring.layout.urllc_ids,
-            )
-        return self._traffic
+        return TrafficState(self.lam, self.queue, self.ring.layout.urllc_ids)
 
     @property
     def qos(self) -> QoSRequirement:

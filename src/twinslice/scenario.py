@@ -28,9 +28,8 @@ from .nn import FeatureScaling, TrainConfig
 from .twin import DelayClass, DigitalTwin
 
 
-#: The largest feature scale max(1, mean SNR) / reference: the float32 maximum
-#: over 1e9, 1e3 for fading gains above the mean times 1e6 for the first layer.
-FEATURE_SCALE_MAX = 3.4028234663852886e38 / 1e9
+#: The largest feature entry: the float32 maximum over 1e6 for the first layer.
+FEATURE_ENTRY_MAX = 3.4028234663852886e38 / 1e6
 #: The largest Poisson rate numpy's ``Generator.poisson`` draws at.
 POISSON_LAM_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
@@ -201,15 +200,24 @@ class Scenario:
 
     def scaling(self) -> FeatureScaling:
         """The feature encoder's references, checked before any labelling or
-        simulation: the float32 net reads SNRs / reference (FEATURE_SCALE_MAX)."""
+        simulation: the float32 net reads each entry below as
+        ``nn.feature_encoder`` computes it, SNRs at 1e3 times the largest mean
+        for fading and λ at its largest scheduled value (FEATURE_ENTRY_MAX)."""
         ref = db_to_linear(self.reference_snr_db)
         peak = max(1.0, *map(db_to_linear, self.embb_snrs() + self.urllc_snrs()))
-        if ref == 0.0 or not peak / ref <= FEATURE_SCALE_MAX:
-            raise ConfigError(
-                f"reference_snr_db = {self.reference_snr_db:g} dB is too small: the "
-                f"float32 net reads SNRs up to {peak:g} divided by it, over "
-                f"{FEATURE_SCALE_MAX:g}"
-            )
+        lam, bits = max(self.lambda_schedule.values), self.qos.urllc_packet_bits
+        ref_bits = bits * self.reference_lambda
+        for name, keys, entry in (
+            ("SNR", "reference_snr_db", peak / ref * 1e3 if ref else math.inf),
+            ("λ-share", "urllc_lambda, reference_lambda",
+             lam / max(1, self.n_urllc) / self.reference_lambda),
+            ("load", "urllc_lambda, reference_lambda", bits * lam / ref_bits),
+            ("eMBB", "embb_min_rate_bps, slot_duration_s, urllc_packet_bits, reference_lambda",
+             self.qos.embb_min_rate * self.slot_duration / ref_bits),
+        ):
+            if not entry <= FEATURE_ENTRY_MAX:
+                raise ConfigError(f"{keys}: the feature encoder's {name} entry is {entry:g}, "
+                                  f"over the {FEATURE_ENTRY_MAX:g} the float32 net reads")
         return FeatureScaling(
             reference_snr_db=self.reference_snr_db,
             reference_lambda=self.reference_lambda,

@@ -18,6 +18,10 @@ import numpy as np
 from .envsim import PhysicalState, StateRing
 
 
+#: The largest mean absolute SNR or queue error at which ``calibrate`` passes.
+CALIBRATION_TOLERANCE = 1e-9
+
+
 class DelayClass(enum.Enum):
     """Data-freshness regimes, from near-real-time to minutes-scale lag."""
 
@@ -42,20 +46,15 @@ def delay_to_slots(
 class TwinSnapshot(PhysicalState):
     """One run's (channel, traffic, QoS) as of ``captured_at``, delivered at
     ``delivered_at``: a view of the run in the captured slot of the twin's
-    ``StateRing``, read in place, with ``channel`` and ``traffic`` built on
-    their first read. Only ``DigitalTwin.snapshot`` makes one."""
+    ``StateRing``, read in place: every field, ``channel`` and ``traffic``
+    included, raises LookupError once that slot has left the ring. Only
+    ``DigitalTwin.snapshot`` makes one."""
 
     __slots__ = ("delivered_at", "stale_underflow")
 
     @property
     def captured_at(self) -> int:
         return self.t
-
-
-@dataclass(frozen=True)
-class CalibrationTolerances:
-    mean_abs_snr_error: float = 1e-9
-    mean_abs_queue_error: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,9 @@ class CalibrationReport:
             raise ValueError("divergence scores must be >= 0")
 
 
-def calibrate(
-    twin: TwinSnapshot,
-    physical: PhysicalState,
-    tolerances: CalibrationTolerances = CalibrationTolerances(),
-) -> CalibrationReport:
-    """Score twin-vs-physical divergence field by field, on the arrays."""
+def calibrate(twin: TwinSnapshot, physical: PhysicalState) -> CalibrationReport:
+    """Score twin-vs-physical divergence field by field, on the arrays; the
+    twin passes when both mean errors are at most ``CALIBRATION_TOLERANCE``."""
     snr_t, snr_p = twin.snr, physical.snr
     if snr_t.shape != snr_p.shape:
         raise ValueError(
@@ -85,10 +81,7 @@ def calibrate(
     snr_err = float(np.mean(np.abs(snr_t - snr_p)))
     queues_t, queues_p = twin.queue, physical.queue
     queue_err = float(np.mean(np.abs(queues_t - queues_p))) if queues_t.size else 0.0
-    passed = (
-        snr_err <= tolerances.mean_abs_snr_error
-        and queue_err <= tolerances.mean_abs_queue_error
-    )
+    passed = snr_err <= CALIBRATION_TOLERANCE and queue_err <= CALIBRATION_TOLERANCE
     return CalibrationReport(snr_err, queue_err, passed)
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twinslice import runner
@@ -501,6 +502,56 @@ def test_the_largest_drawable_lambda_runs(tiny_cfg, tmp_path):
     )
     assert main(["run", "--scenario", str(cfg), "--policy", "oracle",
                  "--out", str(tmp_path / "none")]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [("features", "reference_lambda", "1e-300"), ("qos", "embb_min_rate_bps", "1e308")],
+)
+def test_a_feature_entry_over_the_float32_headroom_is_a_config_error(
+    tmp_path, monkeypatch, capsys, section, key, value
+):
+    """The encoder's constant entries are finite in float64 but overflow the
+    float32 net's first layer: ``train`` exits 2 naming the key before the
+    slot loop starts, and an orthogonal run, which reads no features, runs."""
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(_with_key(section, key, value))
+    assert main(["run", "--scenario", str(cfg), "--policy", "orthogonal",
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("labelling started before the feature entries were checked")
+
+    monkeypatch.setattr(runner, "_simulate", no_work)
+    monkeypatch.setattr(runner, "_slots", no_work)
+    out = tmp_path / "o"
+    assert main(["train", "--scenario", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "float32" in err
+    assert not out.exists()
+
+
+def test_a_run_too_large_for_the_memory_exits_3_in_one_line(
+    tiny_cfg, tmp_path, monkeypatch, capsys
+):
+    """An allocation that numpy refuses is a runtime error, reported in one
+    line. The refusal is simulated: nothing of that size is allocated."""
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(_with_key("run", "horizon_slots", str(10**12)))
+    empty = np.empty
+
+    def refused(shape, *args, **kwargs):
+        if 10**12 in np.atleast_1d(shape):
+            raise MemoryError(f"Unable to allocate 29.1 TiB for an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refused)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: out of memory: Unable to allocate 29.1 TiB")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def _cpus() -> int:

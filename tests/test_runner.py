@@ -385,29 +385,6 @@ def test_mixed_experiment_runs_are_each_run_alone(policies, repo_root_scenarios,
             assert _read(alone + suffix) == _read(tmp_path / "sweep" / f"{stem}.csv{suffix}")
 
 
-def test_per_call_forms_sort_one_users_tuple_once(monkeypatch):
-    """``oracle_allocate`` and ``encode_features`` called slot after slot with
-    one users tuple derive its layout once; a list is sorted on every call."""
-    scen = tiny_scenario()
-    users, grid, qos, tau = scen.users(), scen.grid, scen.qos, scen.slot_duration
-    snap = make_snapshot(np.full((3, 4), 5.0), users, lam=2.0)
-    calls = []
-    sort = domain.canonical_users
-
-    def counted_sort(given):
-        calls.append(given)
-        return sort(given)
-
-    monkeypatch.setattr(domain, "canonical_users", counted_sort)
-    for _ in range(50):
-        policy.oracle_allocate(snap, grid, users, qos, tau)
-        nn.encode_features(snap, grid, users, qos, scen.scaling())
-    assert len(calls) == 1
-    for _ in range(2):
-        policy.oracle_allocate(snap, grid, list(users), qos, tau)
-    assert len(calls) == 3
-
-
 @pytest.mark.parametrize("policy_id", runner.POLICY_IDS + ("labels",))
 def test_no_per_slot_user_sorting_or_state_objects(policy_id, monkeypatch):
     """A run derives its user order once (``canonical_users`` runs a fixed
