@@ -10,16 +10,17 @@ Exit codes:
 * 2: a configuration fault, found before any simulation or training work:
   bad flags or flag values, an unknown policy, a missing or invalid
   scenario file (parse error, unknown key, value out of range or not
-  finite), a dnn policy without --weights, a weights file that is
+  finite, or over a row of the derived bounds, ``Scenario._derived_bounds``,
+  for every policy), a dnn policy without --weights, a weights file that is
   missing, malformed, truncated, of another format version or dtype, or
-  shaped for another scenario, an
-  orthogonal run whose urllc_fraction gives blocks to a class without users,
-  or an output directory that is empty or is, or lies under, a file.
-* 3: a runtime failure while simulating, training or writing outputs,
-  such as a non-finite training loss, a run whose mean rates or spectral
-  efficiency are not finite (it writes no files), an output directory
-  that cannot be written, for example for lack of permission, or a run too
-  large for the memory (``runtime error: out of memory: ...``).
+  shaped for another scenario, an orthogonal run whose urllc_fraction gives
+  blocks to a class without users, or an output directory that is empty or
+  is, or lies under, a file.
+* 3: a runtime failure while simulating, training or writing outputs: a
+  diverging training (no load bound derives for the learning rate), a run
+  whose mean rates or spectral efficiency are not finite (it writes no
+  files), an unwritable output directory, or a run too large for the
+  memory (``runtime error: out of memory: ...``; size keys are not bounded).
 """
 from __future__ import annotations
 

@@ -80,7 +80,7 @@ class QoSRequirement:
         if not 0.0 < self.urllc_outage_threshold < 1.0:
             raise ValueError("urllc_outage_threshold out of range (0, 1)")
         if self.embb_min_rate < 0:
-            raise ValueError("embb_min_rate must be >= 0")
+            raise ValueError("embb_min_rate (embb_min_rate_bps) must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class ResourceGrid:
             raise ValueError(f"num_rbs must be >= 1, got {self.num_rbs}")
         if not 0 < self.rb_bandwidth < math.inf:
             raise ValueError(
-                f"rb_bandwidth must be finite and > 0, got {self.rb_bandwidth}"
+                f"rb_bandwidth (rb_bandwidth_hz) must be finite and > 0, got {self.rb_bandwidth}"
             )
 
     @property

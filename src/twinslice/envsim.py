@@ -54,7 +54,7 @@ class FadingParams:
 
     def __post_init__(self):
         if self.model is FadingModel.RICIAN and self.k_factor < 0:
-            raise ValueError("Rician k_factor must be >= 0")
+            raise ValueError("Rician k_factor (rician_k) must be >= 0")
 
 
 @dataclass(frozen=True)

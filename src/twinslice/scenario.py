@@ -22,16 +22,27 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable, Optional, Sequence
 
+import numpy as np
+
 from .domain import ConfigError, QoSRequirement, ResourceGrid, ServiceClass, UserTerminal
-from .envsim import Environment, FadingModel, FadingParams, LinkBudget, db_to_linear
+from .envsim import Environment, FadingModel, FadingParams, LinkBudget, block_rates, db_to_linear
 from .nn import FeatureScaling, TrainConfig
+from .policy import default_penalty_weight
 from .twin import DelayClass, DigitalTwin
 
 
+#: The largest float32, the dtype the net trains and serves in.
+FLOAT32_MAX = 3.4028234663852886e38
 #: The largest feature entry: the float32 maximum over 1e6 for the first layer.
-FEATURE_ENTRY_MAX = 3.4028234663852886e38 / 1e6
+FEATURE_ENTRY_MAX = FLOAT32_MAX / 1e6
 #: The largest Poisson rate numpy's ``Generator.poisson`` draws at.
 POISSON_LAM_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+#: The largest float: a value past it is not finite.
+FLOAT_MAX = 1.7976931348623157e308
+#: Each bound of the derived-bounds table, as a load error names it.
+_BOUNDS = {FLOAT_MAX: "the largest float", FLOAT32_MAX: "the largest float32",
+           POISSON_LAM_MAX: "numpy's Poisson limit",
+           FEATURE_ENTRY_MAX: "the float32 net's headroom"}
 
 
 class ScenarioError(ConfigError):
@@ -41,8 +52,7 @@ class ScenarioError(ConfigError):
 class ScenarioParseError(ScenarioError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")
-        self.line = line
-        self.col = col
+        self.line, self.col = line, col
 
 
 class ScenarioSemanticError(ScenarioError):
@@ -60,9 +70,9 @@ class LambdaSchedule:
         if not self.values:
             raise ValueError("schedule needs at least one value")
         if any(v < 0 for v in self.values):
-            raise ValueError("lambda values must be >= 0")
+            raise ValueError("urllc_lambda and urllc_lambda_values must be >= 0")
         if self.dwell < 1:
-            raise ValueError("dwell must be >= 1")
+            raise ValueError("urllc_lambda_dwell must be >= 1")
 
     @classmethod
     def constant(cls, value: float) -> "LambdaSchedule":
@@ -126,16 +136,12 @@ class Scenario:
 
     def __post_init__(self):
         if self.n_embb < 0 or self.n_urllc < 0 or self.n_embb + self.n_urllc < 1:
-            raise ValueError("need at least one user")
-        for name, count, snrs in (
-            ("embb_mean_snr_db", self.n_embb, self.embb_mean_snr_db),
-            ("urllc_mean_snr_db", self.n_urllc, self.urllc_mean_snr_db),
-        ):
+            raise ValueError("[users] embb and urllc must be >= 0, with at least one user")
+        for name, count, snrs in (("embb_mean_snr_db", self.n_embb, self.embb_mean_snr_db),
+                                  ("urllc_mean_snr_db", self.n_urllc, self.urllc_mean_snr_db)):
             if len(snrs) not in (0, 1, count):
-                raise ValueError(
-                    f"{name} must be a scalar or one value per user "
-                    f"({count}), got {len(snrs)}"
-                )
+                raise ValueError(f"{name} must be a scalar or one value per user "
+                                 f"({count}), got {len(snrs)}")
         if self.seed < 0:
             raise ValueError(f"[run] seed must be >= 0, got {self.seed}")
         if self.horizon_slots < 1:
@@ -147,35 +153,61 @@ class Scenario:
         self.make_twin()  # checks the [twin] keys
         if not self.reference_lambda > 0:
             raise ValueError("reference_lambda must be > 0")
-        n, lam = self.n_urllc, max(self.lambda_schedule.values)
-        if n and not lam / n <= POISSON_LAM_MAX:  # each URLLC user's rate; none if n = 0
-            raise ConfigError(f"urllc_lambda {lam:g} over {n} URLLC users gives each a "
-                              f"Poisson rate over numpy's limit {POISSON_LAM_MAX:g}")
         if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden sizes must be >= 1")
-        # Exercise the constituent type invariants now, not at first use.
+            raise ValueError("hidden_sizes must be >= 1")
         ResourceGrid(self.num_rbs, self.rb_bandwidth)
-        if not math.isfinite(self.num_rbs * self.rb_bandwidth):
-            raise ValueError(
-                f"rb_bandwidth_hz = {self.rb_bandwidth:g} gives a system "
-                f"bandwidth over {self.num_rbs} blocks that is not finite"
-            )
-        for name, snrs in (
-            ("embb_mean_snr_db", self.embb_snrs()),
-            ("urllc_mean_snr_db", self.urllc_snrs()),
-            ("reference_snr_db", (self.reference_snr_db,)),
-        ):
-            for snr_db in snrs:
-                try:
-                    db_to_linear(snr_db)
-                except OverflowError:
-                    raise ValueError(
-                        f"{name} = {snr_db:g} dB has no finite linear value"
-                    ) from None
         if not (math.isfinite(self.slot_duration) and self.slot_duration > 0):
-            raise ValueError(
-                f"slot_duration_s must be finite and > 0, got {self.slot_duration}"
-            )
+            raise ValueError(f"slot_duration_s must be finite and > 0, got {self.slot_duration}")
+        for keys, what, value, bound in self._derived_bounds():
+            if not value <= bound:  # inf and NaN fail too
+                raise ConfigError(f"{keys}: {what} is {value:g}, over {_BOUNDS[bound]} {bound:g}")
+
+    def _derived_bounds(self) -> list[tuple[str, str, float, float]]:
+        """Rows (keys, what, value, bound): a value a run reaches from the keys and
+        the bound it must fit in (README lists them). Blocks peak at 1e3 times the
+        largest mean SNR, a fading margin; λ at its largest. A queue entry is a
+        horizon's backlog with nothing served: near 1e32 packets the sd is 1e16,
+        so the Poisson tail cannot matter. A run's mean sums a horizon of slots."""
+        ints = {"embb": self.n_embb, "urllc": self.n_urllc, "horizon_slots": self.horizon_slots,
+                "num_rbs": self.num_rbs, "urllc_packet_bits": self.qos.urllc_packet_bits}
+        n_embb, n_urllc, horizon, rbs, bits = floats = [  # an int past the largest float is inf
+            float(n) if n <= FLOAT_MAX else math.inf for n in ints.values()]
+        bw, tau, lam = self.rb_bandwidth, self.slot_duration, max(self.lambda_schedule.values)
+        ref_bits, embb_bits = bits * self.reference_lambda, self.qos.embb_min_rate * tau
+        dbs = {key: max(_class_snrs(given, span, min(n, 2)), default=0) for key, given, span, n in (
+            ("embb_mean_snr_db", self.embb_mean_snr_db, EMBB_SNR_SPAN_DB, self.n_embb),
+            ("urllc_mean_snr_db", self.urllc_mean_snr_db, URLLC_SNR_SPAN_DB, self.n_urllc),
+            ("reference_snr_db", (self.reference_snr_db,), (), 1))}  # 2 users reach n's top
+        with np.errstate(over="ignore"):  # an overflow is the inf its row rejects
+            embb, urllc, ref = linear = db_to_linear(np.array(list(dbs.values()))).tolist()
+            peak = 1e3 * max(1.0, embb, urllc)
+            block = float(block_rates(np.array([peak]), bw, tau)[0])
+            penalty = default_penalty_weight(np.full((1, 1), peak), self.grid, tau)
+        snrs, constant = "embb_mean_snr_db, urllc_mean_snr_db", LambdaSchedule.constant(lam)
+        lams = f"urllc_lambda{'' if self.lambda_schedule == constant else '_values'} {lam:g}"
+        rows = [(key, "the value", x, FLOAT_MAX) for key, x in zip(ints, floats)]
+        rows += [(key, f"{db:g} dB in linear units", x, FLOAT_MAX)
+                 for (key, db), x in zip(dbs.items(), linear)]
+        rows += [("num_rbs, rb_bandwidth_hz", "the system bandwidth", rbs * bw, FLOAT_MAX),
+                 ("learning_rate", "the float32 net's step", self.train.learning_rate, FLOAT32_MAX)]
+        entries = [(f"{snrs}, reference_snr_db", "SNR", peak / ref if ref else math.inf),
+                   (f"{lams}, reference_lambda", "load", bits * lam / ref_bits),
+                   ("embb_min_rate_bps, slot_duration_s, urllc_packet_bits, reference_lambda",
+                    "eMBB", embb_bits / ref_bits)]
+        if n_urllc:  # only then does the encoder write a λ-share and a queue entry
+            rows.append((f"{lams} over {self.n_urllc} URLLC users", "each one's Poisson rate",
+                         lam / n_urllc, POISSON_LAM_MAX))
+            share, keys = lam / n_urllc / self.reference_lambda, f"{lams}, urllc, reference_lambda"
+            entries += [(keys, "λ-share", share),
+                        (f"{keys}, horizon_slots", "queue", horizon * share)]
+        rows += [(keys, f"the feature encoder's {name} entry", x, FEATURE_ENTRY_MAX)
+                 for keys, name, x in entries]
+        return rows + [
+            (f"horizon_slots, num_rbs, rb_bandwidth_hz, slot_duration_s, {snrs}",
+             "the bits of a horizon at the peak SNR", horizon * rbs * block, FLOAT_MAX),
+            (f"rb_bandwidth_hz, slot_duration_s, {snrs}, urllc_packet_bits, {lams}, embb, "
+             "embb_min_rate_bps", "the penalty on the largest deficit",
+             penalty * (bits * lam + n_embb * embb_bits), FLOAT_MAX)]
 
     # -- derived objects ---------------------------------------------------
 
@@ -199,42 +231,17 @@ class Scenario:
         )
 
     def scaling(self) -> FeatureScaling:
-        """The feature encoder's references, checked before any labelling or
-        simulation: the float32 net reads each entry below as
-        ``nn.feature_encoder`` computes it, SNRs at 1e3 times the largest mean
-        for fading and λ at its largest scheduled value (FEATURE_ENTRY_MAX)."""
-        ref = db_to_linear(self.reference_snr_db)
-        peak = max(1.0, *map(db_to_linear, self.embb_snrs() + self.urllc_snrs()))
-        lam, bits = max(self.lambda_schedule.values), self.qos.urllc_packet_bits
-        ref_bits = bits * self.reference_lambda
-        for name, keys, entry in (
-            ("SNR", "reference_snr_db", peak / ref * 1e3 if ref else math.inf),
-            ("λ-share", "urllc_lambda, reference_lambda",
-             lam / max(1, self.n_urllc) / self.reference_lambda),
-            ("load", "urllc_lambda, reference_lambda", bits * lam / ref_bits),
-            ("eMBB", "embb_min_rate_bps, slot_duration_s, urllc_packet_bits, reference_lambda",
-             self.qos.embb_min_rate * self.slot_duration / ref_bits),
-        ):
-            if not entry <= FEATURE_ENTRY_MAX:
-                raise ConfigError(f"{keys}: the feature encoder's {name} entry is {entry:g}, "
-                                  f"over the {FEATURE_ENTRY_MAX:g} the float32 net reads")
-        return FeatureScaling(
-            reference_snr_db=self.reference_snr_db,
-            reference_lambda=self.reference_lambda,
-            slot_duration=self.slot_duration,
-        )
+        """The feature encoder's references. Nothing is checked here: load
+        bounds every entry the encoder writes (``_derived_bounds``)."""
+        return FeatureScaling(self.reference_snr_db, self.reference_lambda, self.slot_duration)
 
     def environment(
-        self,
-        seed: Optional[int] = None,
-        lam_override: Optional[float] = None,
+        self, seed: Optional[int] = None, lam_override: Optional[float] = None
     ) -> Environment:
         return self.environments([seed], [lam_override])
 
     def environments(
-        self,
-        seeds: Sequence[Optional[int]],
-        lam_overrides: Sequence[Optional[float]],
+        self, seeds: Sequence[Optional[int]], lam_overrides: Sequence[Optional[float]]
     ) -> Environment:
         """Runs in lockstep, one per (seed, lambda override); None is the
         scenario's seed or schedule, and an override passes ``with_lambda``."""
@@ -254,10 +261,7 @@ class Scenario:
 
     def make_twin(self) -> DigitalTwin:
         return DigitalTwin(
-            delay=self.twin_delay,
-            moderate_slots=self.moderate_slots,
-            significant_slots=self.significant_slots,
-            cadence=self.twin_cadence,
+            self.twin_delay, self.moderate_slots, self.significant_slots, self.twin_cadence
         )
 
     def with_lambda(self, lam: float) -> "Scenario":
@@ -301,10 +305,8 @@ class ExperimentSpec:
         if not self.policies:
             raise ConfigError("need at least one policy")
         if self.lambdas is not None and not self.lambdas:
-            raise ConfigError(
-                "lambdas is empty: give at least one sweep value, or None for "
-                "the scenario schedule"
-            )
+            raise ConfigError("lambdas is empty: give at least one sweep value, or None for "
+                              "the scenario schedule")
         lambdas = self.lambdas or ()
         if not all(0 <= v < math.inf for v in lambdas):
             raise ConfigError(f"sweep values must be finite and >= 0, got {lambdas}")
@@ -457,14 +459,11 @@ def parse_scenario_text(text: str) -> Scenario:
         key, _, raw = stripped.partition("=")
         key = key.strip().lower()
         if (section, key) not in _KEYS:
-            raise ScenarioParseError(
-                f"unknown key {key!r} in section [{section}]", lineno, col
-            )
+            raise ScenarioParseError(f"unknown key {key!r} in section [{section}]", lineno, col)
         if (section, key) in values:
             raise ScenarioParseError(f"duplicate key {key!r}", lineno, col)
-        values[(section, key)] = _parse_value(
-            key, _KEYS[(section, key)][0], raw.strip(), lineno, col
-        )
+        values[(section, key)] = _parse_value(key, _KEYS[(section, key)][0], raw.strip(),
+                                              lineno, col)
 
     return _build_scenario(values)
 

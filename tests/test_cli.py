@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinslice import runner
+from twinslice import envsim, metrics, runner
 from twinslice.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from twinslice.nn import MLP, save_weights
-from twinslice.scenario import POISSON_LAM_MAX
+from twinslice.scenario import FEATURE_ENTRY_MAX, POISSON_LAM_MAX
 
 from conftest import write_v1_weights
 
@@ -332,7 +332,42 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, key, argv, named):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+#: Files whose runs would overflow a float: a mean SNR whose fading peak is
+#: not finite, and slots so long that a horizon's bits, or the objective's
+#: penalty on the largest deficit, are not.
+OVERFLOWING = [
+    ("users", "embb_mean_snr_db", "3080"),
+    ("users", "urllc_mean_snr_db", "3080"),
+    ("grid", "slot_duration_s", "1e300"),
+    ("grid", "slot_duration_s", "1e298"),
+]
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "train"])
+@pytest.mark.parametrize(
+    "section,key,value", OVERFLOWING, ids=[f"{k}-{v}" for _, k, v in OVERFLOWING]
+)
+def test_a_run_that_would_overflow_is_a_load_error(
+    tmp_path, monkeypatch, capsys, verb, section, key, value
+):
+    """Load rejects the file, naming the key, before any work starts."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the derived bounds were checked")
+
+    monkeypatch.setattr(runner, "_simulate", no_work)
+    monkeypatch.setattr(runner, "collect_training_data", no_work)
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(_with_key(section, key, value))
+    out = tmp_path / "o"
+    argv = [verb, "--scenario", str(cfg), "--out", str(out)]
+    if verb == "compare":
+        argv += ["--policy", "oracle,orthogonal"]
+    assert main(argv) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key,column",
     [
@@ -342,11 +377,14 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, key, argv, named):
     ],
 )
 def test_run_with_non_finite_rates_fails_and_writes_no_csv(
-    tmp_path, capsys, key, column
+    tmp_path, monkeypatch, capsys, key, column
 ):
-    # 3080 dB is a finite linear SNR, but fading pushes it to inf.
+    """The runtime guard. No file that loads gives a run non-finite rates, so
+    the channel draw is patched to give the key's users an infinite mean SNR."""
     cfg = tmp_path / "hot.cfg"
-    cfg.write_text(_with_key("users", key, "3080"))
+    cfg.write_text(_with_key("users", key, "9.5"))
+    linear = envsim.db_to_linear
+    monkeypatch.setattr(envsim, "db_to_linear", lambda x: math.inf if x == 9.5 else linear(x))
     out = tmp_path / "o"
     code = main(["run", "--scenario", str(cfg), "--out", str(out)])
     assert code == EXIT_RUNTIME
@@ -354,19 +392,25 @@ def test_run_with_non_finite_rates_fails_and_writes_no_csv(
     assert not list(out.glob("*.csv"))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_failing_experiment_writes_nothing(tmp_path, capsys):
+def test_failing_experiment_writes_nothing(tiny_cfg, tmp_path, monkeypatch, capsys):
     """A run that fails leaves no output directory and no file of the runs
-    that succeeded; an output directory that existed is left as it was."""
-    cfg = tmp_path / "hot.cfg"
-    cfg.write_text(_with_key("users", "embb_mean_snr_db", "3080"))
+    that succeeded; an output directory that existed is left as it was. The
+    orthogonal run's summary is given an infinite spectral efficiency."""
+    summarize = metrics.summarize_run
+
+    def injected(records, policy_id, *args):
+        if policy_id == "orthogonal":
+            records = records._replace(spectral_efficiency=np.full_like(records.t, np.inf, float))
+        return summarize(records, policy_id, *args)
+
+    monkeypatch.setattr(metrics, "summarize_run", injected)
     fresh, kept = tmp_path / "fresh", tmp_path / "kept"
     kept.mkdir()
     (kept / "notes.txt").write_text("mine\n")
     for out in (fresh, kept):
         code = main(
             [
-                "compare", "--scenario", str(cfg), "--out", str(out),
+                "compare", "--scenario", tiny_cfg, "--out", str(out),
                 "--policy", "oracle,orthogonal",
             ]
         )
@@ -474,21 +518,29 @@ def test_an_undrawable_lambda_is_a_config_error(tiny_cfg, tmp_path, capsys, verb
     assert not out.exists()
 
 
-def test_an_undrawable_sweep_value_is_a_config_error(tiny_cfg, tmp_path, capsys):
-    out = tmp_path / "o"
-    code = main(
-        ["sweep", "--scenario", tiny_cfg, "--policy", "orthogonal",
-         "--lambdas", f"2,{OVER_POISSON_LIMIT}", "--out", str(out)]
-    )
-    assert code == EXIT_CONFIG
-    assert f"{float(OVER_POISSON_LIMIT):g}" in capsys.readouterr().err
-    assert not out.exists()
+def test_an_undrawable_sweep_value_is_a_config_error(tmp_path, capsys):
+    """A sweep value over numpy's Poisson limit, and one under it whose load
+    entry, λ / 1e-14, is over the float32 net's headroom, exit 2 naming it."""
+    for reference, lam, bound in (("2.0", OVER_POISSON_LIMIT, "Poisson"),
+                                  ("1e-14", "9e18", "float32")):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(_with_key("features", "reference_lambda", reference))
+        out = tmp_path / "o"
+        code = main(
+            ["sweep", "--scenario", str(cfg), "--policy", "orthogonal",
+             "--lambdas", f"2,{lam}", "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{float(lam):g}" in err and bound in err
+        assert not out.exists()
 
 
-def test_the_largest_drawable_lambda_runs(tiny_cfg, tmp_path):
+def test_the_largest_drawable_lambda_runs(tiny_cfg, tmp_path, capsys):
     """numpy draws at POISSON_LAM_MAX itself, as a scenario's rate and as a
-    sweep value; a scenario without URLLC users draws nothing, so any finite
-    rate runs."""
+    sweep value. Without URLLC users nothing is drawn, but the encoder's load
+    entry, 256 λ / (256 · 2) on tiny, still bounds λ: its largest value runs,
+    and the next float exits 2 at load, naming the key."""
     limit = repr(POISSON_LAM_MAX)
     cfg = tmp_path / "limit.cfg"
     cfg.write_text(TINY_TEXT.replace("urllc_lambda = 2.0", f"urllc_lambda = {limit}"))
@@ -496,12 +548,18 @@ def test_the_largest_drawable_lambda_runs(tiny_cfg, tmp_path):
                  "--out", str(tmp_path / "run")]) == EXIT_OK
     assert main(["sweep", "--scenario", tiny_cfg, "--policy", "orthogonal",
                  "--lambdas", limit, "--out", str(tmp_path / "sweep")]) == EXIT_OK
-    cfg.write_text(
-        TINY_TEXT.replace("urllc_lambda = 2.0", "urllc_lambda = 1e300")
-        .replace("urllc = 1\n", "urllc = 0\n")
-    )
-    assert main(["run", "--scenario", str(cfg), "--policy", "oracle",
-                 "--out", str(tmp_path / "none")]) == EXIT_OK
+    largest = 2 * FEATURE_ENTRY_MAX  # the packet bits and the factor 2 are exact
+    for lam, code in ((largest, EXIT_OK), (math.nextafter(largest, math.inf), EXIT_CONFIG)):
+        cfg.write_text(
+            TINY_TEXT.replace("urllc_lambda = 2.0", f"urllc_lambda = {lam!r}")
+            .replace("urllc = 1\n", "urllc = 0\n")
+        )
+        out = tmp_path / f"none{code}"
+        assert main(["run", "--scenario", str(cfg), "--policy", "oracle",
+                     "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "urllc_lambda" in err and "load entry" in err and "float32" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -512,23 +570,22 @@ def test_a_feature_entry_over_the_float32_headroom_is_a_config_error(
     tmp_path, monkeypatch, capsys, section, key, value
 ):
     """The encoder's constant entries are finite in float64 but overflow the
-    float32 net's first layer: ``train`` exits 2 naming the key before the
-    slot loop starts, and an orthogonal run, which reads no features, runs."""
-    cfg = tmp_path / "big.cfg"
-    cfg.write_text(_with_key(section, key, value))
-    assert main(["run", "--scenario", str(cfg), "--policy", "orthogonal",
-                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    float32 net's first layer: load rejects the file, naming the key, before
+    the slot loop starts, for an orthogonal run, which reads no features, too."""
 
     def no_work(*args, **kwargs):
         raise AssertionError("labelling started before the feature entries were checked")
 
     monkeypatch.setattr(runner, "_simulate", no_work)
     monkeypatch.setattr(runner, "_slots", no_work)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(_with_key(section, key, value))
     out = tmp_path / "o"
-    assert main(["train", "--scenario", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert key in err and "float32" in err
-    assert not out.exists()
+    for argv in (["run", "--policy", "orthogonal"], ["train"]):
+        assert main([*argv, "--scenario", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and "float32" in err
+        assert not out.exists()
 
 
 def test_a_run_too_large_for_the_memory_exits_3_in_one_line(

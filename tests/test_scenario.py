@@ -1,12 +1,23 @@
 import hashlib
+import io
 import math
 import re
+import sys
+import tempfile
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import astuple, replace
 from pathlib import Path
+from typing import Optional
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twinslice import nn, runner
+from twinslice.cli import EXIT_CONFIG, EXIT_OK, main
 from twinslice.domain import ConfigError
 from twinslice.scenario import (
     _KEYS,
@@ -320,16 +331,35 @@ OTHER_VALUES = {
 }
 
 
+def _tiny_values(scenarios: Path) -> dict:
+    """tiny.cfg's keys, (section, key) -> value, at 40 slots and 1 epoch."""
+    tiny, section = {}, None
+    for line in (scenarios / "tiny.cfg").read_text().splitlines():
+        line = line.split("#")[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            key, _, value = line.partition("=")
+            tiny[section, key.strip()] = value.strip()
+    tiny[("run", "horizon_slots")], tiny[("train", "epochs")] = "40", "1"
+    return tiny
+
+
+def _scenario_text(values: dict) -> str:
+    """A scenario file setting ``values``, (section, key) -> value."""
+    sections = dict.fromkeys(section for section, _ in values)
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
+        for section in sections
+    )
+
+
 def _result_digest(values: dict) -> str:
     """Load the scenario file of ``values``, then digest its oracle labels,
     the net trained on them (weights and loss curve) and a run of every
     policy with it: records, twin log and every summary field but the
     scenario hash."""
-    sections = dict.fromkeys(section for section, _ in values)
-    scen = parse_scenario_text("".join(
-        f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
-        for section in sections
-    ))
+    scen = parse_scenario_text(_scenario_text(values))
     X, labels = runner.collect_training_data(scen)
     trained = nn.train(runner.build_net(scen, scen.train), X, labels, scen.train)
     digest = hashlib.sha256(labels.tobytes())
@@ -348,18 +378,102 @@ def test_every_key_changes_a_result(repo_root_scenarios):
     """Each key, set to another value on tiny.cfg (40 slots, 1 epoch), changes
     the labels, the trained net or a run of some policy: no key is inert."""
     assert OTHER_VALUES.keys() == _KEYS.keys()
-    tiny, section = {}, None
-    for line in (repo_root_scenarios / "tiny.cfg").read_text().splitlines():
-        line = line.split("#")[0].strip()
-        if line.startswith("["):
-            section = line[1:-1]
-        elif line:
-            key, _, value = line.partition("=")
-            tiny[section, key.strip()] = value.strip()
-    tiny[("run", "horizon_slots")], tiny[("train", "epochs")] = "40", "1"
+    tiny = _tiny_values(repo_root_scenarios)
     inert = []
     for key, (value, context) in OTHER_VALUES.items():
         base = {k: v for k, v in (tiny | context).items() if v is not None}
         if _result_digest(base | {key: value}) == _result_digest(base):
             inert.append(key)
     assert inert == []
+
+
+#: The edge values drawn for every key: zero, one, negatives, the smallest
+#: (subnormal and normal) and largest finite floats, huge ints, a long list.
+EDGES = ["0", "1", "-1", "5e-324", "2.2250738585072014e-308", repr(sys.float_info.max),
+         repr(-sys.float_info.max), str(2**64), str(10**400), ",".join(["1"] * 1000)]
+#: Keys that size the run's arrays or loops: judged at load only, since one
+#: that loads may still be too large for the memory (exit 3, out of scope).
+SIZE_KEYS = {("users", "embb"), ("users", "urllc"), ("grid", "num_rbs"), ("run", "horizon_slots"),
+             ("train", "epochs"), ("train", "batch_size"), ("train", "hidden_sizes"),
+             ("twin", "moderate_slots"), ("twin", "significant_slots"), ("twin", "cadence")}
+#: Cases no load bound can be derived for: training diverges and exits 3.
+DIVERGES = {
+    (("qos", "embb_min_rate_bps"), str(2**64)):
+        "the eMBB entry, 3.6e13, fits the float32 net's first pass, but training "
+        "diverges: non-finite layer 1 pre-activation, exit 3",
+    (("train", "learning_rate"), str(2**64)):
+        "a step of 1.8e19 diverges: non-finite layer 2 pre-activation, exit 3",
+}
+
+
+def _non_finite(out: Path) -> list[str]:
+    """Every output cell (CSV or summary) or weight that is not finite."""
+    bad = [str(path) for path in out.glob("weights.bin")
+           if not all(np.isfinite(a).all() for a in nn.load_weights(path)[0].weights)]
+    for path in [*out.glob("*.csv"), *out.glob("*.summary")]:
+        for cell in re.split(r"[,=\n]", path.read_text()):
+            try:  # an int, such as a seed or a window, is exact at any size
+                if not (re.fullmatch(r"-?\d+", cell) or math.isfinite(float(cell))):
+                    bad.append(f"{path.name}: {cell}")
+            except ValueError:
+                pass  # a word, such as a policy id
+    return bad
+
+
+def _breach(scenarios: Path, key: tuple, value: str) -> Optional[str]:
+    """How ``key = value`` on tiny.cfg (40 slots) breaks the load contract, or
+    None. The contract: exit 2 naming the key before any work, or exit 0 with
+    finite outputs (``run`` and ``train --epochs 1``); RuntimeWarnings raise.
+    A size key is judged by loading alone, which must allocate nothing."""
+    values = {k: v for k, v in (_tiny_values(scenarios) | OTHER_VALUES[key][1]).items()
+              if v is not None}
+    text = _scenario_text(values | {key: value})
+    if key in SIZE_KEYS:
+        tracemalloc.start()
+        try:
+            parse_scenario_text(text)
+        except ConfigError as exc:
+            if key[1] not in str(exc):
+                return f"load error names no {key[1]}: {exc}"
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return f"load allocated {peak} bytes" if peak > 2**20 else None
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "edge.cfg")
+        cfg.write_text(text)
+        for argv in (["run"], ["train", "--epochs", "1"]):
+            out, err = Path(tmp, argv[0]), io.StringIO()
+            with mock.patch.object(runner, "_simulate", wraps=runner._simulate) as sim, \
+                    mock.patch.object(runner, "collect_training_data",
+                                      wraps=runner.collect_training_data) as label, \
+                    redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main([*argv, "--scenario", str(cfg), "--out", str(out)])
+            if code == EXIT_CONFIG and (sim.called or label.called):
+                return f"{argv[0]} exits 2 after work started: {err.getvalue()}"
+            if code == EXIT_CONFIG and key[1] not in err.getvalue():
+                return f"{argv[0]}'s load error names no {key[1]}: {err.getvalue()}"
+            if code not in (EXIT_CONFIG, EXIT_OK):
+                return f"{argv[0]} exits {code}: {err.getvalue()}"
+            if code == EXIT_OK and _non_finite(out):
+                return f"{argv[0]} writes non-finite values: {_non_finite(out)[:3]}"
+    return None
+
+
+@pytest.mark.parametrize("key", list(OTHER_VALUES), ids=lambda key: key[1])
+@given(value=st.sampled_from(EDGES))
+def test_every_file_that_loads_runs_to_a_finite_result(repo_root_scenarios, key, value):
+    """ROADMAP item 7: each key at each edge value, on tiny.cfg, exits 2 at
+    load naming the key, or runs to finite outputs; the cases of DIVERGES
+    are pinned below as strict xfails."""
+    breach = _breach(repo_root_scenarios, key, value)
+    assert breach is None or (key, value) in DIVERGES, f"{key[1]} = {value[:40]}: {breach}"
+
+
+@pytest.mark.parametrize("key,value", [
+    pytest.param(key, value, id=f"{key[1]}={value}",
+                 marks=pytest.mark.xfail(strict=True, reason=why))
+    for (key, value), why in DIVERGES.items()
+])
+def test_a_diverging_training_has_no_load_bound(repo_root_scenarios, key, value):
+    assert _breach(repo_root_scenarios, key, value) is None
